@@ -92,6 +92,13 @@ struct Row {
     encoding_cache_hits: u64,
     encoding_cache_misses: u64,
     cross_query_warm_hits: u64,
+    /// Branch-and-bound nodes explored, and how their warm re-solves from
+    /// the parent basis ended: solved warm, pruned on an exactly checked
+    /// Farkas ray, or fallen back cold.
+    bb_nodes: u64,
+    warm_nodes: u64,
+    farkas_pruned: u64,
+    cold_fallbacks: u64,
 }
 
 fn main() {
@@ -253,6 +260,10 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
     row.encoding_cache_hits = q.encoding_cache_hits;
     row.encoding_cache_misses = q.encoding_cache_misses;
     row.cross_query_warm_hits = q.cross_query_warm_hits;
+    row.bb_nodes = q.nodes;
+    row.warm_nodes = q.warm_nodes;
+    row.farkas_pruned = q.farkas_pruned;
+    row.cold_fallbacks = q.cold_fallbacks;
 
     // --- Ours, second arm: identical settings with exact-rational
     //     certificate checking forced on (`ITNE_CHECK_CERTS=1` semantics).

@@ -227,8 +227,10 @@ impl GlobalReport {
 ///
 /// # Errors
 ///
-/// [`CertifyError::InvalidInput`] for dimension mismatches or a negative
-/// `delta`; [`CertifyError::Lower`] if the network cannot be lowered.
+/// [`CertifyError::InvalidInput`] for dimension mismatches, a malformed
+/// domain, a non-finite weight or bias, or a negative `delta` (see
+/// [`validate_network`]); [`CertifyError::Lower`] if the network cannot be
+/// lowered.
 pub fn certify_global(
     net: &Network,
     domain: &[(f64, f64)],
@@ -274,6 +276,29 @@ pub(crate) fn validate(
     delta: f64,
     opts: &CertifyOptions,
 ) -> Result<(), CertifyError> {
+    validate_network(aff, domain)?;
+    if delta.is_nan() || delta < 0.0 {
+        return Err(CertifyError::InvalidInput(format!(
+            "delta must be ≥ 0, got {delta}"
+        )));
+    }
+    if opts.window == 0 {
+        return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
+    }
+    Ok(())
+}
+
+/// Checks a network and its input domain before anything is built from
+/// them: the domain matches the input dimension and is a finite, ordered
+/// box, the network has layers, and every weight and bias is finite. A NaN
+/// or infinite parameter would otherwise flow into the interval bounds and
+/// the LP data, where it surfaces as a silently wrong ε̄ or a solve that
+/// never ends.
+///
+/// # Errors
+///
+/// [`CertifyError::InvalidInput`] naming the first problem found.
+pub fn validate_network(aff: &AffineNetwork, domain: &[(f64, f64)]) -> Result<(), CertifyError> {
     if domain.len() != aff.input_dim {
         return Err(CertifyError::InvalidInput(format!(
             "domain has {} dimensions, network input is {}",
@@ -289,16 +314,17 @@ pub(crate) fn validate(
             "domain box must be finite and ordered".into(),
         ));
     }
-    if delta.is_nan() || delta < 0.0 {
-        return Err(CertifyError::InvalidInput(format!(
-            "delta must be ≥ 0, got {delta}"
-        )));
-    }
-    if opts.window == 0 {
-        return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
-    }
     if aff.layers.is_empty() {
         return Err(CertifyError::InvalidInput("network has no layers".into()));
+    }
+    for (li, layer) in aff.layers.iter().enumerate() {
+        for (j, row) in layer.rows.iter().enumerate() {
+            if !row.bias.is_finite() || row.terms.iter().any(|&(_, c)| !c.is_finite()) {
+                return Err(CertifyError::InvalidInput(format!(
+                    "layer {li} neuron {j} has a non-finite weight or bias"
+                )));
+            }
+        }
     }
     Ok(())
 }
@@ -887,6 +913,27 @@ mod tests {
         )
         .is_err());
         assert!(certify_global_affine(&aff, &[(1.0, -1.0), (0.0, 1.0)], 0.1, &opts).is_err());
+    }
+
+    /// A NaN or infinite weight or bias is a typed input error, never a
+    /// certified answer (or a solve that does not terminate).
+    #[test]
+    fn non_finite_weights_rejected() {
+        let opts = CertifyOptions::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut weight = fig1_affine();
+            weight.layers[0].rows[0].terms[0].1 = bad;
+            let mut bias = fig1_affine();
+            bias.layers[1].rows[0].bias = bad;
+            for aff in [weight, bias] {
+                match certify_global_affine(&aff, &DOM, 0.1, &opts) {
+                    Err(CertifyError::InvalidInput(why)) => {
+                        assert!(why.contains("non-finite"), "{bad}: {why}");
+                    }
+                    other => panic!("{bad}: expected InvalidInput, got {other:?}"),
+                }
+            }
+        }
     }
 
     /// An expired global deadline degrades to (sound) IBP ranges.

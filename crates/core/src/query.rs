@@ -134,6 +134,16 @@ pub struct QueryStats {
     /// resident basis store), as opposed to the within-sweep chain. A subset
     /// of `warm_hits`.
     pub cross_query_warm_hits: u64,
+    /// Branch-and-bound nodes re-solved warm from their parent's basis
+    /// ([`itne_milp::Stats::warm_nodes`]).
+    pub warm_nodes: u64,
+    /// Branch-and-bound nodes pruned on an exactly checked Farkas ray
+    /// ([`itne_milp::Stats::farkas_pruned`]).
+    pub farkas_pruned: u64,
+    /// Branch-and-bound nodes whose warm re-solve fell back cold
+    /// ([`itne_milp::Stats::cold_fallbacks`]). A rise here, with
+    /// `warm_nodes` falling, is the tree sliding back to cold nodes.
+    pub cold_fallbacks: u64,
 }
 
 impl QueryStats {
@@ -169,6 +179,9 @@ impl QueryStats {
         self.cross_query_warm_hits = self
             .cross_query_warm_hits
             .saturating_add(other.cross_query_warm_hits);
+        self.warm_nodes = self.warm_nodes.saturating_add(other.warm_nodes);
+        self.farkas_pruned = self.farkas_pruned.saturating_add(other.farkas_pruned);
+        self.cold_fallbacks = self.cold_fallbacks.saturating_add(other.cold_fallbacks);
     }
 
     /// Folds in the warm-start counters of one finished batch sweep. Solve
@@ -284,6 +297,9 @@ fn directed_solve(
             stats.refactor_time_ns += sol.stats.refactor_time_ns;
             stats.ftran_btran_time_ns += sol.stats.ftran_btran_time_ns;
             stats.lu_fill_nnz = stats.lu_fill_nnz.max(sol.stats.lu_fill_nnz);
+            stats.warm_nodes += sol.stats.warm_nodes;
+            stats.farkas_pruned += sol.stats.farkas_pruned;
+            stats.cold_fallbacks += sol.stats.cold_fallbacks;
             Some(sol)
         }
         Err(_) => {
@@ -642,6 +658,9 @@ fn directed_solve_slot(
             stats.refactor_time_ns += sol.stats.refactor_time_ns;
             stats.ftran_btran_time_ns += sol.stats.ftran_btran_time_ns;
             stats.lu_fill_nnz = stats.lu_fill_nnz.max(sol.stats.lu_fill_nnz);
+            stats.warm_nodes += sol.stats.warm_nodes;
+            stats.farkas_pruned += sol.stats.farkas_pruned;
+            stats.cold_fallbacks += sol.stats.cold_fallbacks;
             Some(sol)
         }
         Err(_) => {

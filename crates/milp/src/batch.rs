@@ -12,8 +12,9 @@
 //! the solve transparently falls back to a cold solve, so results never
 //! depend on whether a warm start succeeded.
 //!
-//! Mixed-integer models are accepted for uniformity but always solved cold
-//! through branch-and-bound (warm-starting a B&B tree is out of scope); the
+//! Mixed-integer models are accepted for uniformity and solved by
+//! branch-and-bound, whose tree starts cold for every objective (inside the
+//! tree, nodes warm-start from their parent's basis); the
 //! continuous/integer dispatch matches [`Model::solve_with`] exactly.
 
 use crate::error::SolveError;

@@ -1,34 +1,54 @@
 //! Branch-and-bound over integer variables, bounding with LP relaxations.
 //!
-//! Depth-first search branching on the most fractional integer variable.
-//! Nodes carry only bound overrides, so the constraint matrix is shared.
+//! Depth-first search branching on the most fractional integer variable,
+//! exploring the child nearer the LP value first and pruning a node on its
+//! parent's relaxation bound before paying for its LP. A node carries the
+//! bound overrides along its path, its parent's relaxation bound, and the
+//! parent's optimal simplex [`Basis`], one snapshot shared by both siblings.
 //! Supports cooperative cancellation ([`crate::StopWhen`], typically a
 //! caller-built wall-clock deadline, returning the incumbent with
 //! [`Status::TimedOut`]) — the mechanism behind the paper's "exact methods
 //! cannot certify within 24h" rows of Table I. The solver never reads the
 //! clock itself (determinism lint rule `wall-clock`).
 //!
-//! With [`crate::SolveOptions::steal`] > 1 the tree is instead explored in
-//! deterministic **waves**: every surviving frontier node's LP relaxation is
-//! solved concurrently (workers claim node indices dynamically, so a cheap
-//! subtree never idles a worker behind an expensive sibling), then the
-//! results are merged back strictly in node index order and all incumbent,
-//! pruning, and branching decisions happen in that sequential merge. The
-//! wave content is therefore a pure function of the previous wave — never
-//! of the thread count or of which worker solved which node — so the
-//! returned solution *and every stats counter* are bit-identical at any
-//! `steal` value. What changes versus the serial DFS is only the traversal
-//! order (breadth-synchronous instead of depth-first), which can explore a
-//! different number of nodes; both orders prove the same optimum.
+//! **Warm nodes.** On the sparse engines the tree compiles its constraint
+//! skeleton once and keeps one live simplex core ([`sparse::NodeLp`]). A
+//! child only tightens one variable bound of its parent, so the parent's
+//! optimal basis stays dual feasible: the child popped right after its
+//! parent re-solves *in place* in the live core, and its sibling restores
+//! the shared snapshot with one refactorization. Either way the branched
+//! bound is applied and a bounded dual simplex pivots primal feasibility
+//! back in, followed by a primal phase-2 clean-up pass — a handful of
+//! pivots where a cold solve from the slack basis takes dozens.
+//!
+//! **Farkas pruning.** When the dual ratio test finds no entering column,
+//! the leaving row of `B⁻¹`, signed toward the violated bound, is a Farkas
+//! ray. The node is pruned as infeasible only when that ray passes
+//! [`itne_certcheck::verify_infeasibility`] in exact arithmetic against the
+//! node's bounds; a ray that does not prove infeasibility, a rejected
+//! restore, the pivot cap, or a failed residual check re-solves the node
+//! cold from the slack basis, exactly as with warm starts off. So no node
+//! is ever discarded on the solver's word alone.
+//!
+//! Only the cost of a node changes, never the search rule. Where a child's
+//! LP has alternative optima the warm and cold paths may return different
+//! optimal vertices, so the trees can differ in shape while proving the
+//! same optimum. [`SolveOptions::warm_start`] off re-solves every node
+//! cold, and [`Engine::Dense`] always does (the all-cold oracle).
+//! [`Stats`] counts the work of every node — infeasible ones included —
+//! and how each warm attempt ended (`warm_nodes`, `farkas_pruned`,
+//! `cold_fallbacks`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+
+use itne_certcheck::{verify_infeasibility, RowCmp, RowRef};
 
 use crate::error::SolveError;
-use crate::model::{Model, Sense, VarType};
+use crate::model::{Cmp, Model, Sense, VarType};
 use crate::options::{Engine, SolveOptions, StopWhen};
-use crate::sparse::{self, Skeleton};
-use crate::{simplex, Solution, Stats, Status};
+use crate::simplex::{self, Basis, EngineCounters};
+use crate::sparse::{NodeLp, WarmNode};
+use crate::{Solution, Stats, Status};
 
 struct Node {
     /// `(column, lo, hi)` overrides accumulated along the path from the root.
@@ -36,12 +56,24 @@ struct Node {
     /// Objective of the parent's LP relaxation — an optimistic bound for this
     /// node, used to prune before re-solving.
     parent_bound: f64,
+    /// The parent's optimal basis, shared with the sibling. `None` at the
+    /// root, with warm starts off, and when the parent's basis still held
+    /// an artificial column.
+    basis: Option<Rc<Basis>>,
+    /// Sequence number of the parent's solve: when the live core's last
+    /// optimum is this node's parent, the node re-solves in place.
+    parent: u64,
+}
+
+/// How the warm attempts of a tree ended (see [`Stats`]).
+#[derive(Default)]
+struct WarmCounts {
+    warm_nodes: u64,
+    farkas_pruned: u64,
+    cold_fallbacks: u64,
 }
 
 pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    if opts.steal > 1 && opts.engine != Engine::Dense {
-        return solve_milp_waves(model, opts);
-    }
     let sense = model.sense.unwrap_or(Sense::Minimize);
     let int_tol = opts.tolerances.integrality;
     // `better(a, b)`: objective a strictly improves on b.
@@ -70,14 +102,12 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
     let mut stack = vec![Node {
         overrides: Vec::new(),
         parent_bound: -worst,
+        basis: None,
+        parent: 0,
     }];
-    let mut pivots = 0u64;
     let mut nodes = 0u64;
-    let mut refactorizations = 0u64;
-    let mut eta_len = 0u64;
-    let mut refactor_time_ns = 0u64;
-    let mut ftran_btran_time_ns = 0u64;
-    let mut lu_fill_nnz = 0u64;
+    let mut dense_pivots = 0u64;
+    let mut counts = WarmCounts::default();
     let mut timed_out = false;
     let mut node_limited = false;
     let mut scratch = base_bounds.clone();
@@ -87,11 +117,21 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
         emit_certificates: false,
         ..opts.clone()
     };
-    // The constraint skeleton is shared by every node; with the sparse
-    // engines, compile it once for the whole tree instead of per relaxation
-    // (nodes only override variable bounds, never rows).
-    let skel = (opts.engine != Engine::Dense)
-        .then(|| Arc::new(Skeleton::build(model, opts.engine == Engine::Lu)));
+    // The sparse engines compile the skeleton once for the whole tree
+    // (nodes only override variable bounds, never rows) and re-solve every
+    // node in one live core.
+    let mut lp = (opts.engine != Engine::Dense).then(|| NodeLp::new(model, opts));
+    let warm = opts.warm_start && lp.is_some();
+    // The exact checker's view of the rows, built once per tree.
+    let rows: Vec<RowRef<'_>> = if warm {
+        model.rows.iter().map(row_ref).collect()
+    } else {
+        Vec::new()
+    };
+    // Sequence number of the node whose optimum the live core holds (0:
+    // none), and spent snapshots whose buffers the next ones reuse.
+    let mut live = 0u64;
+    let mut spare: Vec<Basis> = Vec::new();
 
     while let Some(node) = stack.pop() {
         if opts.stop.as_ref().is_some_and(StopWhen::should_stop) {
@@ -104,6 +144,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
         }
         // Prune on the parent's relaxation before paying for an LP solve.
         if incumbent.is_some() && !better(node.parent_bound, best_obj) {
+            recycle(node.basis, &mut spare);
             continue;
         }
         nodes += 1;
@@ -114,21 +155,29 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
             scratch[c] = (cur.0.max(lo), cur.1.min(hi));
         }
 
-        let relaxed = match &skel {
-            Some(skel) => sparse::solve_bounded(model, &scratch, opts, Some(skel.clone())),
-            None => simplex::solve_lp_bounded(model, &scratch, opts),
+        let relaxed = match lp.as_mut() {
+            None => simplex::solve_dense_counted(model, &scratch, opts, &mut dense_pivots),
+            Some(lp) => {
+                let settled = match node.basis.as_deref() {
+                    Some(basis) => {
+                        let restore = (node.parent != live).then_some(basis);
+                        settle_warm(lp, model, &rows, &scratch, restore, opts, &mut counts)
+                    }
+                    None => None,
+                };
+                settled.unwrap_or_else(|| lp.solve_cold(model, &scratch, opts))
+            }
         };
+        recycle(node.basis, &mut spare);
         let relax = match relaxed {
             Ok(s) => s,
-            Err(SolveError::Infeasible) => continue,
+            Err(SolveError::Infeasible) => {
+                live = 0;
+                continue;
+            }
             Err(e) => return Err(e),
         };
-        pivots += relax.stats.pivots;
-        refactorizations += relax.stats.refactorizations;
-        eta_len = eta_len.max(relax.stats.eta_len);
-        refactor_time_ns = refactor_time_ns.saturating_add(relax.stats.refactor_time_ns);
-        ftran_btran_time_ns = ftran_btran_time_ns.saturating_add(relax.stats.ftran_btran_time_ns);
-        lu_fill_nnz = lu_fill_nnz.max(relax.stats.lu_fill_nnz);
+        live = nodes;
         if incumbent.is_some() && !better(relax.objective, best_obj) {
             continue; // relaxation can't beat incumbent
         }
@@ -166,13 +215,21 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
             }
             Some((c, v, _)) => {
                 let floor = v.floor();
+                let basis = lp.as_ref().filter(|_| warm).and_then(|lp| {
+                    let mut b = spare.pop().unwrap_or_else(Basis::empty);
+                    lp.snapshot_into(&mut b).then(|| Rc::new(b))
+                });
                 let up = Node {
                     overrides: with_override(&node.overrides, (c, floor + 1.0, f64::INFINITY)),
                     parent_bound: relax.objective,
+                    basis: basis.clone(),
+                    parent: nodes,
                 };
                 let down = Node {
                     overrides: with_override(&node.overrides, (c, f64::NEG_INFINITY, floor)),
                     parent_bound: relax.objective,
+                    basis,
+                    parent: nodes,
                 };
                 // Explore the child nearer the LP value first (DFS: push last).
                 if v - floor > 0.5 {
@@ -206,8 +263,15 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
                     Sense::Maximize => acc.max(b),
                     Sense::Minimize => acc.min(b),
                 });
+            let work = lp.as_ref().map_or(
+                EngineCounters {
+                    pivots: dense_pivots,
+                    ..EngineCounters::default()
+                },
+                NodeLp::work,
+            );
             sol.stats = Stats {
-                pivots,
+                pivots: work.pivots,
                 nodes,
                 best_bound: if status == Status::Optimal {
                     sol.objective
@@ -216,11 +280,14 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
                 },
                 max_residual: model.violation(sol.values()),
                 nnz: model.rows.iter().map(|r| r.terms.len() as u64).sum(),
-                refactorizations,
-                eta_len,
-                refactor_time_ns,
-                ftran_btran_time_ns,
-                lu_fill_nnz,
+                refactorizations: work.refactorizations,
+                eta_len: work.eta_len,
+                refactor_time_ns: work.refactor_time_ns,
+                ftran_btran_time_ns: work.ftran_btran_time_ns,
+                lu_fill_nnz: work.lu_fill_nnz,
+                warm_nodes: counts.warm_nodes,
+                farkas_pruned: counts.farkas_pruned,
+                cold_fallbacks: counts.cold_fallbacks,
             };
             sol.objective = {
                 // Recompute from the snapped integer point for exactness.
@@ -238,263 +305,55 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
     }
 }
 
-/// Wave-synchronous parallel branch-and-bound (see the module docs): solve
-/// every surviving frontier relaxation concurrently, then make all search
-/// decisions in a sequential index-order merge. Deterministic at any
-/// [`SolveOptions::steal`] ≥ 2 by construction.
-fn solve_milp_waves(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    let sense = model.sense.unwrap_or(Sense::Minimize);
-    let int_tol = opts.tolerances.integrality;
-    let better = |a: f64, b: f64| match sense {
-        Sense::Maximize => a > b + 1e-9,
-        Sense::Minimize => a < b - 1e-9,
-    };
-    let int_vars: Vec<usize> = model
-        .cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.ty == VarType::Integer)
-        .map(|(i, _)| i)
-        .collect();
-    let base_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let worst = match sense {
-        Sense::Maximize => f64::NEG_INFINITY,
-        Sense::Minimize => f64::INFINITY,
-    };
-    let threads = opts.steal;
-
-    let mut incumbent: Option<Solution> = None;
-    let mut best_obj = worst;
-    let mut best_bound = worst;
-    // Unexplored nodes. Within a wave, earlier indices merge first, so the
-    // child nearer its parent's LP value is pushed first — the same
-    // "explore the likelier side before its sibling" heuristic as the DFS.
-    let mut frontier = vec![Node {
-        overrides: Vec::new(),
-        parent_bound: -worst,
-    }];
-    let mut pivots = 0u64;
-    let mut nodes = 0u64;
-    let mut refactorizations = 0u64;
-    let mut eta_len = 0u64;
-    let mut refactor_time_ns = 0u64;
-    let mut ftran_btran_time_ns = 0u64;
-    let mut lu_fill_nnz = 0u64;
-    let mut timed_out = false;
-    let mut node_limited = false;
-    let opts = &SolveOptions {
-        emit_certificates: false,
-        ..opts.clone()
-    };
-    let skel = Arc::new(Skeleton::build(model, opts.engine == Engine::Lu));
-
-    while !frontier.is_empty() {
-        if opts.stop.as_ref().is_some_and(StopWhen::should_stop) {
-            timed_out = true;
-            break;
+/// One warm attempt at a node: `Some` when it settles the node (an optimum,
+/// or infeasibility proved exactly from the Farkas ray), `None` when the
+/// node must be re-solved cold.
+fn settle_warm(
+    lp: &mut NodeLp,
+    model: &Model,
+    rows: &[RowRef<'_>],
+    bounds: &[(f64, f64)],
+    restore: Option<&Basis>,
+    opts: &SolveOptions,
+    counts: &mut WarmCounts,
+) -> Option<Result<Solution, SolveError>> {
+    match lp.solve_warm(model, bounds, restore, opts) {
+        WarmNode::Solved(sol) => {
+            counts.warm_nodes += 1;
+            return Some(Ok(sol));
         }
-        // Deterministic pre-prune in index order against the incumbent of
-        // the *previous* waves — never against results racing in this one.
-        let mut wave: Vec<Node> = Vec::with_capacity(frontier.len());
-        for node in frontier.drain(..) {
-            if incumbent.is_none() || better(node.parent_bound, best_obj) {
-                wave.push(node);
+        WarmNode::Infeasible => {
+            let ray = lp.farkas_ray();
+            if verify_infeasibility(bounds.len(), rows, bounds, ray).is_valid() {
+                counts.farkas_pruned += 1;
+                return Some(Err(SolveError::Infeasible));
             }
         }
-        if wave.is_empty() {
-            break;
-        }
-        let budget = opts.max_nodes.saturating_sub(nodes);
-        if wave.len() as u64 > budget {
-            node_limited = true;
-            frontier = wave.split_off(budget as usize);
-            if wave.is_empty() {
-                break;
-            }
-        }
-        nodes += wave.len() as u64;
-
-        let results = solve_wave(model, &skel, &base_bounds, &wave, opts, threads);
-
-        let mut next: Vec<Node> = Vec::new();
-        for (node, res) in wave.iter().zip(results) {
-            let relax = match res {
-                Ok(s) => s,
-                Err(SolveError::Infeasible) => continue,
-                Err(e) => return Err(e),
-            };
-            pivots += relax.stats.pivots;
-            refactorizations += relax.stats.refactorizations;
-            eta_len = eta_len.max(relax.stats.eta_len);
-            refactor_time_ns = refactor_time_ns.saturating_add(relax.stats.refactor_time_ns);
-            ftran_btran_time_ns =
-                ftran_btran_time_ns.saturating_add(relax.stats.ftran_btran_time_ns);
-            lu_fill_nnz = lu_fill_nnz.max(relax.stats.lu_fill_nnz);
-            if incumbent.is_some() && !better(relax.objective, best_obj) {
-                continue; // relaxation can't beat incumbent
-            }
-
-            let mut branch: Option<(usize, f64, f64)> = None;
-            for &c in &int_vars {
-                let v = relax.values()[c];
-                let frac = (v - v.round()).abs();
-                if frac > int_tol {
-                    let dist = (v - v.floor() - 0.5).abs();
-                    if branch.is_none_or(|(_, _, d)| dist < d) {
-                        branch = Some((c, v, dist));
-                    }
-                }
-            }
-
-            match branch {
-                None => {
-                    let mut vals = relax.values().to_vec();
-                    for &c in &int_vars {
-                        vals[c] = vals[c].round();
-                    }
-                    if incumbent.is_none() || better(relax.objective, best_obj) {
-                        best_obj = relax.objective;
-                        incumbent = Some(Solution {
-                            objective: relax.objective,
-                            status: Status::Optimal,
-                            stats: Stats::default(),
-                            values: vals,
-                            certificate: None,
-                        });
-                    }
-                }
-                Some((c, v, _)) => {
-                    let floor = v.floor();
-                    let up = Node {
-                        overrides: with_override(&node.overrides, (c, floor + 1.0, f64::INFINITY)),
-                        parent_bound: relax.objective,
-                    };
-                    let down = Node {
-                        overrides: with_override(&node.overrides, (c, f64::NEG_INFINITY, floor)),
-                        parent_bound: relax.objective,
-                    };
-                    if v - floor > 0.5 {
-                        next.push(up);
-                        next.push(down);
-                    } else {
-                        next.push(down);
-                        next.push(up);
-                    }
-                    if incumbent.is_none() || better(relax.objective, best_bound) {
-                        best_bound = relax.objective;
-                    }
-                }
-            }
-        }
-        if node_limited {
-            // `frontier` already holds the unexplored wave tail; the solved
-            // nodes' children join it so the frontier bound stays honest.
-            frontier.append(&mut next);
-            break;
-        }
-        frontier = next;
+        WarmNode::Abandoned => {}
     }
+    counts.cold_fallbacks += 1;
+    None
+}
 
-    let status = if timed_out {
-        Status::TimedOut
-    } else if node_limited {
-        Status::NodeLimit
-    } else {
-        Status::Optimal
-    };
-    match incumbent {
-        Some(mut sol) => {
-            sol.status = status;
-            let frontier_bound: f64 =
-                frontier
-                    .iter()
-                    .map(|n| n.parent_bound)
-                    .fold(best_obj, |acc, b| match sense {
-                        Sense::Maximize => acc.max(b),
-                        Sense::Minimize => acc.min(b),
-                    });
-            sol.stats = Stats {
-                pivots,
-                nodes,
-                best_bound: if status == Status::Optimal {
-                    sol.objective
-                } else {
-                    frontier_bound
-                },
-                max_residual: model.violation(sol.values()),
-                nnz: model.rows.iter().map(|r| r.terms.len() as u64).sum(),
-                refactorizations,
-                eta_len,
-                refactor_time_ns,
-                ftran_btran_time_ns,
-                lu_fill_nnz,
-            };
-            sol.objective = {
-                let mut obj = model.obj_constant;
-                for &(v, c) in &model.objective {
-                    obj += c * sol.values()[v];
-                }
-                obj
-            };
-            Ok(sol)
-        }
-        None if timed_out => Err(SolveError::Timeout),
-        None if node_limited => Err(SolveError::IterationLimit),
-        None => Err(SolveError::Infeasible),
+/// The exact checker's view of one model row.
+fn row_ref(row: &crate::model::Row) -> RowRef<'_> {
+    RowRef {
+        terms: &row.terms,
+        cmp: match row.cmp {
+            Cmp::Le => RowCmp::Le,
+            Cmp::Ge => RowCmp::Ge,
+            Cmp::Eq => RowCmp::Eq,
+        },
+        rhs: row.rhs,
     }
 }
 
-/// Solves every node relaxation of one wave concurrently. Workers claim
-/// node indices from a shared counter — dynamic assignment, so a wave of
-/// wildly uneven subtrees still keeps every thread busy — and results land
-/// in per-index slots, making the returned vector independent of which
-/// worker solved what.
-fn solve_wave(
-    model: &Model,
-    skel: &Arc<Skeleton>,
-    base_bounds: &[(f64, f64)],
-    wave: &[Node],
-    opts: &SolveOptions,
-    threads: usize,
-) -> Vec<Result<Solution, SolveError>> {
-    let next = AtomicUsize::new(0);
-    let out = Mutex::new({
-        let mut slots: Vec<Option<Result<Solution, SolveError>>> = Vec::new();
-        slots.resize_with(wave.len(), || None);
-        slots
-    });
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(wave.len()) {
-            s.spawn(|| {
-                let mut scratch = base_bounds.to_vec();
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= wave.len() {
-                        break;
-                    }
-                    scratch.copy_from_slice(base_bounds);
-                    for &(c, lo, hi) in &wave[i].overrides {
-                        let cur = scratch[c];
-                        scratch[c] = (cur.0.max(lo), cur.1.min(hi));
-                    }
-                    local.push((
-                        i,
-                        sparse::solve_bounded(model, &scratch, opts, Some(skel.clone())),
-                    ));
-                }
-                let mut out = out.lock().expect("no panics hold this lock");
-                for (i, r) in local {
-                    out[i] = Some(r);
-                }
-            });
-        }
-    });
-    out.into_inner()
-        .expect("scope joined all threads")
-        .into_iter()
-        .map(|r| r.expect("every wave index was claimed"))
-        .collect()
+/// Returns a spent node's snapshot buffers to the pool once its sibling no
+/// longer shares them.
+fn recycle(basis: Option<Rc<Basis>>, spare: &mut Vec<Basis>) {
+    if let Some(b) = basis.and_then(|b| Rc::try_unwrap(b).ok()) {
+        spare.push(b);
+    }
 }
 
 fn with_override(base: &[(usize, f64, f64)], extra: (usize, f64, f64)) -> Vec<(usize, f64, f64)> {
@@ -598,70 +457,78 @@ mod tests {
         }
     }
 
-    /// Wave-parallel subtree exploration is bit-deterministic: every
-    /// `steal` thread count returns the same objective bits, values, and
-    /// node/pivot counters (the wave content never depends on the
-    /// schedule), and agrees with the serial DFS on the proven optimum.
+    /// `max 3x + y  s.t.  2x + y ≤ 1.5`, `x` binary, `y ∈ [0, 1]`: the
+    /// root LP sits at `x = 0.75`, the `x = 1` child is infeasible and the
+    /// `x = 0` child is optimal at 1.
+    fn capacity_model() -> Model {
+        let mut m = Model::new();
+        let x = m.add_binary();
+        let y = m.add_var(0.0, 1.0);
+        m.add_constraint(2.0 * x + y, Cmp::Le, 1.5);
+        m.set_objective(Sense::Maximize, 3.0 * x + y);
+        m
+    }
+
+    /// The `x = 1` child is explored first, in place on the root's basis:
+    /// the dual ratio test finds no entering column and its Farkas ray
+    /// passes the exact check, so the child is pruned without a cold solve.
     #[test]
-    fn steal_thread_count_is_invisible() {
-        let mk = || {
-            let mut m = crate::Model::new();
-            let xs: Vec<_> = (0..12).map(|_| m.add_binary()).collect();
-            let mut w = LinExpr::new();
-            let mut v = LinExpr::new();
-            for (i, &x) in xs.iter().enumerate() {
-                w = w + ((i % 5 + 1) as f64) * x;
-                v = v + ((i % 7 + 2) as f64) * x;
-            }
-            m.add_constraint(w, Cmp::Le, 17.0);
-            m.set_objective(Sense::Maximize, v);
-            m
-        };
-        let serial = mk().solve().unwrap();
-        let runs: Vec<_> = [2usize, 3, 8]
-            .iter()
-            .map(|&steal| {
-                let opts = crate::SolveOptions {
-                    steal,
-                    ..Default::default()
-                };
-                mk().solve_with(&opts).unwrap()
-            })
-            .collect();
-        for s in &runs {
-            assert_eq!(s.status, Status::Optimal);
-            // Same proven optimum as the DFS (objective is recomputed from
-            // the snapped integer point, so value-equality is exact here).
-            assert_eq!(s.objective.to_bits(), serial.objective.to_bits());
-        }
-        for pair in runs.windows(2) {
-            assert_eq!(pair[0].objective.to_bits(), pair[1].objective.to_bits());
-            assert_eq!(pair[0].values(), pair[1].values());
-            assert_eq!(pair[0].stats.nodes, pair[1].stats.nodes);
-            assert_eq!(pair[0].stats.pivots, pair[1].stats.pivots);
+    fn infeasible_child_is_pruned_on_a_proved_farkas_ray() {
+        for engine in [crate::Engine::Lu, crate::Engine::Eta] {
+            let opts = crate::SolveOptions {
+                engine,
+                ..Default::default()
+            };
+            let s = capacity_model().solve_with(&opts).unwrap();
+            assert!(
+                (s.objective - 1.0).abs() < 1e-9,
+                "{engine:?}: {}",
+                s.objective
+            );
+            assert_eq!(s.stats.nodes, 3, "{engine:?}: {:?}", s.stats);
+            assert_eq!(s.stats.farkas_pruned, 1, "{engine:?}: {:?}", s.stats);
+            assert_eq!(s.stats.warm_nodes, 1, "{engine:?}: {:?}", s.stats);
+            assert_eq!(s.stats.cold_fallbacks, 0, "{engine:?}: {:?}", s.stats);
+
+            // With warm starts off nothing is pruned on a ray.
+            let cold = capacity_model()
+                .solve_with(&crate::SolveOptions {
+                    warm_start: false,
+                    ..opts
+                })
+                .unwrap();
+            assert_eq!(cold.objective.to_bits(), s.objective.to_bits());
+            assert_eq!(
+                (cold.stats.warm_nodes, cold.stats.farkas_pruned),
+                (0, 0),
+                "{engine:?}: {:?}",
+                cold.stats
+            );
         }
     }
 
-    /// The wave scheduler honors infeasibility and integrality exactly like
-    /// the serial search.
+    /// A warm re-solve that hits the pivot cap is abandoned and the node
+    /// re-solved cold, reaching the all-cold optimum. The `x = 0` child
+    /// needs two dual pivots from the root basis (`y` enters, then leaves at
+    /// its upper bound) but none cold, so a two-pivot cap rejects only the
+    /// warm attempt.
     #[test]
-    fn steal_handles_infeasible_and_mixed() {
+    fn warm_resolve_over_the_pivot_cap_falls_back_cold() {
         let opts = crate::SolveOptions {
-            steal: 4,
+            max_pivots: 2,
             ..Default::default()
         };
-        let mut m = crate::Model::new();
-        let x = m.add_binary();
-        m.add_constraint(2.0 * x, Cmp::Eq, 1.0);
-        assert_eq!(m.solve_with(&opts).unwrap_err(), SolveError::Infeasible);
-
-        let mut m = crate::Model::new();
-        let z = m.add_binary();
-        let y = m.add_var(0.0, 3.0);
-        m.add_constraint(y + 10.0 * z, Cmp::Le, 11.5);
-        m.set_objective(Sense::Maximize, 2.0 * z + y);
-        let s = m.solve_with(&opts).unwrap();
-        assert!((s.objective - 3.5).abs() < 1e-6);
+        let s = capacity_model().solve_with(&opts).unwrap();
+        assert_eq!(s.stats.cold_fallbacks, 1, "{:?}", s.stats);
+        assert_eq!(s.stats.warm_nodes, 0, "{:?}", s.stats);
+        let cold = capacity_model()
+            .solve_with(&crate::SolveOptions {
+                warm_start: false,
+                ..opts
+            })
+            .unwrap();
+        assert_eq!(s.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!(s.values(), cold.values());
     }
 
     #[test]

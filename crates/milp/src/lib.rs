@@ -18,7 +18,10 @@
 //! * a **branch-and-bound** search over integer (in practice binary ReLU
 //!   indicator) variables, with cooperative cancellation ([`StopWhen`],
 //!   typically a caller-built deadline) and node-limit support
-//!   ([`Model::solve`] on mixed models);
+//!   ([`Model::solve`] on mixed models). On the sparse engines every child
+//!   re-solves warm from its parent's basis through a bounded dual simplex,
+//!   and a child the dual ratio test finds infeasible is pruned only once
+//!   its Farkas ray passes `itne_certcheck`'s exact check;
 //! * **warm-started objective sweeps**: a solve's final simplex [`Basis`] can
 //!   be snapshotted and re-injected as the starting basis of the next solve
 //!   over the same constraint skeleton ([`Model::solve_with_basis`]), and
@@ -101,7 +104,8 @@ pub enum Status {
 /// Solver work counters and quality diagnostics attached to every [`Solution`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Stats {
-    /// Total simplex pivots performed (across all branch-and-bound nodes).
+    /// Total simplex pivots performed (across all branch-and-bound nodes,
+    /// including infeasible nodes and abandoned warm re-solves).
     pub pivots: u64,
     /// Branch-and-bound nodes explored (`0` for pure LPs).
     pub nodes: u64,
@@ -132,6 +136,16 @@ pub struct Stats {
     /// Peak stored non-zeros of the LU factors (`L` + `U` fill;
     /// [`Engine::Lu`] only, `0` on the other engines).
     pub lu_fill_nnz: u64,
+    /// Branch-and-bound nodes re-solved warm from their parent's basis
+    /// (dual simplex, then a primal clean-up pass) to an optimum.
+    pub warm_nodes: u64,
+    /// Branch-and-bound nodes pruned as infeasible on a Farkas ray from the
+    /// dual ratio test that passed the exact check.
+    pub farkas_pruned: u64,
+    /// Branch-and-bound nodes whose warm re-solve was abandoned (rejected
+    /// restore, pivot cap, numerics, failed residual, or an unproved ray)
+    /// and re-solved cold.
+    pub cold_fallbacks: u64,
 }
 
 /// The dual certificate of an optimal LP termination: the data an

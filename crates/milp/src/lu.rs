@@ -10,7 +10,8 @@
 //! managed by the engine. A freshly created factorization
 //! ([`LuFactors::identity`]) is the trivial `diag(±1)` slack basis and
 //! short-circuits both solves to sign flips until the first real
-//! [`LuFactors::factorize`]. The
+//! factorization ([`LuFactors::refactor`], which rebuilds the factors in
+//! place, reusing their arrays). The
 //! factorization is left-looking over the basis columns in the order the
 //! caller supplies (unit columns first, then structural columns by ascending
 //! non-zero count — a static Markowitz-style fill-reducing order), with
@@ -110,20 +111,42 @@ pub(crate) struct LuFactors {
     /// `Some(neg_rows)` while the factors are still the pristine
     /// `diag(±1)` starting basis from [`Self::identity`]: both solves
     /// reduce to sign flips at these rows, costing `O(neg_rows)` instead of
-    /// two dense position sweeps. Cleared by [`Self::factorize`] and
+    /// two dense position sweeps. Cleared by [`Self::refactor`] and
     /// [`Self::replace_column`].
     trivial: Option<Vec<usize>>,
+    /// Work areas of [`Self::refactor`], kept so that refactorizing into a
+    /// reused factor buffer allocates nothing once its sizes are reached.
+    scratch: FactorScratch,
+}
+
+/// The elimination's work areas (see [`LuFactors::refactor`]), reset at
+/// the start of every factorization.
+#[derive(Clone, Debug, Default)]
+struct FactorScratch {
+    /// Original row → elimination position, `usize::MAX` while unpivoted.
+    pos_of_row: Vec<usize>,
+    x: Vec<f64>,
+    reach: Vec<usize>,
+    fill: Vec<usize>,
+    in_reach: Vec<bool>,
+    in_fill: Vec<bool>,
+    /// Depth-first stack of `(position, edge cursor)`.
+    stack: Vec<(usize, usize)>,
 }
 
 impl LuFactors {
     fn finish_init(&mut self) {
-        self.u_row = self.pivot_row.clone();
-        self.pos_of_row = vec![0; self.m];
+        self.u_row.clear();
+        self.u_row.extend_from_slice(&self.pivot_row);
+        self.pos_of_row.clear();
+        self.pos_of_row.resize(self.m, 0);
         for (k, &r) in self.u_row.iter().enumerate() {
             self.pos_of_row[r] = k;
         }
-        self.spike = vec![0.0; self.m];
-        self.acc = vec![0.0; self.m];
+        self.spike.clear();
+        self.spike.resize(self.m, 0.0);
+        self.acc.clear();
+        self.acc.resize(self.m, 0.0);
         self.base_nnz = self.l_val.len() + self.u_val.len() + self.m;
     }
 
@@ -163,18 +186,15 @@ impl LuFactors {
             csr_val: Vec::new(),
             acc: Vec::new(),
             trivial: Some(neg_rows.to_vec()),
+            scratch: FactorScratch::default(),
         };
         lu.finish_init();
         lu
     }
 
-    /// Factorizes the `m × m` basis matrix whose column `k` is
-    /// `entries[col_ptr[k]..col_ptr[k+1]]` (original row index, value).
-    /// `row_weight[r]` is the Markowitz tie-break weight of row `r`
-    /// (its non-zero count across the basis columns). Returns `None` when
-    /// some column admits no pivot above `pivot_tol` — a singular basis,
-    /// which callers treat exactly like a failed refactorization (warm
-    /// restores reject, mid-solve callers repair).
+    /// A fresh factor buffer refactorized once ([`Self::refactor`]);
+    /// `None` on a singular basis.
+    #[cfg(test)]
     pub(crate) fn factorize(
         m: usize,
         col_ptr: &[usize],
@@ -182,52 +202,95 @@ impl LuFactors {
         row_weight: &[usize],
         pivot_tol: f64,
     ) -> Option<Self> {
-        let mut lu = LuFactors {
-            m,
-            l_ptr: Vec::with_capacity(m + 1),
-            l_idx: Vec::new(),
-            l_val: Vec::new(),
-            u_ptr: Vec::with_capacity(m + 1),
-            u_idx: Vec::new(),
-            u_val: Vec::new(),
-            u_diag: Vec::with_capacity(m),
-            pivot_row: Vec::with_capacity(m),
-            u_row: Vec::new(),
-            pos_of_row: Vec::new(),
-            ft_target: Vec::new(),
-            ft_ptr: vec![0],
-            ft_src: Vec::new(),
-            ft_mul: Vec::new(),
-            updates: 0,
-            base_nnz: 0,
-            spike: Vec::new(),
-            work: vec![0.0; m],
-            tail_ptr: Vec::new(),
-            tail_idx: Vec::new(),
-            tail_val: Vec::new(),
-            csr_ptr: Vec::new(),
-            csr_idx: Vec::new(),
-            csr_val: Vec::new(),
-            acc: Vec::new(),
-            trivial: None,
-        };
-        lu.l_ptr.push(0);
-        lu.u_ptr.push(0);
-        // Original row → elimination position, `usize::MAX` while unpivoted.
-        let mut pos_of_row = vec![usize::MAX; m];
-        let mut x = vec![0.0f64; m];
+        let mut lu = Self::identity(0, &[]);
+        lu.refactor(m, col_ptr, entries, row_weight, pivot_tol)
+            .then_some(lu)
+    }
+
+    /// Factorizes, into this buffer, the `m × m` basis matrix whose column
+    /// `k` is `entries[col_ptr[k]..col_ptr[k+1]]` (original row index,
+    /// value).
+    /// `row_weight[r]` is the Markowitz tie-break weight of row `r`
+    /// (its non-zero count across the basis columns). Returns `false` when
+    /// some column admits no pivot above `pivot_tol` — a singular basis,
+    /// which callers treat exactly like a failed refactorization (warm
+    /// restores reject, mid-solve callers repair).
+    ///
+    /// Every array the buffer already owns is reused, so refactorizing a
+    /// core node after node allocates nothing once the sizes are reached.
+    /// After `false` the buffer holds no usable factorization.
+    pub(crate) fn refactor(
+        &mut self,
+        m: usize,
+        col_ptr: &[usize],
+        entries: &[(usize, f64)],
+        row_weight: &[usize],
+        pivot_tol: f64,
+    ) -> bool {
+        self.m = m;
+        self.l_ptr.clear();
+        self.l_ptr.push(0);
+        self.l_idx.clear();
+        self.l_val.clear();
+        self.u_ptr.clear();
+        self.u_ptr.push(0);
+        self.u_idx.clear();
+        self.u_val.clear();
+        self.u_diag.clear();
+        self.pivot_row.clear();
+        self.ft_target.clear();
+        self.ft_ptr.clear();
+        self.ft_ptr.push(0);
+        self.ft_src.clear();
+        self.ft_mul.clear();
+        self.updates = 0;
+        self.work.clear();
+        self.work.resize(m, 0.0);
+        self.trivial = None;
+        let mut fs = std::mem::take(&mut self.scratch);
+        fs.pos_of_row.clear();
+        fs.pos_of_row.resize(m, usize::MAX);
+        fs.x.clear();
+        fs.x.resize(m, 0.0);
+        fs.in_reach.clear();
+        fs.in_reach.resize(m, false);
+        fs.in_fill.clear();
+        fs.in_fill.resize(m, false);
+        fs.stack.clear();
+        let ok = self.eliminate(&mut fs, col_ptr, entries, row_weight, pivot_tol);
+        self.scratch = fs;
+        if ok {
+            self.finish_init();
+        }
+        ok
+    }
+
+    /// The left-looking elimination behind [`Self::refactor`], over freshly
+    /// reset factors and work areas.
+    fn eliminate(
+        &mut self,
+        fs: &mut FactorScratch,
+        col_ptr: &[usize],
+        entries: &[(usize, f64)],
+        row_weight: &[usize],
+        pivot_tol: f64,
+    ) -> bool {
+        let m = self.m;
+        let FactorScratch {
+            pos_of_row,
+            x,
+            reach,
+            fill,
+            in_reach,
+            in_fill,
+            stack,
+        } = fs;
         // Gilbert–Peierls work areas. `reach` holds the already-pivoted
         // positions this column's elimination can touch (symbolic closure
         // over the L pattern), `fill` the unpivoted rows that can end up
         // non-zero — together the exact support of the dense sweep, so the
         // loop below performs the *same* floating-point operations in the
         // same order as eliminating over all positions, at sparse cost.
-        let mut reach: Vec<usize> = Vec::new();
-        let mut fill: Vec<usize> = Vec::new();
-        let mut in_reach = vec![false; m];
-        let mut in_fill = vec![false; m];
-        let mut stack: Vec<(usize, usize)> = Vec::new(); // (position, edge cursor)
-
         for k in 0..m {
             reach.clear();
             fill.clear();
@@ -248,13 +311,13 @@ impl LuFactors {
                 // into rows that are either still unpivoted (fill) or were
                 // pivoted at some later position `t' > t` (recurse).
                 in_reach[t] = true;
-                stack.push((t, lu.l_ptr[t]));
+                stack.push((t, self.l_ptr[t]));
                 while let Some(top) = stack.last_mut() {
                     let t = top.0;
-                    let e1 = lu.l_ptr[t + 1];
+                    let e1 = self.l_ptr[t + 1];
                     let mut child: Option<usize> = None;
                     while top.1 < e1 {
-                        let rr = lu.l_idx[top.1];
+                        let rr = self.l_idx[top.1];
                         top.1 += 1;
                         let tt = pos_of_row[rr];
                         if tt == usize::MAX {
@@ -269,7 +332,7 @@ impl LuFactors {
                         }
                     }
                     match child {
-                        Some(tt) => stack.push((tt, lu.l_ptr[tt])),
+                        Some(tt) => stack.push((tt, self.l_ptr[tt])),
                         None => {
                             reach.push(t);
                             stack.pop();
@@ -281,11 +344,11 @@ impl LuFactors {
             // only scatter into positions pivoted later), and matches the
             // dense sweep's `0..k` order exactly.
             reach.sort_unstable();
-            for &t in &reach {
-                let xt = x[lu.pivot_row[t]];
+            for &t in reach.iter() {
+                let xt = x[self.pivot_row[t]];
                 if xt != 0.0 {
-                    let (e0, e1) = (lu.l_ptr[t], lu.l_ptr[t + 1]);
-                    kernel::scatter_sub(&mut x, &lu.l_idx[e0..e1], &lu.l_val[e0..e1], xt);
+                    let (e0, e1) = (self.l_ptr[t], self.l_ptr[t + 1]);
+                    kernel::scatter_sub(x, &self.l_idx[e0..e1], &self.l_val[e0..e1], xt);
                 }
             }
             // Threshold partial pivoting over the unpivoted rows: only rows
@@ -293,15 +356,15 @@ impl LuFactors {
             // the dense version's lowest-row tie-break among equal weights.
             fill.sort_unstable();
             let mut max_mag = 0.0f64;
-            for &r in &fill {
+            for &r in fill.iter() {
                 max_mag = max_mag.max(x[r].abs());
             }
             if max_mag <= pivot_tol {
-                return None;
+                return false;
             }
             let acceptable = PIVOT_THRESHOLD * max_mag;
             let mut best: Option<(usize, usize)> = None; // (weight, row)
-            for &r in &fill {
+            for &r in fill.iter() {
                 if x[r].abs() >= acceptable {
                     let w = row_weight[r];
                     if best.is_none_or(|(bw, _)| w < bw) {
@@ -312,41 +375,40 @@ impl LuFactors {
             let (_, piv) = best.expect("max_mag > pivot_tol guarantees a candidate");
             let pd = x[piv];
             // U column: entries at already-pivoted positions.
-            for &t in &reach {
-                let v = x[lu.pivot_row[t]];
+            for &t in reach.iter() {
+                let v = x[self.pivot_row[t]];
                 if v != 0.0 {
-                    lu.u_idx.push(t);
-                    lu.u_val.push(v);
+                    self.u_idx.push(t);
+                    self.u_val.push(v);
                 }
             }
-            lu.u_ptr.push(lu.u_idx.len());
-            lu.u_diag.push(pd);
+            self.u_ptr.push(self.u_idx.len());
+            self.u_diag.push(pd);
             // L column: multipliers at the remaining unpivoted rows.
-            for &r in &fill {
+            for &r in fill.iter() {
                 if r != piv && x[r] != 0.0 {
-                    lu.l_idx.push(r);
-                    lu.l_val.push(x[r] / pd);
+                    self.l_idx.push(r);
+                    self.l_val.push(x[r] / pd);
                 }
             }
-            lu.l_ptr.push(lu.l_idx.len());
-            lu.pivot_row.push(piv);
+            self.l_ptr.push(self.l_idx.len());
+            self.pivot_row.push(piv);
             pos_of_row[piv] = k;
-            for &t in &reach {
-                x[lu.pivot_row[t]] = 0.0;
+            for &t in reach.iter() {
+                x[self.pivot_row[t]] = 0.0;
                 in_reach[t] = false;
             }
-            for &r in &fill {
+            for &r in fill.iter() {
                 x[r] = 0.0;
                 in_fill[r] = false;
             }
         }
-        lu.finish_init();
-        Some(lu)
+        true
     }
 
     /// Elimination position → original basis row: `basis[pivot_row[k]]` is
     /// the column this factorization eliminated at position `k`. Only
-    /// meaningful right after [`Self::factorize`] (updates re-pair `U`'s
+    /// meaningful right after [`Self::refactor`] (updates re-pair `U`'s
     /// positions but the caller's heading tracks rows, not positions).
     pub(crate) fn pivot_rows(&self) -> &[usize] {
         &self.pivot_row

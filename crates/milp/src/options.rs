@@ -183,7 +183,9 @@ pub struct SolveOptions {
     pub stop: Option<StopWhen>,
     /// Allow [`crate::BatchSolver`] (and [`crate::Model::solve_with_basis`])
     /// to reuse the basis of an earlier solve instead of running phase 1
-    /// from scratch. Disabling forces every solve cold — useful to prove
+    /// from scratch, and branch-and-bound on the sparse engines to re-solve
+    /// each node warm from its parent's basis (dual simplex). Disabling
+    /// forces every solve and every node cold — useful to prove
     /// warm-started results are a pure optimization (see the golden
     /// regression tests) and to bisect suspected solver issues.
     pub warm_start: bool,
@@ -222,18 +224,6 @@ pub struct SolveOptions {
     /// (`Stats::{refactor_time_ns, ftran_btran_time_ns}`). See
     /// [`TelemetryClock`]; `None` (the default) keeps the counters at zero.
     pub telemetry: Option<TelemetryClock>,
-    /// Worker threads for branch-and-bound subtree exploration (`0` or `1` =
-    /// the serial depth-first search). With more, the tree is explored in
-    /// deterministic *waves*: the frontier's node relaxations are claimed
-    /// dynamically by the workers (so a cheap subtree never idles a worker
-    /// waiting on an expensive sibling), results merge back **in node index
-    /// order**, and all incumbent/pruning/branching decisions happen in that
-    /// sequential merge — so the search tree, the returned solution, and
-    /// every [`crate::Stats`] counter are bit-identical at any thread count.
-    /// Sparse engines only; [`Engine::Dense`] always runs serial. The
-    /// default stays serial because the certifier already parallelizes
-    /// across neurons — turning both levels on oversubscribes the machine.
-    pub steal: usize,
 }
 
 impl Default for SolveOptions {
@@ -250,7 +240,6 @@ impl Default for SolveOptions {
             emit_certificates: true,
             refactor_interval: 0,
             telemetry: None,
-            steal: 1,
         }
     }
 }

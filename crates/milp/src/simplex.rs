@@ -53,6 +53,19 @@ pub struct Basis {
     pub(crate) m: usize,
 }
 
+impl Basis {
+    /// An empty snapshot buffer for [`crate::sparse`]'s snapshot-into
+    /// paths to fill.
+    pub(crate) fn empty() -> Self {
+        Basis {
+            state: Vec::new(),
+            rows: Vec::new(),
+            n: 0,
+            m: 0,
+        }
+    }
+}
+
 /// Outcome of a warm-started solve attempt (crate-internal: callers decide
 /// how to fall back and how to count the attempt). Transient — consumed
 /// immediately at each call site, so the size skew between variants never
@@ -556,7 +569,7 @@ pub(crate) fn solve_lp_snapshot(
         return sparse::solve_snapshot(model, opts);
     }
     let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, t) = solve_lp_core(model, &bounds, opts)?;
+    let (sol, t) = solve_lp_core(model, &bounds, opts, &mut 0)?;
     let snapshot = t.and_then(|t| t.snapshot(model.cols.len()));
     Ok((sol, snapshot))
 }
@@ -572,7 +585,7 @@ pub(crate) fn solve_lp_resident(
         return Ok((sol, resident.map(|r| Resident::Sparse(Box::new(r)))));
     }
     let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, t) = solve_lp_core(model, &bounds, opts)?;
+    let (sol, t) = solve_lp_core(model, &bounds, opts, &mut 0)?;
     let resident = t.map(|t| {
         Resident::Dense(Box::new(DenseResident {
             t,
@@ -593,13 +606,28 @@ pub(crate) fn solve_lp_bounded(
     if opts.engine != Engine::Dense {
         return sparse::solve_bounded(model, var_bounds, opts, None);
     }
-    solve_lp_core(model, var_bounds, opts).map(|(sol, _)| sol)
+    solve_lp_core(model, var_bounds, opts, &mut 0).map(|(sol, _)| sol)
 }
 
+/// Dense-engine [`solve_lp_bounded`] that also adds the pivots it took to
+/// `spent` — on failure too, so branch-and-bound counts the work of its
+/// infeasible nodes.
+pub(crate) fn solve_dense_counted(
+    model: &Model,
+    var_bounds: &[(f64, f64)],
+    opts: &SolveOptions,
+    spent: &mut u64,
+) -> Result<Solution, SolveError> {
+    solve_lp_core(model, var_bounds, opts, spent).map(|(sol, _)| sol)
+}
+
+/// The dense engine's cold two-phase solve. `spent` accumulates the pivots
+/// it took, failed solves included.
 fn solve_lp_core(
     model: &Model,
     var_bounds: &[(f64, f64)],
     opts: &SolveOptions,
+    spent: &mut u64,
 ) -> Result<(Solution, Option<Tableau>), SolveError> {
     let n = model.cols.len();
     let m = model.rows.len();
@@ -722,35 +750,39 @@ fn solve_lp_core(
     };
     let cap = opts.pivot_cap(m, ncols);
 
-    // --- Phase 1: minimize artificial mass. ---
-    if art_sum > 0.0 {
+    let run = |t: &mut Tableau| -> Result<Solution, SolveError> {
+        // --- Phase 1: minimize artificial mass. ---
+        if art_sum > 0.0 {
+            let mut costs = vec![0.0f64; ncols];
+            for c in costs.iter_mut().skip(art_start) {
+                *c = 1.0;
+            }
+            t.rebuild_dj(&costs);
+            t.optimize(false, cap)?;
+            let remaining: f64 = (art_start..ncols).map(|j| t.xval[j]).sum();
+            if remaining > t.feas_tol.max(1e-7) {
+                return Err(SolveError::Infeasible);
+            }
+            drive_out_artificials(t);
+        }
+        // Freeze artificials so phase 2 cannot reuse them.
+        for j in art_start..ncols {
+            t.lo[j] = 0.0;
+            t.hi[j] = 0.0;
+            t.xval[j] = 0.0;
+        }
+
+        // --- Phase 2: real objective. ---
         let mut costs = vec![0.0f64; ncols];
-        for c in costs.iter_mut().skip(art_start) {
-            *c = 1.0;
-        }
+        costs[..n].copy_from_slice(&struct_cost);
         t.rebuild_dj(&costs);
-        t.optimize(false, cap)?;
-        let remaining: f64 = (art_start..ncols).map(|j| t.xval[j]).sum();
-        if remaining > t.feas_tol.max(1e-7) {
-            return Err(SolveError::Infeasible);
-        }
-        drive_out_artificials(&mut t);
-    }
-    // Freeze artificials so phase 2 cannot reuse them.
-    for j in art_start..ncols {
-        t.lo[j] = 0.0;
-        t.hi[j] = 0.0;
-        t.xval[j] = 0.0;
-    }
+        t.optimize(true, cap)?;
 
-    // --- Phase 2: real objective. ---
-    let mut costs = vec![0.0f64; ncols];
-    costs[..n].copy_from_slice(&struct_cost);
-    t.rebuild_dj(&costs);
-    t.optimize(true, cap)?;
-
-    let sol = finish(model, var_bounds, &t, opts.emit_certificates)?;
-    Ok((sol, Some(t)))
+        finish(model, var_bounds, t, opts.emit_certificates)
+    };
+    let sol = run(&mut t);
+    *spent += t.pivots;
+    Ok((sol?, Some(t)))
 }
 
 /// Reads the optimal point out of a terminated tableau, checking residuals.
@@ -787,6 +819,20 @@ pub(crate) struct EngineCounters {
     pub(crate) lu_fill_nnz: u64,
 }
 
+impl EngineCounters {
+    /// Accumulates another solve's counters: work sums, peaks take the max.
+    pub(crate) fn absorb(&mut self, other: EngineCounters) {
+        self.pivots += other.pivots;
+        self.refactorizations += other.refactorizations;
+        self.eta_len = self.eta_len.max(other.eta_len);
+        self.refactor_time_ns = self.refactor_time_ns.saturating_add(other.refactor_time_ns);
+        self.ftran_btran_time_ns = self
+            .ftran_btran_time_ns
+            .saturating_add(other.ftran_btran_time_ns);
+        self.lu_fill_nnz = self.lu_fill_nnz.max(other.lu_fill_nnz);
+    }
+}
+
 /// Builds a checked [`Solution`] from a terminated engine's structural
 /// values — shared by the dense and sparse engines so the residual gate and
 /// the stats layout stay identical.
@@ -821,6 +867,7 @@ pub(crate) fn finish_values(
             refactor_time_ns: counters.refactor_time_ns,
             ftran_btran_time_ns: counters.ftran_btran_time_ns,
             lu_fill_nnz: counters.lu_fill_nnz,
+            ..Stats::default()
         },
         values,
         certificate,

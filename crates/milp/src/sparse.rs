@@ -255,7 +255,15 @@ impl Skeleton {
     /// sign-clamping (`≤` rows keep `min(y,0)`, `≥` rows `max(y,0)`) the
     /// expanded vector certifies exactly the internal Lagrangian bound.
     fn expand_duals(&self, y: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.m_model];
+        let mut out = Vec::new();
+        self.expand_duals_into(y, &mut out);
+        out
+    }
+
+    /// [`Skeleton::expand_duals`] into a reused buffer.
+    fn expand_duals_into(&self, y: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.m_model, 0.0);
         for (k, o) in self.origin.iter().enumerate() {
             match *o {
                 RowOrigin::Single(i) => out[i] = y[k],
@@ -268,7 +276,6 @@ impl Skeleton {
                 }
             }
         }
-        out
     }
 }
 
@@ -466,10 +473,43 @@ enum StepOutcome {
     Progress { degenerate: bool },
 }
 
+/// The bound violation the dual simplex leaves standing, as a fraction of
+/// the feasibility tolerance. The primal ratio test keeps a cold solve's
+/// basic values inside their bounds up to round-off; a dual simplex that
+/// stopped at the full tolerance would leave warm nodes on vertices that
+/// much infeasible, whose optima sit measurably above the cold ones (about
+/// 1e-9 on the certifier's MILPs) — enough to move a bound snapped to the
+/// certifier's 2⁻³⁰ grid by one step.
+const DUAL_FEAS_FRACTION: f64 = 0.01;
+
+/// How a [`Core::dual_optimize`] run ended.
+enum DualOutcome {
+    /// Every basic variable is back within its bounds.
+    Feasible,
+    /// The dual ratio test found no entering column; `Core::rho` holds the
+    /// signed Farkas ray (internal rows).
+    Infeasible,
+    /// Pivot cap, a failed refactorization, or inconsistent pivot numerics.
+    Abandoned,
+}
+
 /// Devex weights above this are reset to the unit framework: the weights are
 /// only *relative* pivot-steering scores, and letting them grow unbounded
 /// eventually drowns the ranking in round-off.
 const DEVEX_RESET: f64 = 1e12;
+
+/// Work areas of [`Core::refactorize_lu`]: the basis columns in
+/// elimination order and in CSC form, the Markowitz row weights, and the
+/// factors the last refactorization replaced — the buffer the next one
+/// factorizes into.
+#[derive(Default)]
+struct RefactorBuffers {
+    order: Vec<usize>,
+    col_ptr: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    row_weight: Vec<usize>,
+    spare: Option<LuFactors>,
+}
 
 /// The revised-simplex working state. Column index space matches the dense
 /// engine: `[0, n)` structural, `[n, n+m)` slack, `[n+m, ncols)` artificial
@@ -496,6 +536,12 @@ struct Core {
     w: Vec<f64>,
     /// BTRAN scratch (dual prices), length `m`.
     y: Vec<f64>,
+    /// Dual-simplex pivot row `e_r·B⁻¹`, length `m`; after an infeasible
+    /// dual ratio test it holds the signed Farkas ray.
+    rho: Vec<f64>,
+    /// Buffers every LU refactorization reuses, so a core that refactorizes
+    /// node after node (branch-and-bound restores) stops allocating.
+    refac: RefactorBuffers,
     /// Partial-pricing candidate list.
     candidates: Vec<usize>,
     pricing: Pricing,
@@ -853,6 +899,14 @@ impl Core {
     /// tolerance (warm restores reject; mid-solve callers treat it as a
     /// numerical failure).
     fn refactorize(&mut self) -> bool {
+        self.refresh(true)
+    }
+
+    /// [`Core::refactorize`] with a selectable feasibility contract: with
+    /// `check` off (the dual simplex, whose basic values are *meant* to
+    /// violate their bounds until it finishes) only the singularity of the
+    /// basis rejects, and out-of-bound basic values are kept as computed.
+    fn refresh(&mut self, check: bool) -> bool {
         let t0 = self.clock_now();
         let rebuilt = match self.inverse {
             Inverse::Eta(_) => self.refactorize_eta(),
@@ -862,7 +916,7 @@ impl Core {
             self.refactorizations += 1;
             self.pivots_since_refactor = 0;
             self.needs_refactor = false;
-            self.recompute_basic_values()
+            self.recompute_basic_values(check)
         };
         if let (Some(c), Some(t0)) = (&self.clock, t0) {
             self.refactor_ns += c.now_ns().saturating_sub(t0);
@@ -870,22 +924,17 @@ impl Core {
         ok
     }
 
-    /// The current basic columns in elimination order: unit (slack /
-    /// artificial) columns first — they pivot with no fill — then structural
-    /// columns by ascending non-zero count (static Markowitz-style ordering).
-    fn elimination_order(&self) -> Vec<usize> {
-        let mut unit: Vec<usize> = self
-            .basis
-            .iter()
-            .copied()
-            .filter(|&j| j >= self.n)
-            .collect();
-        unit.sort_unstable();
-        let mut structural: Vec<usize> =
-            self.basis.iter().copied().filter(|&j| j < self.n).collect();
-        structural.sort_by_key(|&j| (self.skel.mat.col_nnz(j), j));
-        unit.extend(structural);
-        unit
+    /// The current basic columns in elimination order, into `out`: unit
+    /// (slack / artificial) columns first — they pivot with no fill — then
+    /// structural columns by ascending non-zero count (static
+    /// Markowitz-style ordering).
+    fn elimination_order(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.basis.iter().copied().filter(|&j| j >= self.n));
+        out.sort_unstable();
+        let units = out.len();
+        out.extend(self.basis.iter().copied().filter(|&j| j < self.n));
+        out[units..].sort_by_key(|&j| (self.skel.mat.col_nnz(j), j));
     }
 
     /// Eta-engine refactorization: Gauss-Jordan elimination of the basis
@@ -902,7 +951,8 @@ impl Core {
             Inverse::Lu { .. } => unreachable!("eta refactorization of an LU inverse"),
         };
         etas.clear();
-        let order = self.elimination_order();
+        let mut order = Vec::with_capacity(m);
+        self.elimination_order(&mut order);
         let mut eliminated = vec![false; m];
         let mut new_basis = vec![usize::MAX; m];
         let mut ok = true;
@@ -948,50 +998,67 @@ impl Core {
     /// solve actually has rather than a tuned constant.
     fn refactorize_lu(&mut self) -> bool {
         let m = self.m;
-        let order = self.elimination_order();
-        let mut col_ptr = Vec::with_capacity(m + 1);
-        let mut entries: Vec<(usize, f64)> = Vec::new();
-        let mut row_weight = vec![0usize; m];
-        col_ptr.push(0);
-        for &j in &order {
+        let mut buf = std::mem::take(&mut self.refac);
+        self.elimination_order(&mut buf.order);
+        buf.col_ptr.clear();
+        buf.col_ptr.push(0);
+        buf.entries.clear();
+        buf.row_weight.clear();
+        buf.row_weight.resize(m, 0);
+        for &j in &buf.order {
             if j < self.n {
                 for (r, a) in self.skel.mat.col(j) {
-                    entries.push((r, a));
-                    row_weight[r] += 1;
+                    buf.entries.push((r, a));
+                    buf.row_weight[r] += 1;
                 }
             } else if j < self.art_start {
                 let r = j - self.n;
-                entries.push((r, 1.0));
-                row_weight[r] += 1;
+                buf.entries.push((r, 1.0));
+                buf.row_weight[r] += 1;
             } else {
                 let (r, s) = self.arts[j - self.art_start];
-                entries.push((r, s));
-                row_weight[r] += 1;
+                buf.entries.push((r, s));
+                buf.row_weight[r] += 1;
             }
-            col_ptr.push(entries.len());
+            buf.col_ptr.push(buf.entries.len());
         }
-        let Some(lu) = LuFactors::factorize(m, &col_ptr, &entries, &row_weight, self.pivot_tol)
-        else {
-            return false;
-        };
-        let mut new_basis = vec![usize::MAX; m];
-        for (k, &r) in lu.pivot_rows().iter().enumerate() {
-            new_basis[r] = order[k];
+        let mut lu = buf
+            .spare
+            .take()
+            .unwrap_or_else(|| LuFactors::identity(0, &[]));
+        let ok = lu.refactor(
+            m,
+            &buf.col_ptr,
+            &buf.entries,
+            &buf.row_weight,
+            self.pivot_tol,
+        );
+        if ok {
+            for (k, &r) in lu.pivot_rows().iter().enumerate() {
+                self.basis[r] = buf.order[k];
+            }
+            self.lu_fill = self.lu_fill.max(lu.nnz() as u64);
+            self.eta_nnz_cap = lu_growth_cap(&lu);
+            match &mut self.inverse {
+                Inverse::Lu { lu: current, etas } => {
+                    std::mem::swap(current, &mut lu);
+                    etas.clear();
+                }
+                Inverse::Eta(_) => unreachable!("LU refactorization of an eta inverse"),
+            }
         }
-        self.basis = new_basis;
-        self.lu_fill = self.lu_fill.max(lu.nnz() as u64);
-        self.eta_nnz_cap = lu_growth_cap(&lu);
-        self.inverse = Inverse::Lu {
-            lu,
-            etas: EtaFile::new(),
-        };
-        true
+        // The replaced factors (or the failed attempt) become the next
+        // refactorization's buffer.
+        buf.spare = Some(lu);
+        self.refac = buf;
+        ok
     }
 
-    /// `x_B ← B⁻¹·(b − N·x_N)` from the original data, clamping round-off
-    /// within the feasibility tolerance. Returns `false` on a violation
-    /// beyond tolerance.
-    fn recompute_basic_values(&mut self) -> bool {
+    /// `x_B ← B⁻¹·(b − N·x_N)` from the original data. With `check` on,
+    /// round-off within the feasibility tolerance is clamped and a
+    /// violation beyond it returns `false`; with `check` off (the dual
+    /// simplex) every value is kept exactly as computed.
+    fn recompute_basic_values(&mut self, check: bool) -> bool {
         self.w.fill(0.0);
         self.w[..self.m].copy_from_slice(&self.skel.rhs);
         for j in 0..self.ncols {
@@ -1017,10 +1084,13 @@ impl Core {
         for r in 0..self.m {
             let b = self.basis[r];
             let v = self.w[r];
-            if v < self.lo[b] - self.feas_tol || v > self.hi[b] + self.feas_tol {
+            self.xval[b] = if !check {
+                v
+            } else if v < self.lo[b] - self.feas_tol || v > self.hi[b] + self.feas_tol {
                 return false;
-            }
-            self.xval[b] = v.clamp(self.lo[b], self.hi[b]);
+            } else {
+                v.clamp(self.lo[b], self.hi[b])
+            };
         }
         true
     }
@@ -1063,6 +1133,180 @@ impl Core {
         }
     }
 
+    /// Bounded dual simplex: starting from a basis whose reduced costs keep
+    /// their optimality signs (a parent node's optimum after a bound
+    /// change), pivots primal feasibility back in. Each iteration takes the
+    /// basic variable with the largest bound violation out of the basis, to
+    /// the violated bound; prices its row `ρ = e_r·B⁻¹` across the
+    /// non-basic structural and slack columns; and lets the dual ratio test
+    /// pick the entering column — the smallest `|d_j / α_j|` among the
+    /// columns that can move `x_r` toward its bound — so the reduced costs
+    /// keep their signs. The pivot itself runs through the primal
+    /// machinery: FTRAN, [`Core::apply_pivot`] (the LU update) and the
+    /// refactorization trigger. After a run of dual-degenerate steps both
+    /// choices fall back to the lowest index (Bland), as in the primal
+    /// loop; the pivot cap bounds the rest.
+    fn dual_optimize(&mut self, cap: u64) -> DualOutcome {
+        let mut degen_streak = 0u32;
+        // The duals `y` are priced fresh by one BTRAN at the start and after
+        // every refactorization, and carried across pivots by the dual
+        // update `y ← y + (d_q/α_q)·ρ` in between.
+        let mut y_fresh = false;
+        loop {
+            if self.pivots >= cap {
+                return DualOutcome::Abandoned;
+            }
+            if self.should_refactorize() {
+                if !self.refresh(false) {
+                    return DualOutcome::Abandoned;
+                }
+                y_fresh = false;
+            }
+            let bland = degen_streak > 50;
+            let Some((r, above)) = self.dual_leaving(bland) else {
+                return DualOutcome::Feasible;
+            };
+            self.rho.fill(0.0);
+            self.rho[r] = 1.0;
+            let t0 = self.clock_now();
+            self.inverse.btran(&mut self.rho);
+            self.add_solve_time(t0);
+            if !y_fresh {
+                self.compute_y();
+                y_fresh = true;
+            }
+            let Some((q, alpha_q, ratio, d_q)) = self.dual_entering(above, bland) else {
+                // Nothing can move x_r toward its bound: row r of B⁻¹, signed
+                // toward the violated side, is a Farkas ray of the node.
+                if !above {
+                    for v in &mut self.rho {
+                        *v = -*v;
+                    }
+                }
+                return DualOutcome::Infeasible;
+            };
+            self.compute_w(q);
+            let wr = self.w[r];
+            if wr.abs() <= self.pivot_tol || (wr > 0.0) != (alpha_q > 0.0) {
+                // FTRAN and BTRAN disagree on the pivot: numerical trouble.
+                return DualOutcome::Abandoned;
+            }
+            let leaving = self.basis[r];
+            let target = if above {
+                self.hi[leaving]
+            } else {
+                self.lo[leaving]
+            };
+            let step = (self.xval[leaving] - target) / wr;
+            for i in 0..self.m {
+                let a = self.w[i];
+                if a != 0.0 {
+                    let b = self.basis[i];
+                    self.xval[b] -= step * a;
+                }
+            }
+            self.xval[q] += step;
+            self.xval[leaving] = target;
+            self.state[leaving] = if above {
+                ColState::AtUpper
+            } else {
+                ColState::AtLower
+            };
+            self.apply_pivot(r, q);
+            let theta = d_q / alpha_q;
+            for (y, &p) in self.y.iter_mut().zip(&self.rho) {
+                *y += theta * p;
+            }
+            if ratio <= 1e-12 {
+                degen_streak += 1;
+            } else {
+                degen_streak = 0;
+            }
+        }
+    }
+
+    /// The leaving row of a dual iteration and whether its basic variable
+    /// sits above its upper bound: the largest violation beyond
+    /// [`DUAL_FEAS_FRACTION`] of the feasibility tolerance (Bland: the
+    /// violated row whose basic column has the lowest index). `None` once
+    /// the basis is primal feasible.
+    fn dual_leaving(&self, bland: bool) -> Option<(usize, bool)> {
+        let tol = self.feas_tol * DUAL_FEAS_FRACTION;
+        let mut best: Option<(usize, bool, f64)> = None;
+        for r in 0..self.m {
+            let b = self.basis[r];
+            let x = self.xval[b];
+            let (viol, above) = if x < self.lo[b] - tol {
+                (self.lo[b] - x, false)
+            } else if x > self.hi[b] + tol {
+                (x - self.hi[b], true)
+            } else {
+                continue;
+            };
+            let wins = match best {
+                None => true,
+                Some((br, _, bv)) => {
+                    if bland {
+                        b < self.basis[br]
+                    } else {
+                        viol > bv
+                    }
+                }
+            };
+            if wins {
+                best = Some((r, above, viol));
+            }
+        }
+        best.map(|(r, above, _)| (r, above))
+    }
+
+    /// The dual ratio test for a leaving row whose `ρ` sits in `self.rho`
+    /// (duals in `self.y`): among the non-basic structural and slack columns
+    /// whose move toward their free side pushes `x_r` toward its violated
+    /// bound, the smallest `|d_j| / |α_j|` — a reduced cost of the wrong
+    /// sign counts as zero — with ties to the larger `|α_j|` (Bland: to the
+    /// lower index). Returns `(column, α_q, ratio, d_q)`, or `None` when no
+    /// column qualifies (the node is infeasible).
+    fn dual_entering(&self, above: bool, bland: bool) -> Option<(usize, f64, f64, f64)> {
+        let mut best: Option<(usize, f64, f64, f64)> = None;
+        for j in 0..self.art_start {
+            let st = self.state[j];
+            if st == ColState::Basic || self.lo[j] == self.hi[j] {
+                continue;
+            }
+            let alpha = self.col_dot(&self.rho, j);
+            // Raising z_j changes x_r by −α_j per unit: `g > 0` means raising
+            // z_j moves x_r toward its bound, `g < 0` means lowering does.
+            let g = if above { alpha } else { -alpha };
+            let eligible = match st {
+                ColState::AtLower => g > self.pivot_tol,
+                ColState::AtUpper => g < -self.pivot_tol,
+                ColState::Free => g.abs() > self.pivot_tol,
+                ColState::Basic => false,
+            };
+            if !eligible {
+                continue;
+            }
+            let dj = self.reduced_cost(j);
+            let mag = match st {
+                ColState::AtLower => dj.max(0.0),
+                ColState::AtUpper => (-dj).max(0.0),
+                _ => dj.abs(),
+            };
+            let ratio = mag / alpha.abs();
+            let wins = match best {
+                None => true,
+                Some((_, ba, br, _)) => {
+                    ratio < br - 1e-12 || (!bland && ratio < br + 1e-12 && alpha.abs() > ba.abs())
+                }
+            };
+            if wins {
+                best = Some((j, alpha, ratio, dj));
+            }
+        }
+        best
+    }
+
     /// Pivots basic artificial variables (all at value 0) out of the basis;
     /// rows that admit no replacement keep their frozen artificial, exactly
     /// like the dense engine. Returns `false` on an unrecoverable
@@ -1081,7 +1325,7 @@ impl Core {
                 if self.state[j] == ColState::Basic || self.lo[j] == self.hi[j] {
                     continue;
                 }
-                let a = self.reduced_cost_entry(j).abs();
+                let a = self.col_dot(&self.y, j).abs();
                 if a > self.pivot_tol && best.is_none_or(|(_, b)| a > b) {
                     best = Some((j, a));
                 }
@@ -1105,18 +1349,19 @@ impl Core {
         true
     }
 
-    /// `ρ·A_j` where `ρ` currently sits in `self.y` (drive-out and devex
-    /// helper; handles every column class because the phase-1 candidate list
-    /// may hold artificials).
-    fn reduced_cost_entry(&self, j: usize) -> f64 {
+    /// `v·A_j` for a row vector `v` in basis coordinates — with `v = ρ =
+    /// e_r·B⁻¹` the tableau entry `(r, j)` (artificial drive-out and the
+    /// dual ratio test; handles every column class because the phase-1
+    /// candidate list may hold artificials).
+    fn col_dot(&self, v: &[f64], j: usize) -> f64 {
         if j < self.n {
             let (rows, vals) = self.skel.mat.col_slices(j);
-            kernel::dot_gather(&self.y, rows, vals)
+            kernel::dot_gather(v, rows, vals)
         } else if j < self.art_start {
-            self.y[j - self.n]
+            v[j - self.n]
         } else {
             let (r, s) = self.arts[j - self.art_start];
-            s * self.y[r]
+            s * v[r]
         }
     }
 
@@ -1204,15 +1449,132 @@ impl Core {
     /// engine that folds the same way (others reject it shape-first and
     /// fall back cold).
     fn snapshot(&self) -> Option<Basis> {
+        let mut out = Basis::empty();
+        self.snapshot_into(&mut out).then_some(out)
+    }
+
+    /// [`Core::snapshot`] into `out`, reusing its buffers; `false` (and
+    /// `out` untouched) when an artificial column is still basic.
+    fn snapshot_into(&self, out: &mut Basis) -> bool {
         if self.basis.iter().any(|&b| b >= self.art_start) {
-            return None;
+            return false;
         }
-        Some(Basis {
-            state: self.state[..self.art_start].to_vec(),
-            rows: self.basis.clone(),
-            n: self.n,
-            m: self.m,
-        })
+        out.state.clear();
+        out.state.extend_from_slice(&self.state[..self.art_start]);
+        out.rows.clear();
+        out.rows.extend_from_slice(&self.basis);
+        out.n = self.n;
+        out.m = self.m;
+        true
+    }
+
+    /// Resets the per-solve counters before a re-solve on a live core.
+    fn begin_solve(&mut self) {
+        self.pivots = 0;
+        self.refactorizations = 0;
+        self.refactor_ns = 0;
+        self.solve_ns = 0;
+        self.eta_peak = self.inverse.update_len();
+        self.lu_fill = match &self.inverse {
+            Inverse::Eta(_) => 0,
+            Inverse::Lu { lu, .. } => lu.nnz() as u64,
+        };
+    }
+
+    /// Installs `warm`'s column states and basis heading (the caller
+    /// refactorizes). A snapshot never records artificial columns, so any
+    /// this core's cold solve introduced are parked non-basic and frozen at
+    /// 0. Returns `false` when the snapshot's shape does not fit this core.
+    fn load_basis(&mut self, warm: &Basis) -> bool {
+        let nm = self.n + self.m;
+        if warm.n != self.n
+            || warm.m != self.m
+            || warm.state.len() != nm
+            || warm.rows.len() != self.m
+            || warm
+                .rows
+                .iter()
+                .any(|&b| b >= nm || warm.state[b] != ColState::Basic)
+        {
+            return false;
+        }
+        self.state[..nm].copy_from_slice(&warm.state);
+        for j in nm..self.ncols {
+            self.state[j] = ColState::AtLower;
+        }
+        self.freeze_artificials();
+        self.basis.clear();
+        self.basis.extend_from_slice(&warm.rows);
+        true
+    }
+
+    /// Rests every non-basic column exactly on its recorded bound (a free
+    /// column at 0) — the restore contract. Returns `false` when a recorded
+    /// bound is infinite or a free column's box excludes 0: the basis does
+    /// not fit these bounds.
+    fn rest_nonbasic(&mut self) -> bool {
+        for j in 0..self.ncols {
+            self.xval[j] = match self.state[j] {
+                ColState::Basic => continue,
+                ColState::AtLower if self.lo[j].is_finite() => self.lo[j],
+                ColState::AtUpper if self.hi[j].is_finite() => self.hi[j],
+                ColState::Free if self.lo[j] <= 0.0 && self.hi[j] >= 0.0 => 0.0,
+                _ => return false,
+            };
+        }
+        true
+    }
+
+    /// Re-solves a branch-and-bound node under `var_bounds`, warm: from the
+    /// parent's optimum still live in this core (`restore = None`) or from
+    /// the parent's snapshot (`Some`, one refactorization). The parent basis
+    /// stays dual feasible under the tightened bounds, so the dual simplex
+    /// restores primal feasibility and a primal phase-2 pass cleans up what
+    /// round-off left. Every failure is [`WarmNode::Abandoned`]: the caller
+    /// re-solves the node cold.
+    fn warm_node(
+        &mut self,
+        model: &Model,
+        var_bounds: &[(f64, f64)],
+        restore: Option<&Basis>,
+        opts: &SolveOptions,
+    ) -> WarmNode {
+        self.begin_solve();
+        if var_bounds.iter().any(|&(lo, hi)| lo > hi) {
+            return WarmNode::Abandoned;
+        }
+        if restore.is_some_and(|warm| !self.load_basis(warm)) {
+            return WarmNode::Abandoned;
+        }
+        for (j, &(lo, hi)) in var_bounds.iter().enumerate() {
+            self.lo[j] = lo;
+            self.hi[j] = hi;
+        }
+        if !self.rest_nonbasic() {
+            return WarmNode::Abandoned;
+        }
+        let values = if restore.is_some() || self.needs_refactor {
+            self.refresh(false)
+        } else {
+            self.recompute_basic_values(false)
+        };
+        if !values {
+            return WarmNode::Abandoned;
+        }
+        self.set_phase2_costs(model);
+        let cap = opts.pivot_cap(self.m, self.ncols);
+        match self.dual_optimize(cap) {
+            DualOutcome::Feasible => {}
+            DualOutcome::Infeasible => return WarmNode::Infeasible,
+            DualOutcome::Abandoned => return WarmNode::Abandoned,
+        }
+        if self.optimize(true, cap).is_err() {
+            return WarmNode::Abandoned;
+        }
+        match self.finish(model, var_bounds, opts.emit_certificates) {
+            Ok(sol) => WarmNode::Solved(sol),
+            Err(_) => WarmNode::Abandoned,
+        }
     }
 }
 
@@ -1363,6 +1725,8 @@ fn build_core(
         costs: vec![0.0; ncols],
         w: vec![0.0; m],
         y: vec![0.0; m],
+        rho: vec![0.0; m],
+        refac: RefactorBuffers::default(),
         candidates: Vec::new(),
         pricing: opts.pricing,
         devex: vec![1.0; ncols],
@@ -1411,8 +1775,21 @@ fn solve_core(
 
     let skel = skel.unwrap_or_else(|| Arc::new(Skeleton::build(model, folds(opts))));
     let (mut core, art_sum) = build_core(model, var_bounds, opts, skel);
-    let cap = opts.pivot_cap(core.m, core.ncols);
+    let sol = cold_phases(&mut core, art_sum, model, var_bounds, opts)?;
+    Ok((sol, Some(core)))
+}
 
+/// Phase 1 (when the starting basis needed artificials) and phase 2 of a
+/// cold solve on a freshly built core. On error the core keeps its
+/// counters, so callers can account for the work an infeasible solve did.
+fn cold_phases(
+    core: &mut Core,
+    art_sum: f64,
+    model: &Model,
+    var_bounds: &[(f64, f64)],
+    opts: &SolveOptions,
+) -> Result<Solution, SolveError> {
+    let cap = opts.pivot_cap(core.m, core.ncols);
     if art_sum > 0.0 {
         core.set_phase1_costs();
         core.optimize(false, cap)?;
@@ -1432,8 +1809,8 @@ fn solve_core(
     core.optimize(true, cap)?;
 
     let emit = opts.emit_certificates;
-    let sol = match core.finish(model, var_bounds, emit) {
-        Ok(sol) => sol,
+    match core.finish(model, var_bounds, emit) {
+        Ok(sol) => Ok(sol),
         Err(_) => {
             // One repair attempt: refactorizing recomputes the basic values
             // from the original data; if the residual still fails after a
@@ -1444,10 +1821,9 @@ fn solve_core(
                 ));
             }
             core.optimize(true, cap)?;
-            core.finish(model, var_bounds, emit)?
+            core.finish(model, var_bounds, emit)
         }
-    };
-    Ok((sol, Some(core)))
+    }
 }
 
 /// Extracts a Farkas-style infeasibility witness: the dual prices of the
@@ -1491,6 +1867,106 @@ pub(crate) fn solve_bounded(
     skel: Option<Arc<Skeleton>>,
 ) -> Result<Solution, SolveError> {
     solve_core(model, var_bounds, opts, skel).map(|(sol, _)| sol)
+}
+
+/// How a warm re-solve of a branch-and-bound node ended.
+// Transient: consumed at the one call site, so the variant-size skew never
+// sits in a collection.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum WarmNode {
+    /// Reoptimized to a residual-checked optimum.
+    Solved(Solution),
+    /// The dual ratio test found no entering column. The ray it leaves
+    /// ([`NodeLp::farkas_ray`]) proves nothing until checked exactly.
+    Infeasible,
+    /// The restore was rejected, the pivot cap was hit, the pivot numerics
+    /// disagreed, or the residual check failed: re-solve the node cold.
+    Abandoned,
+}
+
+/// The LP side of one branch-and-bound tree: the constraint skeleton
+/// compiled once and one live [`Core`] that node after node re-solves in,
+/// plus the work of every node solve — optimal, infeasible and abandoned
+/// alike.
+pub(crate) struct NodeLp {
+    skel: Arc<Skeleton>,
+    core: Option<Core>,
+    /// Farkas ray buffer, model row order.
+    ray: Vec<f64>,
+    work: EngineCounters,
+}
+
+impl NodeLp {
+    pub(crate) fn new(model: &Model, opts: &SolveOptions) -> Self {
+        NodeLp {
+            skel: Arc::new(Skeleton::build(model, folds(opts))),
+            core: None,
+            ray: Vec::new(),
+            work: EngineCounters::default(),
+        }
+    }
+
+    /// Engine work summed over every node solve so far.
+    pub(crate) fn work(&self) -> EngineCounters {
+        self.work
+    }
+
+    /// Cold two-phase solve from the slack basis: the arithmetic of
+    /// [`solve_bounded`] against the tree's skeleton. The core it builds
+    /// becomes the live core.
+    pub(crate) fn solve_cold(
+        &mut self,
+        model: &Model,
+        var_bounds: &[(f64, f64)],
+        opts: &SolveOptions,
+    ) -> Result<Solution, SolveError> {
+        if var_bounds.iter().any(|&(lo, hi)| lo > hi) {
+            return Err(SolveError::Infeasible);
+        }
+        if model.rows.is_empty() {
+            return solve_unconstrained(model, var_bounds);
+        }
+        let (mut core, art_sum) = build_core(model, var_bounds, opts, self.skel.clone());
+        let sol = cold_phases(&mut core, art_sum, model, var_bounds, opts);
+        self.work.absorb(core.counters());
+        self.core = Some(core);
+        sol
+    }
+
+    /// Warm re-solve of a node in the live core: in place when the core
+    /// still holds the parent's optimum (`restore = None`), else from the
+    /// parent's snapshot. See [`Core::warm_node`].
+    pub(crate) fn solve_warm(
+        &mut self,
+        model: &Model,
+        var_bounds: &[(f64, f64)],
+        restore: Option<&Basis>,
+        opts: &SolveOptions,
+    ) -> WarmNode {
+        let Some(core) = self.core.as_mut() else {
+            return WarmNode::Abandoned;
+        };
+        let out = core.warm_node(model, var_bounds, restore, opts);
+        self.work.absorb(core.counters());
+        out
+    }
+
+    /// After [`WarmNode::Infeasible`]: the signed row of `B⁻¹` expanded to
+    /// one multiplier per model row — the Farkas certificate
+    /// `itne_certcheck::verify_infeasibility` checks.
+    pub(crate) fn farkas_ray(&mut self) -> &[f64] {
+        match &self.core {
+            Some(core) => self.skel.expand_duals_into(&core.rho, &mut self.ray),
+            None => self.ray.clear(),
+        }
+        &self.ray
+    }
+
+    /// Snapshots the live core's basis into `out`, reusing its buffers;
+    /// `false` without a live core or while an artificial is still basic.
+    pub(crate) fn snapshot_into(&self, out: &mut Basis) -> bool {
+        self.core.as_ref().is_some_and(|c| c.snapshot_into(out))
+    }
 }
 
 /// Cold solve that also extracts a [`Basis`] snapshot.
@@ -1544,53 +2020,15 @@ impl SparseResident {
         warm: &Basis,
     ) -> Result<ResolveOutcome, SolveError> {
         let c = &mut self.core;
-        let nm = c.n + c.m;
         let reject = Ok(ResolveOutcome::Rejected { wasted_pivots: 0 });
-        if model.cols.len() != c.n
-            || model.rows.len() != c.skel.m_model
-            || warm.n != c.n
-            || warm.m != c.m
-            || warm.state.len() != nm
-            || warm.rows.len() != c.m
-        {
+        if model.cols.len() != c.n || model.rows.len() != c.skel.m_model {
             return reject;
         }
         // Non-basic columns rest exactly at their recorded bound (the same
-        // restore contract as `solve_warm_resident`). A snapshot never
-        // records artificial columns, so any the cold solve introduced are
-        // parked non-basic at their frozen value 0.
-        for j in 0..nm {
-            match warm.state[j] {
-                ColState::Basic => {}
-                ColState::AtLower => {
-                    if !c.lo[j].is_finite() {
-                        return reject;
-                    }
-                    c.xval[j] = c.lo[j];
-                }
-                ColState::AtUpper => {
-                    if !c.hi[j].is_finite() {
-                        return reject;
-                    }
-                    c.xval[j] = c.hi[j];
-                }
-                ColState::Free => c.xval[j] = 0.0,
-            }
-        }
-        if warm
-            .rows
-            .iter()
-            .any(|&b| b >= nm || warm.state[b] != ColState::Basic)
-        {
+        // restore contract as `solve_warm_resident`).
+        if !c.load_basis(warm) || !c.rest_nonbasic() {
             return reject;
         }
-        c.state[..nm].copy_from_slice(&warm.state);
-        for j in nm..c.ncols {
-            c.state[j] = ColState::AtLower;
-            c.xval[j] = 0.0;
-        }
-        c.basis.clear();
-        c.basis.extend_from_slice(&warm.rows);
         // Per-solve counters, as in `resolve`; reset *before* the restore
         // refactorization so its time lands in this solve's telemetry.
         c.pivots = 0;
@@ -1635,15 +2073,7 @@ impl SparseResident {
             return Ok(ResolveOutcome::Rejected { wasted_pivots: 0 });
         }
         c.set_phase2_costs(model);
-        c.pivots = 0; // per-solve counters
-        c.refactorizations = 0;
-        c.eta_peak = c.inverse.update_len();
-        c.refactor_ns = 0;
-        c.solve_ns = 0;
-        c.lu_fill = match &c.inverse {
-            Inverse::Eta(_) => 0,
-            Inverse::Lu { lu, .. } => lu.nnz() as u64,
-        };
+        c.begin_solve();
         match c.optimize(true, opts.pivot_cap(c.m, c.ncols)) {
             Ok(()) => {}
             Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
@@ -1778,6 +2208,8 @@ pub(crate) fn solve_warm_resident(
         costs: vec![0.0; ncols],
         w: vec![0.0; m],
         y: vec![0.0; m],
+        rho: vec![0.0; m],
+        refac: RefactorBuffers::default(),
         candidates: Vec::new(),
         pricing: opts.pricing,
         devex: vec![1.0; ncols],

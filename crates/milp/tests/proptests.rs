@@ -10,7 +10,9 @@
 //!   including when a restore is rejected and falls back to a cold solve.
 
 use itne_certcheck::{verify_bound, RowCmp, RowRef};
-use itne_milp::{BatchSolver, Cmp, Engine, LinExpr, Model, Sense, SolveError, SolveOptions};
+use itne_milp::{
+    BatchSolver, Cmp, Engine, LinExpr, Model, Sense, Solution, SolveError, SolveOptions,
+};
 use proptest::prelude::*;
 
 /// Every LP engine, differentially tested against each other below. The LU
@@ -341,7 +343,17 @@ proptest! {
             all.iter().copied().zip(obj.iter().map(|&c| c as f64)), 0.0);
         m.set_objective(Sense::Maximize, objective.clone());
 
-        let got = m.solve();
+        // Every engine, with warm nodes (dual simplex from the parent basis,
+        // Farkas-pruned children) and with every node cold.
+        let arms: Vec<(Engine, bool, Result<Solution, SolveError>)> =
+            [Engine::Lu, Engine::Eta, Engine::Dense]
+                .into_iter()
+                .flat_map(|engine| [true, false].map(|warm_start| (engine, warm_start)))
+                .map(|(engine, warm_start)| {
+                    let opts = SolveOptions { engine, warm_start, ..SolveOptions::default() };
+                    (engine, warm_start, m.solve_with(&opts))
+                })
+                .collect();
 
         // Brute force: fix each binary assignment, solve the continuous rest.
         let mut best: Option<f64> = None;
@@ -356,16 +368,19 @@ proptest! {
             }
         }
 
-        match (got, best) {
-            (Ok(sol), Some(b)) => prop_assert!(
-                (sol.objective - b).abs() < 1e-5,
-                "B&B {} vs enumeration {b}", sol.objective),
-            (Err(SolveError::Infeasible), None) => {}
-            (Ok(sol), None) => prop_assert!(false,
-                "B&B found {} but enumeration says infeasible", sol.objective),
-            (Err(SolveError::Infeasible), Some(b)) => prop_assert!(false,
-                "B&B says infeasible but enumeration found {b}"),
-            (Err(e), _) => prop_assert!(false, "unexpected error: {e}"),
+        for (engine, warm, got) in arms {
+            match (got, best) {
+                (Ok(sol), Some(b)) => prop_assert!(
+                    (sol.objective - b).abs() < 1e-5,
+                    "{engine:?} warm={warm}: B&B {} vs enumeration {b}", sol.objective),
+                (Err(SolveError::Infeasible), None) => {}
+                (Ok(sol), None) => prop_assert!(false,
+                    "{engine:?} warm={warm}: B&B found {} but enumeration says infeasible",
+                    sol.objective),
+                (Err(SolveError::Infeasible), Some(b)) => prop_assert!(false,
+                    "{engine:?} warm={warm}: B&B says infeasible but enumeration found {b}"),
+                (Err(e), _) => prop_assert!(false, "{engine:?} warm={warm}: unexpected error: {e}"),
+            }
         }
     }
 

@@ -6,23 +6,26 @@
 //! A [`CertEngine`] holds three cache layers, each invalidated by its own
 //! key:
 //!
-//! 1. a **model registry** keyed by the deterministic weight hash
-//!    ([`itne_nn::AffineNetwork::weight_hash`]): lowered network, domain,
-//!    and the δ-independent interval pre-bounds
-//!    ([`itne_core::ibp_values`]), computed once at registration;
+//! 1. a **model registry** keyed by everything that shapes an answer — the
+//!    weights ([`itne_nn::AffineNetwork::weight_hash`]) *and* the input
+//!    domain — holding the lowered network, the domain, and the
+//!    δ-independent interval pre-bounds ([`itne_core::ibp_values`]),
+//!    computed once at registration. The key is a hash, so a key hit is
+//!    confirmed by comparing the full content bit for bit before an entry
+//!    is shared;
 //! 2. per-session **encoding caches** inside [`ResidentState`], keyed by
-//!    `(net_hash, window, refine)`: repeated δ-values over the same window
+//!    `(net_key, window, refine)`: repeated δ-values over the same window
 //!    re-parameterize the cached constraint skeletons in place instead of
 //!    re-encoding (δ only perturbs bounds/RHS);
 //! 3. a **basis store** in the same state: every directed solve's final
 //!    simplex basis persists per `(encoding, objective)` across requests,
 //!    extending within-sweep warm starts to cross-query warm starts.
 //!
-//! Re-registering an id with updated weights produces a new hash whose
-//! entry links to its predecessor; the first query against the new weights
-//! clones the predecessor's session state, so **delta re-certification**
-//! after a fine-tuning step rebuilds only bounds/RHS and warm-starts every
-//! sweep from the previous model's bases.
+//! Re-registering an id with updated weights (or a new domain) produces a
+//! new key whose entry links to its predecessor; the first query against
+//! the new entry clones the predecessor's session state, so **delta
+//! re-certification** after a fine-tuning step rebuilds only bounds/RHS and
+//! warm-starts every sweep from the previous model's bases.
 //!
 //! Every cache layer is a pure optimization: cached-path results are
 //! bit-identical to a cold [`itne_core::certify_global`] run (asserted by
@@ -34,8 +37,8 @@
 
 use itne_core::query::QueryStats;
 use itne_core::{
-    certify_global_resident, ibp_values, CertifyError, CertifyOptions, CertifyStats, Interval,
-    ResidentState, ValuePreBounds,
+    certify_global_resident, ibp_values, validate_network, CertifyError, CertifyOptions,
+    CertifyStats, Interval, ResidentState, ValuePreBounds,
 };
 use itne_nn::{AffineNetwork, Network};
 use std::collections::BTreeMap;
@@ -97,7 +100,8 @@ impl QueryRequest {
 /// The result of one engine query.
 #[derive(Clone, Debug)]
 pub struct QueryResponse {
-    /// Weight hash of the net that answered (registry key).
+    /// Registry key of the entry that answered (weights and domain; see
+    /// [`CertEngine::register_affine`]).
     pub net_hash: u64,
     /// Certified `ε̄` per network output.
     pub epsilons: Vec<f64>,
@@ -112,10 +116,10 @@ pub struct QueryResponse {
 /// Engine-lifetime counters, aggregated over every query.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Distinct weight hashes registered.
+    /// Distinct (weights, domain) entries registered.
     pub registered_nets: u64,
-    /// Re-registrations of an existing id with new weights (each links a
-    /// predecessor for the delta path).
+    /// Re-registrations of an existing id with new weights or a new domain
+    /// (each links a predecessor for the delta path).
     pub delta_registrations: u64,
     /// Queries answered.
     pub queries: u64,
@@ -174,28 +178,94 @@ impl ServeStats {
     }
 }
 
-/// One registered network: everything the registry computes once per weight
-/// hash (cache layer 1).
+/// One registered network: everything the registry computes once per
+/// distinct (weights, domain) pair (cache layer 1).
 struct NetEntry {
     aff: AffineNetwork,
     domain: Vec<(f64, f64)>,
-    hash: u64,
+    key: u64,
     /// δ-independent interval pre-bounds over `domain`.
     pre: ValuePreBounds,
-    /// The hash this id previously resolved to, when re-registered with
-    /// updated weights — the delta re-certification link.
+    /// The key this id previously resolved to, when re-registered with
+    /// updated weights or a new domain — the delta re-certification link.
     predecessor: Option<u64>,
+}
+
+impl NetEntry {
+    /// Whether this entry holds exactly `aff` over `domain`, compared bit
+    /// for bit — the same view the key hash takes, so `±0.0` differ.
+    fn holds(&self, aff: &AffineNetwork, domain: &[(f64, f64)]) -> bool {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        self.domain.len() == domain.len()
+            && self
+                .domain
+                .iter()
+                .zip(domain)
+                .all(|(&(a, b), &(c, d))| same(a, c) && same(b, d))
+            && self.aff.input_dim == aff.input_dim
+            && self.aff.layers.len() == aff.layers.len()
+            && self.aff.layers.iter().zip(&aff.layers).all(|(x, y)| {
+                x.relu == y.relu
+                    && x.rows.len() == y.rows.len()
+                    && x.rows.iter().zip(&y.rows).all(|(r, t)| {
+                        same(r.bias, t.bias)
+                            && r.terms.len() == t.terms.len()
+                            && r.terms
+                                .iter()
+                                .zip(&t.terms)
+                                .all(|(&(i, a), &(j, b))| i == j && same(a, b))
+                    })
+            })
+    }
+}
+
+/// The registry key hash of `aff` over `domain`: FNV-1a over the weight
+/// hash and the domain's bit patterns. Not collision-resistant, so a hit is
+/// only ever trusted after [`NetEntry::holds`] confirms it.
+fn entry_hash(aff: &AffineNetwork, domain: &[(f64, f64)]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let words = std::iter::once(aff.weight_hash()).chain(
+        domain
+            .iter()
+            .flat_map(|&(lo, hi)| [lo.to_bits(), hi.to_bits()]),
+    );
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(PRIME);
+        }
+    }
+    h
 }
 
 #[derive(Default)]
 struct Registry {
     by_id: BTreeMap<String, u64>,
-    by_hash: BTreeMap<u64, Arc<NetEntry>>,
+    by_key: BTreeMap<u64, Arc<NetEntry>>,
+}
+
+impl Registry {
+    /// The key `aff` over `domain` lives under, and whether an entry already
+    /// holds it. Starts at [`entry_hash`] and, on a hash collision with
+    /// different content, probes the following keys in order, so distinct
+    /// content always gets a distinct key.
+    fn locate(&self, aff: &AffineNetwork, domain: &[(f64, f64)]) -> (u64, bool) {
+        let mut key = entry_hash(aff, domain);
+        loop {
+            match self.by_key.get(&key) {
+                Some(e) if e.holds(aff, domain) => return (key, true),
+                Some(_) => key = key.wrapping_add(1),
+                None => return (key, false),
+            }
+        }
+    }
 }
 
 /// Sessions are keyed by everything that shapes cached encodings:
-/// `(net_hash, window, refine)`. δ and certificate checking deliberately
-/// stay out of the key — they never change the constraint skeleton.
+/// `(net_key, window, refine)`, where the registry key covers weights and
+/// domain. δ and certificate checking deliberately stay out of the key —
+/// they never change the constraint skeleton.
 type SessionKey = (u64, usize, usize);
 
 /// Bounded in-flight gate: at most `cap` queries execute concurrently; the
@@ -261,17 +331,20 @@ impl CertEngine {
         }
     }
 
-    /// Registers (or re-registers) `net` under `id` and returns its weight
-    /// hash. Lowering, hashing, and the δ-independent interval pre-bounds
-    /// happen here, once per distinct weight hash. Re-registering an id
-    /// with changed weights links the new entry to its predecessor so the
-    /// first query against it can clone the old session (delta path);
-    /// re-registering identical weights is a no-op.
+    /// Registers (or re-registers) `net` over `domain` under `id` and
+    /// returns the entry's registry key. Lowering, validation, and the
+    /// δ-independent interval pre-bounds happen here, once per distinct
+    /// (weights, domain) pair: a second id with the same weights over a
+    /// different domain gets an entry of its own. Re-registering an id with
+    /// changed weights or a changed domain links the new entry to its
+    /// predecessor so the first query against it can clone the old session
+    /// (delta path); re-registering identical content is a no-op.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Certify`] when the network cannot be lowered or the
-    /// domain does not match its input dimension.
+    /// [`ServeError::Certify`] when the network cannot be lowered, has a
+    /// non-finite weight or bias, or the domain is malformed or does not
+    /// match its input dimension ([`itne_core::validate_network`]).
     pub fn register(
         &self,
         id: &str,
@@ -293,52 +366,40 @@ impl CertEngine {
         aff: AffineNetwork,
         domain: &[(f64, f64)],
     ) -> Result<u64, ServeError> {
-        if domain.len() != aff.input_dim {
-            return Err(CertifyError::InvalidInput(format!(
-                "domain has {} dimensions, network input is {}",
-                domain.len(),
-                aff.input_dim
-            ))
-            .into());
-        }
-        if domain
-            .iter()
-            .any(|&(lo, hi)| !lo.is_finite() || !hi.is_finite() || lo > hi)
-        {
-            return Err(
-                CertifyError::InvalidInput("domain box must be finite and ordered".into()).into(),
-            );
-        }
-        let hash = aff.weight_hash();
-        let dom_iv: Vec<Interval> = domain
-            .iter()
-            .map(|&(lo, hi)| Interval::new(lo, hi))
-            .collect();
+        validate_network(&aff, domain)?;
         let mut reg = lock(&self.registry);
+        let (key, known) = reg.locate(&aff, domain);
         let predecessor = match reg.by_id.get(id) {
-            Some(&old) if old == hash => return Ok(hash), // identical weights: no-op
+            Some(&old) if old == key => return Ok(key), // identical content: no-op
             Some(&old) => Some(old),
             None => None,
         };
-        if let std::collections::btree_map::Entry::Vacant(slot) = reg.by_hash.entry(hash) {
+        if !known {
+            let dom_iv: Vec<Interval> = domain
+                .iter()
+                .map(|&(lo, hi)| Interval::new(lo, hi))
+                .collect();
             let pre = ibp_values(&aff, &dom_iv);
-            slot.insert(Arc::new(NetEntry {
-                aff,
-                domain: domain.to_vec(),
-                hash,
-                pre,
-                predecessor,
-            }));
+            reg.by_key.insert(
+                key,
+                Arc::new(NetEntry {
+                    aff,
+                    domain: domain.to_vec(),
+                    key,
+                    pre,
+                    predecessor,
+                }),
+            );
             lock(&self.stats).registered_nets += 1;
         }
-        reg.by_id.insert(id.to_string(), hash);
+        reg.by_id.insert(id.to_string(), key);
         if predecessor.is_some() {
             lock(&self.stats).delta_registrations += 1;
         }
-        Ok(hash)
+        Ok(key)
     }
 
-    /// The weight hash `id` currently resolves to.
+    /// The registry key `id` currently resolves to.
     pub fn net_hash(&self, id: &str) -> Option<u64> {
         lock(&self.registry).by_id.get(id).copied()
     }
@@ -358,13 +419,13 @@ impl CertEngine {
         let _slot = self.gate.acquire();
         let entry = {
             let reg = lock(&self.registry);
-            let hash = *reg
+            let key = *reg
                 .by_id
                 .get(net_id)
                 .ok_or_else(|| ServeError::UnknownNet(net_id.to_string()))?;
-            Arc::clone(reg.by_hash.get(&hash).expect("registry id without entry"))
+            Arc::clone(reg.by_key.get(&key).expect("registry id without entry"))
         };
-        let key: SessionKey = (entry.hash, q.window, q.refine);
+        let key: SessionKey = (entry.key, q.window, q.refine);
         let mut delta_seeded = false;
         let session = {
             let mut sessions = lock(&self.sessions);
@@ -415,7 +476,7 @@ impl CertEngine {
             }
         }
         Ok(QueryResponse {
-            net_hash: entry.hash,
+            net_hash: entry.key,
             epsilons: report.epsilons,
             stats: report.stats,
             delta_seeded,
@@ -518,6 +579,104 @@ mod tests {
         let s = engine.stats();
         assert_eq!(s.registered_nets, 1);
         assert_eq!(s.delta_registrations, 0);
+    }
+
+    /// Registers the Fig. 1 net under `small` over `[−0.01, 0.01]²` and then
+    /// `big` over `[−10, 10]²` (identical weights); `big`'s answer must be
+    /// its own domain's, not the first registrant's pre-bounds.
+    #[test]
+    fn same_weights_under_a_second_id_keep_their_own_domain() {
+        let engine = CertEngine::new(1, 1);
+        let net = itne_core::example::fig1_affine();
+        let small = [(-0.01, 0.01); 2];
+        let big = [(-10.0, 10.0); 2];
+        let ks = engine
+            .register_affine("small", net.clone(), &small)
+            .unwrap();
+        let kb = engine.register_affine("big", net.clone(), &big).unwrap();
+        assert_ne!(ks, kb);
+        assert_eq!(engine.stats().registered_nets, 2);
+        let q = QueryRequest::new(5.0);
+        engine.certify("small", &q).unwrap();
+        let got = engine.certify("big", &q).unwrap().epsilons;
+        let cold = certify_global_affine(&net, &big, q.delta, &cold_opts(&q, 1))
+            .unwrap()
+            .epsilons;
+        assert_eq!(bits(&got), bits(&cold), "served {got:?}, cold {cold:?}");
+    }
+
+    /// Re-registering one id with the same weights over a new domain is not
+    /// a no-op: later queries answer over the new domain.
+    #[test]
+    fn reregistering_an_id_with_a_new_domain_takes_effect() {
+        let engine = CertEngine::new(1, 1);
+        let net = itne_core::example::fig1_affine();
+        let big = [(-10.0, 10.0); 2];
+        let k1 = engine
+            .register_affine("m", net.clone(), &[(-0.01, 0.01); 2])
+            .unwrap();
+        let q = QueryRequest::new(5.0);
+        engine.certify("m", &q).unwrap();
+        let k2 = engine.register_affine("m", net.clone(), &big).unwrap();
+        assert_ne!(k1, k2);
+        assert_eq!(engine.net_hash("m"), Some(k2));
+        assert_eq!(engine.stats().delta_registrations, 1);
+        let got = engine.certify("m", &q).unwrap().epsilons;
+        let cold = certify_global_affine(&net, &big, q.delta, &cold_opts(&q, 1))
+            .unwrap()
+            .epsilons;
+        assert_eq!(bits(&got), bits(&cold), "served {got:?}, cold {cold:?}");
+    }
+
+    /// A key-hash hit with different content is a collision, never a
+    /// match: the newcomer probes on to a key of its own.
+    #[test]
+    fn colliding_key_hash_is_confirmed_by_content() {
+        let a = dense_net(3, 2, 3, 1);
+        let b = dense_net(5, 2, 3, 1);
+        let dom = [(0.0, 1.0); 2];
+        let mut reg = Registry::default();
+        // Plant `a` under the key `b` hashes to, as a collision would.
+        let forged = entry_hash(&b, &dom);
+        reg.by_key.insert(
+            forged,
+            Arc::new(NetEntry {
+                aff: a.clone(),
+                domain: dom.to_vec(),
+                key: forged,
+                pre: ibp_values(&a, &[Interval::new(0.0, 1.0); 2]),
+                predecessor: None,
+            }),
+        );
+        assert_eq!(reg.locate(&b, &dom), (forged.wrapping_add(1), false));
+        assert_eq!(reg.locate(&a, &dom), (entry_hash(&a, &dom), false));
+        // Identical content does match, including the planted entry.
+        let planted = reg.by_key.get(&forged).expect("planted");
+        assert!(planted.holds(&a, &dom));
+        assert!(!planted.holds(&a, &[(0.0, 1.0), (0.0, 2.0)]));
+    }
+
+    /// A NaN or infinite weight or bias is refused at registration.
+    #[test]
+    fn non_finite_weights_are_rejected_at_registration() {
+        let engine = CertEngine::new(1, 1);
+        let dom = [(-1.0, 1.0); 2];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut weight = itne_core::example::fig1_affine();
+            weight.layers[0].rows[1].terms[0].1 = bad;
+            let mut bias = itne_core::example::fig1_affine();
+            bias.layers[0].rows[0].bias = bad;
+            for aff in [weight, bias] {
+                assert!(
+                    matches!(
+                        engine.register_affine("bad", aff, &dom),
+                        Err(ServeError::Certify(CertifyError::InvalidInput(_)))
+                    ),
+                    "{bad} accepted"
+                );
+            }
+        }
+        assert_eq!(engine.stats().registered_nets, 0);
     }
 
     /// The CI smoke workload: 8 concurrent queries across 2 registered
