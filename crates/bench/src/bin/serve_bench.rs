@@ -1,7 +1,6 @@
-//! Resident-engine benchmark: the ISSUE-10 service workload — one registered
-//! net answering a δ-sweep across several decomposition windows — timed
-//! against the cold loop that re-runs `certify_global` from scratch per
-//! query.
+//! Resident-engine benchmark: the service workload — one registered net
+//! answering a δ-sweep across several decomposition windows — timed against
+//! the cold loop that re-runs `certify_global` from scratch per query.
 //!
 //! ```text
 //! cargo run --release -p itne_bench --bin serve_bench \
@@ -47,6 +46,9 @@ struct ServeBenchReport {
     pivots_resident: u64,
     solves_resident: u64,
     warm_hits: u64,
+    /// Warm starts that fell back to a cold solve (a restore the engine
+    /// could not complete or repair).
+    warm_misses: u64,
     encoding_cache_hits: u64,
     encoding_cache_misses: u64,
     cross_query_warm_hits: u64,
@@ -138,6 +140,7 @@ fn main() {
         pivots_resident,
         solves_resident: stats.solves,
         warm_hits: stats.warm_hits,
+        warm_misses: stats.warm_misses,
         encoding_cache_hits: stats.encoding_cache_hits,
         encoding_cache_misses: stats.encoding_cache_misses,
         cross_query_warm_hits: stats.cross_query_warm_hits,
@@ -169,8 +172,8 @@ fn main() {
     ]);
     table.print();
     println!(
-        "speedup {:.2}×, bits identical: {}, certs {}/{} checked/failed",
-        report.speedup, bits_identical, stats.certs_checked, stats.cert_failures
+        "speedup {:.2}×, bits identical: {}, warm misses {}, certs {}/{} checked/failed",
+        report.speedup, bits_identical, stats.warm_misses, stats.certs_checked, stats.cert_failures
     );
 
     save_json("serve_bench", &report);

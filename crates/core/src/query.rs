@@ -192,8 +192,8 @@ impl QueryStats {
         self.warm_misses = self.warm_misses.saturating_add(batch.warm_misses);
         self.pivots_saved = self.pivots_saved.saturating_add(batch.pivots_saved);
         // Seed hits are warm starts from a basis stored by an *earlier*
-        // query over the same encoding (only `BatchSolver::with_seed` sweeps
-        // can have them; plain batches report zero).
+        // query over the same encoding (only `BatchSolver::solve_slot`
+        // sweeps can have them; plain batches report zero).
         self.cross_query_warm_hits = self.cross_query_warm_hits.saturating_add(batch.seed_hits);
     }
 }
@@ -493,8 +493,9 @@ pub(crate) const BASIS_SLOTS: usize = 4;
 /// [`lp_relax_y`] against a resident encoding: identical objectives and the
 /// same certified-bound pipeline, but each directed solve starts from the
 /// basis the *previous query* stored for the same objective
-/// ([`BatchSolver::solve_slot`]) — already optimal when only δ moved, so hot
-/// queries pivot rarely — and writes its final basis back for the next one.
+/// ([`BatchSolver::solve_slot`]) — optimal as stored for a repeated query,
+/// repaired by the dual simplex when a new δ or new weights moved the RHS —
+/// and writes its final basis back for the next one.
 /// The sweep shares one live engine: the first restore rebuilds it from its
 /// snapshot, later restores rebase it in place, paying a basis
 /// refactorization instead of a skeleton compile per solve. Results are

@@ -14,10 +14,16 @@
 //!    [`QueryStats::encoding_cache_misses`]);
 //! 2. **warm-starts across queries**: each directed solve restores the basis
 //!    the *previous query* stored for the same objective
-//!    ([`QueryStats::cross_query_warm_hits`]) — already optimal when only δ
-//!    moved, so hot queries pivot rarely — and, because a
-//!    [`ResidentState`] can be cloned from a predecessor network's session,
-//!    to **delta re-certification** after a fine-tuning step.
+//!    ([`QueryStats::cross_query_warm_hits`]). A repeated query finds it
+//!    still optimal and takes no pivots. When a new δ or a fine-tuning step
+//!    moved the RHS, the restored point may be primal infeasible; the
+//!    bounded dual simplex repairs it in a few pivots instead of
+//!    re-solving cold. Because a [`ResidentState`] can be cloned from a
+//!    predecessor network's session, this extends to **delta
+//!    re-certification** after a fine-tuning step. Only a singular or
+//!    misshapen basis, a repair that fails or hits the pivot cap, or a
+//!    failed residual check re-solves cold
+//!    ([`QueryStats::warm_misses`]).
 //!
 //! Both reuse layers are pure optimizations: replay verifies the skeleton
 //! bit-for-bit and falls back to a fresh encode, and warm starts fall back

@@ -26,7 +26,7 @@
 //! [`StealHook`] below.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// What running one task unit produced: a finished result for `slot`, or a
@@ -100,7 +100,9 @@ fn test_steal_hook() -> Option<StealHook> {
 /// # Panics
 ///
 /// Panics if a task finishes an out-of-range slot, or (after the join) if
-/// some slot was never finished — both are task-construction bugs.
+/// some slot was never finished — both are task-construction bugs. A panic
+/// inside `run` stops every worker; the scope joins them and panics on the
+/// caller's thread.
 pub(crate) fn run_steal<T, R, A, F>(
     threads: usize,
     initial: Vec<T>,
@@ -156,22 +158,27 @@ where
     }
 
     let remaining = AtomicUsize::new(slots);
+    // Set when a task unwinds: the slot it held will never finish, so the
+    // other workers must stop instead of waiting for `remaining` to drain.
+    let aborted = AtomicBool::new(false);
     let merged: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(slots));
     let mut accs: Vec<Option<A>> = Vec::with_capacity(nworkers);
     accs.resize_with(nworkers, || None);
 
     let queues = &queues;
     let remaining = &remaining;
+    let aborted = &aborted;
     let merged_ref = &merged;
     let run = &run;
     let hook = hook.as_ref();
     std::thread::scope(|s| {
         for (w, acc_slot) in accs.iter_mut().enumerate() {
             s.spawn(move || {
+                let _abort_on_unwind = AbortOnUnwind(aborted);
                 let mut acc = A::default();
                 let mut local: Vec<(usize, R)> = Vec::new();
                 let mut step = 0u64;
-                while remaining.load(Ordering::Acquire) > 0 {
+                while remaining.load(Ordering::Acquire) > 0 && !aborted.load(Ordering::Acquire) {
                     step += 1;
                     let forced = hook.and_then(|h| h.steal_first(w, step, nworkers));
                     let task = pop_or_steal(queues, w, forced);
@@ -215,6 +222,18 @@ where
         .map(|a| a.expect("scope joined every worker"))
         .collect();
     (results, accs)
+}
+
+/// Raises the abort flag when dropped during a panic, so a task that
+/// unwinds stops its fellow workers.
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// One scheduling decision for worker `w`: the hook's forced victim first
@@ -309,6 +328,28 @@ mod tests {
             set_test_steal_seed(None);
             assert_eq!(got, want, "seed = {seed}");
         }
+    }
+
+    /// A panicking task stops the other workers, and the scope's join
+    /// re-raises the panic on the caller's thread, instead of leaving them
+    /// spinning on a slot that will never finish. Runs on a helper thread so
+    /// that a hang fails the test rather than the suite.
+    #[test]
+    fn panicking_task_stops_the_workers_and_propagates() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                run_steal(2, (0..8).collect(), 8, |i: usize, _: &mut ()| {
+                    assert_ne!(i, 5, "task 5 fails");
+                    Step::Done::<usize, usize> { slot: i, result: i }
+                })
+            });
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("run_steal hung after a task panicked");
+        assert!(panicked, "the task's panic must reach the caller");
     }
 
     /// More workers than tasks: surplus workers find empty deques

@@ -7,10 +7,13 @@
 //! time, even though feasibility does not depend on the objective at all.
 //! [`BatchSolver`] amortizes that: the first solve runs cold and snapshots
 //! its final [`Basis`]; each subsequent solve restores the snapshot — already
-//! primal feasible — and reoptimizes phase 2 only. Whenever a restore cannot
-//! complete (singular refactorization, stale snapshot, numerical trouble),
-//! the solve transparently falls back to a cold solve, so results never
-//! depend on whether a warm start succeeded.
+//! primal feasible — and reoptimizes phase 2 only. A basis stored by an
+//! earlier sweep over since-moved RHS or bounds
+//! ([`BatchSolver::solve_slot`]) is brought back to feasibility by the dual
+//! simplex first. Whenever a restore cannot complete (singular
+//! refactorization, an unrepairable snapshot, numerical trouble), the solve
+//! transparently falls back to a cold solve, so results never depend on
+//! whether a warm start succeeded.
 //!
 //! Mixed-integer models are accepted for uniformity and solved by
 //! branch-and-bound, whose tree starts cold for every objective (inside the
@@ -226,9 +229,15 @@ impl<'m> BatchSolver<'m> {
     /// With a live resident the restore reuses the compiled skeleton and
     /// working arrays and pays only a basis refactorization
     /// ([`Resident::resolve_from`]); the sweep's first solve rebuilds the
-    /// engine from the snapshot. Both restores fall back transparently —
-    /// first to the within-sweep chain, then to a cold solve — so the slot
-    /// is advisory and never affects results, only the work counters.
+    /// engine from the snapshot. A stored basis whose point is no longer
+    /// primal feasible — the model's RHS or bounds moved since the slot was
+    /// written — is repaired in place by the sparse engines' bounded dual
+    /// simplex and still counts as a seed hit. A restore that cannot
+    /// complete (shape mismatch, singular basis, a repair that finds no
+    /// entering column or hits the pivot cap, a failed residual check, or
+    /// any stale point on the dense engine) is a warm miss and falls back to
+    /// a cold solve, so the slot is advisory and never affects results, only
+    /// the work counters.
     ///
     /// # Errors
     ///
@@ -305,8 +314,9 @@ impl<'m> BatchSolver<'m> {
                             self.store_slot(slot);
                             return Ok(sol);
                         }
-                        WarmResidentOutcome::Rejected => {
+                        WarmResidentOutcome::Rejected { wasted_pivots } => {
                             self.stats.warm_misses += 1;
+                            self.stats.pivots += wasted_pivots;
                         }
                     }
                 }
@@ -584,6 +594,84 @@ mod tests {
             batch.solve(Sense::Maximize, 1.0 * x, &opts).unwrap_err(),
             SolveError::Unbounded
         );
+    }
+
+    /// The certifier's outward pad-and-snap onto the 2⁻³⁰ grid.
+    fn snapped(v: f64, sense: Sense) -> f64 {
+        let grid = 1.0 / f64::from(1u32 << 30);
+        let pad = 1e-7 + v.abs() * 1e-9;
+        match sense {
+            Sense::Maximize => ((v + pad) / grid).ceil() * grid,
+            Sense::Minimize => ((v - pad) / grid).floor() * grid,
+        }
+    }
+
+    /// Whether `sol`'s dual certificate proves `claim` on `model` in exact
+    /// arithmetic.
+    fn certifies(model: &Model, sol: &Solution, claim: f64) -> bool {
+        let Some(cert) = sol.certificate() else {
+            return false;
+        };
+        let rows: Vec<_> = model.rows.iter().map(branch_bound::row_ref).collect();
+        let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
+        itne_certcheck::verify_bound(
+            model.num_vars(),
+            &rows,
+            &bounds,
+            model.objective_terms(),
+            model.objective_constant(),
+            model.objective_sense() == Some(Sense::Maximize),
+            &cert.row_duals,
+            claim,
+        )
+        .is_valid()
+    }
+
+    /// Slots stored before the RHS moved hold bases whose restored points
+    /// are primal infeasible (`x + y ≤ 6 → 12` puts both optima's vertices
+    /// outside the box or past `2x + y ≤ 9`). The sparse engines repair them
+    /// warm — the sweep's first slot through a rebuilt engine, the second
+    /// through the in-core rebase — and land on the cold optimum.
+    #[test]
+    fn stale_slots_are_repaired_by_the_dual_simplex() {
+        for engine in [crate::Engine::Lu, crate::Engine::Eta] {
+            let opts = SolveOptions {
+                engine,
+                ..Default::default()
+            };
+            let (mut m, x, y) = skeleton();
+            let objectives = [3.0 * x + 2.0 * y, 1.0 * x + 3.0 * y];
+            let mut slots = [None, None];
+            let mut batch = BatchSolver::new(&mut m);
+            for (e, slot) in objectives.iter().zip(&mut slots) {
+                batch
+                    .solve_slot(Sense::Maximize, e.clone(), &opts, slot)
+                    .unwrap();
+            }
+            m.update_rhs(0, 12.0);
+
+            let mut batch = BatchSolver::new(&mut m);
+            for ((e, slot), want) in objectives.iter().zip(&mut slots).zip([50.0, 61.0]) {
+                let warm = batch
+                    .solve_slot(Sense::Maximize, e.clone(), &opts, slot)
+                    .unwrap();
+                let cold = batch.model().solve_with(&opts).unwrap();
+                assert!((warm.objective - want / 3.0).abs() < 1e-9, "{engine:?}");
+                let claim = snapped(warm.objective, Sense::Maximize);
+                assert_eq!(
+                    claim.to_bits(),
+                    snapped(cold.objective, Sense::Maximize).to_bits(),
+                    "{engine:?}: warm {} vs cold {}",
+                    warm.objective,
+                    cold.objective
+                );
+                assert!(certifies(batch.model(), &warm, claim), "{engine:?}");
+            }
+            let stats = batch.stats();
+            assert_eq!(stats.warm_misses, 0, "{engine:?}: {stats:?}");
+            assert_eq!(stats.seed_hits, 2, "{engine:?}: {stats:?}");
+            assert_eq!(stats.cold_solves, 0, "{engine:?}: {stats:?}");
+        }
     }
 
     #[test]

@@ -336,7 +336,7 @@ fn settle_warm(
 }
 
 /// The exact checker's view of one model row.
-fn row_ref(row: &crate::model::Row) -> RowRef<'_> {
+pub(crate) fn row_ref(row: &crate::model::Row) -> RowRef<'_> {
     RowRef {
         terms: &row.terms,
         cmp: match row.cmp {

@@ -372,8 +372,11 @@ impl Model {
     /// snapshot of its own final basis for the next solve.
     ///
     /// Warm-starting never changes results: a basis that cannot be restored
-    /// (shape mismatch, singularity, infeasibility after restore) silently
-    /// falls back to a cold solve. Models with integer variables are solved
+    /// (shape mismatch, singularity, a stale point the engine cannot
+    /// repair) silently falls back to a cold solve. On the sparse engines a
+    /// basis whose restored point the moved RHS or bounds made primal
+    /// infeasible is repaired by the bounded dual simplex; the dense engine
+    /// rejects it. Models with integer variables are solved
     /// by branch-and-bound and return no snapshot. For sweeping many
     /// objectives, prefer [`crate::BatchSolver`], which also tracks
     /// warm-start hit/miss statistics.

@@ -75,14 +75,15 @@ pub(crate) enum WarmOutcome {
     /// The restored basis reoptimized to optimality.
     Solved(Solution, Option<Basis>),
     /// The basis could not be restored (shape mismatch, singular
-    /// refactorization, primal infeasibility, or numerical trouble during
-    /// reoptimization). The caller should solve cold.
+    /// refactorization, a stale point the engine could not repair, or
+    /// numerical trouble during reoptimization). The caller should solve
+    /// cold.
     Rejected,
 }
 
 /// [`WarmOutcome`] whose success variant keeps the live engine state instead
-/// of flattening it to a [`Basis`] snapshot, so a seeded sweep
-/// ([`crate::BatchSolver::with_seed`]) can chain later objectives through
+/// of flattening it to a [`Basis`] snapshot, so a slot sweep
+/// ([`crate::BatchSolver::solve_slot`]) can chain later objectives through
 /// in-place reoptimization — paying the snapshot-restore refactorization
 /// once per sweep rather than once per solve.
 #[allow(clippy::large_enum_variant)]
@@ -90,8 +91,9 @@ pub(crate) enum WarmResidentOutcome {
     /// The restored basis reoptimized to optimality; the live engine stays
     /// available for [`Resident::resolve`].
     Solved(Solution, Option<Resident>),
-    /// See [`WarmOutcome::Rejected`].
-    Rejected,
+    /// See [`WarmOutcome::Rejected`]. Carries the pivots the abandoned
+    /// attempt burned, as [`ResolveOutcome::Rejected`] does.
+    Rejected { wasted_pivots: u64 },
 }
 
 /// A live factorized tableau kept resident between the solves of one
@@ -145,9 +147,10 @@ impl Resident {
     /// [`Resident::resolve`], but restoring `warm` as the starting basis
     /// instead of continuing from the current one — the slot-restore path of
     /// a resident sweep. Sparse engines reuse the live core (skeleton and
-    /// working arrays) and pay only the basis refactorization; the dense
-    /// engine rejects, so its callers fall back to a chain or cold solve
-    /// (dense exists for differential testing, not throughput).
+    /// working arrays), pay one basis refactorization, and repair a stale
+    /// point with the dual simplex ([`sparse::SparseResident::resolve_from`]);
+    /// the dense engine rejects, so its callers fall back to a chain or cold
+    /// solve (dense exists for differential testing, not throughput).
     ///
     /// After a rejection the engine state may be inconsistent — the caller
     /// must discard this resident.
@@ -876,13 +879,15 @@ pub(crate) fn finish_values(
 
 /// Attempts a warm-started solve: restore `warm`, refactorize it against the
 /// original matrix, and reoptimize phase 2 under the model's current
-/// objective. Phase 1 is skipped entirely — the restored basis is already
-/// primal feasible when the skeleton is unchanged.
+/// objective. Phase 1 is skipped entirely. The restored basis is primal
+/// feasible when the constraint data is unchanged; when the RHS or the
+/// bounds moved, the sparse engines first repair it with the bounded dual
+/// simplex, while the dense engine rejects it.
 ///
 /// Anything that prevents completing from the restored basis (shape mismatch,
-/// a singular refactorization, primal infeasibility after restore, iteration
-/// limits, residual failures) yields [`WarmOutcome::Rejected`] so the caller
-/// can fall back to a cold solve; only genuine model-level errors
+/// a singular refactorization, a stale point the engine cannot repair,
+/// iteration limits, residual failures) yields [`WarmOutcome::Rejected`] so
+/// the caller can fall back to a cold solve; only genuine model-level errors
 /// ([`SolveError::Unbounded`], invalid bounds) propagate as `Err`.
 pub(crate) fn solve_lp_warm(
     model: &Model,
@@ -893,13 +898,13 @@ pub(crate) fn solve_lp_warm(
         WarmResidentOutcome::Solved(sol, res) => {
             WarmOutcome::Solved(sol, res.as_ref().and_then(Resident::snapshot))
         }
-        WarmResidentOutcome::Rejected => WarmOutcome::Rejected,
+        WarmResidentOutcome::Rejected { .. } => WarmOutcome::Rejected,
     })
 }
 
 /// [`solve_lp_warm`] variant that hands back the live engine state on
-/// success (see [`WarmResidentOutcome`]): the seeded batch path
-/// ([`crate::BatchSolver::with_seed`]) installs it as the sweep's resident
+/// success (see [`WarmResidentOutcome`]): the slot path of a batch sweep
+/// ([`crate::BatchSolver::solve_slot`]) installs it as the sweep's resident
 /// tableau, so the restore refactorization is paid once per sweep instead of
 /// once per solve.
 pub(crate) fn solve_lp_warm_resident(
@@ -914,7 +919,7 @@ pub(crate) fn solve_lp_warm_resident(
     let m = model.rows.len();
     let tol = opts.tolerances;
     if warm.n != n || warm.m != m || m == 0 || warm.state.len() != n + m || warm.rows.len() != m {
-        return Ok(WarmResidentOutcome::Rejected);
+        return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
     }
     let var_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
     for &(lo, hi) in &var_bounds {
@@ -946,13 +951,13 @@ pub(crate) fn solve_lp_warm_resident(
             ColState::Basic => {}
             ColState::AtLower => {
                 if !lo[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected);
+                    return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
                 }
                 xval[j] = lo[j];
             }
             ColState::AtUpper => {
                 if !hi[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected);
+                    return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
                 }
                 xval[j] = hi[j];
             }
@@ -964,7 +969,7 @@ pub(crate) fn solve_lp_warm_resident(
         .iter()
         .any(|&b| b >= ncols || state[b] != ColState::Basic)
     {
-        return Ok(WarmResidentOutcome::Rejected);
+        return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
     }
 
     let mut tab = vec![0.0f64; m * ncols];
@@ -1017,7 +1022,7 @@ pub(crate) fn solve_lp_warm_resident(
         }
         let (r, mag) = best.expect("one un-eliminated row per pass");
         if mag <= t.pivot_tol {
-            return Ok(WarmResidentOutcome::Rejected);
+            return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
         }
         t.pivot(r, t.basis[r]);
         eliminated[r] = true;
@@ -1046,7 +1051,7 @@ pub(crate) fn solve_lp_warm_resident(
         let b = t.basis[r];
         let v = t.xval[b];
         if v < t.lo[b] - t.feas_tol || v > t.hi[b] + t.feas_tol {
-            return Ok(WarmResidentOutcome::Rejected);
+            return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
         }
         t.xval[b] = v.clamp(t.lo[b], t.hi[b]);
     }
@@ -1061,7 +1066,11 @@ pub(crate) fn solve_lp_warm_resident(
     match t.optimize(true, opts.pivot_cap(m, ncols)) {
         Ok(()) => {}
         Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-        Err(_) => return Ok(WarmResidentOutcome::Rejected),
+        Err(_) => {
+            return Ok(WarmResidentOutcome::Rejected {
+                wasted_pivots: t.pivots,
+            })
+        }
     }
     // The restore's greedy elimination is one basis refactorization; report
     // it so warm and cold work counters stay comparable across engines.
@@ -1085,7 +1094,9 @@ pub(crate) fn solve_lp_warm_resident(
                 var_bounds,
             }))),
         )),
-        Err(_) => Ok(WarmResidentOutcome::Rejected),
+        Err(_) => Ok(WarmResidentOutcome::Rejected {
+            wasted_pivots: t.pivots,
+        }),
     }
 }
 

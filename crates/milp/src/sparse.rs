@@ -896,16 +896,16 @@ impl Core {
     /// the current basic column set, then recomputes the basic values
     /// exactly. Returns `false` when the basis is singular with respect to
     /// the matrix or the recomputed point is primal infeasible beyond
-    /// tolerance (warm restores reject; mid-solve callers treat it as a
-    /// numerical failure).
+    /// tolerance (mid-solve callers treat it as a numerical failure).
     fn refactorize(&mut self) -> bool {
         self.refresh(true)
     }
 
     /// [`Core::refactorize`] with a selectable feasibility contract: with
     /// `check` off (the dual simplex, whose basic values are *meant* to
-    /// violate their bounds until it finishes) only the singularity of the
-    /// basis rejects, and out-of-bound basic values are kept as computed.
+    /// violate their bounds until it finishes, and a basis restore, which
+    /// may hand a stale point to it) only the singularity of the basis
+    /// rejects, and out-of-bound basic values are kept as computed.
     fn refresh(&mut self, check: bool) -> bool {
         let t0 = self.clock_now();
         let rebuilt = match self.inverse {
@@ -1082,15 +1082,27 @@ impl Core {
         }
         self.inverse.ftran(&mut self.w);
         for r in 0..self.m {
-            let b = self.basis[r];
-            let v = self.w[r];
-            self.xval[b] = if !check {
-                v
-            } else if v < self.lo[b] - self.feas_tol || v > self.hi[b] + self.feas_tol {
-                return false;
-            } else {
-                v.clamp(self.lo[b], self.hi[b])
-            };
+            self.xval[self.basis[r]] = self.w[r];
+        }
+        !check || self.clamp_basic_values()
+    }
+
+    /// Clamps basic values that round-off left within the feasibility
+    /// tolerance of their bounds onto those bounds. Returns `false`, with
+    /// every value left as it was, when some basic value violates a bound by
+    /// more than the tolerance.
+    fn clamp_basic_values(&mut self) -> bool {
+        let tol = self.feas_tol;
+        let (lo, hi, xval) = (&self.lo, &self.hi, &mut self.xval);
+        if self
+            .basis
+            .iter()
+            .any(|&b| xval[b] < lo[b] - tol || xval[b] > hi[b] + tol)
+        {
+            return false;
+        }
+        for &b in &self.basis {
+            xval[b] = xval[b].clamp(lo[b], hi[b]);
         }
         true
     }
@@ -1748,6 +1760,80 @@ fn build_core(
     (core, art_sum)
 }
 
+/// The working arrays of a core under `var_bounds` against `skel`, with
+/// no artificial columns and a placeholder slack basis: the target of a
+/// snapshot restore, which installs its own basis heading and values.
+/// [`build_core`] also chooses a feasible starting basis, creating
+/// artificials and computing every row's activity to do so, work a restore
+/// would discard on every slot sweep.
+fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skeleton>) -> Core {
+    let n = var_bounds.len();
+    let m = skel.m();
+    let ncols = n + m;
+    let tol = opts.tolerances;
+    let mut lo = Vec::with_capacity(ncols);
+    let mut hi = Vec::with_capacity(ncols);
+    for &(l, h) in var_bounds {
+        lo.push(l);
+        hi.push(h);
+    }
+    for k in 0..m {
+        lo.push(skel.slack_lo[k]);
+        hi.push(skel.slack_hi[k]);
+    }
+    let (inverse, eta_nnz_cap) = if opts.engine == Engine::Eta {
+        (Inverse::Eta(EtaFile::new()), 8 * (skel.mat.nnz() + m) + 512)
+    } else {
+        // Placeholder factors; the restore refactorization replaces them.
+        let lu = LuFactors::identity(m, &[]);
+        let cap = lu_growth_cap(&lu);
+        (
+            Inverse::Lu {
+                lu,
+                etas: EtaFile::new(),
+            },
+            cap,
+        )
+    };
+    let refactor_every = refactor_budget(opts, m, opts.engine);
+    Core {
+        skel,
+        lo,
+        hi,
+        xval: vec![0.0; ncols],
+        state: vec![ColState::AtLower; ncols],
+        basis: (n..ncols).collect(),
+        inverse,
+        arts: Vec::new(),
+        n,
+        m,
+        art_start: ncols,
+        ncols,
+        costs: vec![0.0; ncols],
+        w: vec![0.0; m],
+        y: vec![0.0; m],
+        rho: vec![0.0; m],
+        refac: RefactorBuffers::default(),
+        candidates: Vec::new(),
+        pricing: opts.pricing,
+        devex: vec![1.0; ncols],
+        clock: opts.telemetry.clone(),
+        pivots: 0,
+        refactorizations: 0,
+        eta_peak: 0,
+        pivots_since_refactor: 0,
+        refactor_every,
+        eta_nnz_cap,
+        needs_refactor: false,
+        refactor_ns: 0,
+        solve_ns: 0,
+        lu_fill: 0,
+        feas_tol: tol.feasibility,
+        opt_tol: tol.optimality,
+        pivot_tol: tol.pivot,
+    }
+}
+
 /// Whether `opts.engine` folds range-row pairs into bounded slacks.
 fn folds(opts: &SolveOptions) -> bool {
     opts.engine == Engine::Lu
@@ -2005,10 +2091,18 @@ impl SparseResident {
     }
 
     /// Restores `warm` into the live core — reusing the compiled skeleton
-    /// and every working array — then reoptimizes phase 2 under `model`'s
-    /// current objective. This is the slot-restore path of a resident sweep:
-    /// compared to [`solve_warm_resident`] it skips the `Skeleton` compile
-    /// and `Core` construction, paying only the basis refactorization.
+    /// and every working array — then reoptimizes under `model`'s current
+    /// objective. This is the slot-restore path of a resident sweep, and
+    /// [`solve_warm_resident`] runs it on a freshly built core.
+    ///
+    /// A restored point that is primal feasible up to the feasibility
+    /// tolerance is clamped onto its bounds and reoptimized by phase 2
+    /// alone. A stale one — the RHS or the bounds moved since the snapshot
+    /// was taken — is repaired by the bounded dual simplex
+    /// ([`Core::dual_optimize`]) first. A singular basis, a shape mismatch,
+    /// a dual simplex that finds no entering column or gives up, the pivot
+    /// cap and a failed residual check all reject; nothing is concluded
+    /// from the dual ratio test, the cold solve decides.
     ///
     /// On [`ResolveOutcome::Rejected`] the core's basis state has been
     /// overwritten and may be inconsistent; the caller must discard this
@@ -2024,8 +2118,7 @@ impl SparseResident {
         if model.cols.len() != c.n || model.rows.len() != c.skel.m_model {
             return reject;
         }
-        // Non-basic columns rest exactly at their recorded bound (the same
-        // restore contract as `solve_warm_resident`).
+        // Non-basic columns rest exactly at their recorded bound.
         if !c.load_basis(warm) || !c.rest_nonbasic() {
             return reject;
         }
@@ -2035,31 +2128,26 @@ impl SparseResident {
         c.refactorizations = 0;
         c.refactor_ns = 0;
         c.solve_ns = 0;
-        if !c.refactorize() {
+        if !c.refresh(false) {
             return reject;
         }
-        c.refactorizations = 1; // the restore itself, not a cadence refactor
         c.eta_peak = c.inverse.update_len();
         c.lu_fill = match &c.inverse {
             Inverse::Eta(_) => 0,
             Inverse::Lu { lu, .. } => lu.nnz() as u64,
         };
         c.set_phase2_costs(model);
-        match c.optimize(true, opts.pivot_cap(c.m, c.ncols)) {
-            Ok(()) => {}
-            Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-            Err(_) => {
-                return Ok(ResolveOutcome::Rejected {
-                    wasted_pivots: c.pivots,
-                })
-            }
-        }
-        match c.finish(model, &self.var_bounds, opts.emit_certificates) {
-            Ok(sol) => Ok(ResolveOutcome::Solved(sol)),
-            Err(_) => Ok(ResolveOutcome::Rejected {
+        if !c.clamp_basic_values()
+            && !matches!(
+                c.dual_optimize(opts.pivot_cap(c.m, c.ncols)),
+                DualOutcome::Feasible
+            )
+        {
+            return Ok(ResolveOutcome::Rejected {
                 wasted_pivots: c.pivots,
-            }),
+            });
         }
+        self.phase2(model, opts)
     }
 
     /// Reoptimizes under `model`'s current objective (phase 2 only).
@@ -2074,21 +2162,26 @@ impl SparseResident {
         }
         c.set_phase2_costs(model);
         c.begin_solve();
-        match c.optimize(true, opts.pivot_cap(c.m, c.ncols)) {
-            Ok(()) => {}
+        self.phase2(model, opts)
+    }
+
+    /// Primal phase 2 from the core's primal feasible basis (costs already
+    /// set), then the residual-checked finish. Unboundedness is the model's
+    /// answer; every other failure rejects with the pivots the solve spent,
+    /// a dual simplex repair before it included.
+    fn phase2(&mut self, model: &Model, opts: &SolveOptions) -> Result<ResolveOutcome, SolveError> {
+        let c = &mut self.core;
+        let wasted = match c.optimize(true, opts.pivot_cap(c.m, c.ncols)) {
+            Ok(()) => match c.finish(model, &self.var_bounds, opts.emit_certificates) {
+                Ok(sol) => return Ok(ResolveOutcome::Solved(sol)),
+                Err(_) => c.pivots,
+            },
             Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-            Err(_) => {
-                return Ok(ResolveOutcome::Rejected {
-                    wasted_pivots: c.pivots,
-                })
-            }
-        }
-        match c.finish(model, &self.var_bounds, opts.emit_certificates) {
-            Ok(sol) => Ok(ResolveOutcome::Solved(sol)),
-            Err(_) => Ok(ResolveOutcome::Rejected {
-                wasted_pivots: c.pivots,
-            }),
-        }
+            Err(_) => c.pivots,
+        };
+        Ok(ResolveOutcome::Rejected {
+            wasted_pivots: wasted,
+        })
     }
 }
 
@@ -2106,153 +2199,36 @@ pub(crate) fn solve_resident(
     Ok((sol, resident))
 }
 
-/// Warm-started solve from a [`Basis`] snapshot: refactorize the recorded
-/// column set against the original matrix and reoptimize phase 2, then hand
-/// back the live engine for in-place reoptimization of later objectives.
-/// Anything recoverable reports [`WarmResidentOutcome::Rejected`] so the
-/// caller can fall back cold, matching the dense engine's contract.
+/// Warm-started solve from a [`Basis`] snapshot: build a [`restore_core`]
+/// for `model`, restore the snapshot into it
+/// ([`SparseResident::resolve_from`]: one refactorization, a dual simplex
+/// repair when the restored point is no longer primal feasible, then phase
+/// 2), and hand back the live engine for in-place reoptimization of later
+/// objectives. Anything recoverable reports [`WarmResidentOutcome::Rejected`]
+/// so the caller can fall back cold, matching the dense engine's contract.
 pub(crate) fn solve_warm_resident(
     model: &Model,
     opts: &SolveOptions,
     warm: &Basis,
 ) -> Result<WarmResidentOutcome, SolveError> {
-    let n = model.cols.len();
-    let tol = opts.tolerances;
-    if warm.n != n || model.rows.is_empty() {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-    let skel = Arc::new(Skeleton::build(model, folds(opts)));
-    let m = skel.m();
-    if warm.m != m || warm.state.len() != n + m || warm.rows.len() != m {
-        return Ok(WarmResidentOutcome::Rejected);
+    if warm.n != model.cols.len() || model.rows.is_empty() {
+        return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
     }
     let var_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    for &(lo, hi) in &var_bounds {
-        if lo > hi {
-            return Err(SolveError::Infeasible);
+    if var_bounds.iter().any(|&(lo, hi)| lo > hi) {
+        return Err(SolveError::Infeasible);
+    }
+    let skel = Arc::new(Skeleton::build(model, folds(opts)));
+    let core = restore_core(&var_bounds, opts, skel);
+    let mut resident = SparseResident { core, var_bounds };
+    Ok(match resident.resolve_from(model, opts, warm)? {
+        ResolveOutcome::Solved(sol) => {
+            WarmResidentOutcome::Solved(sol, Some(Resident::Sparse(Box::new(resident))))
         }
-    }
-
-    let ncols = n + m;
-    let mut lo = Vec::with_capacity(ncols);
-    let mut hi = Vec::with_capacity(ncols);
-    for &(l, h) in &var_bounds {
-        lo.push(l);
-        hi.push(h);
-    }
-    for k in 0..m {
-        lo.push(skel.slack_lo[k]);
-        hi.push(skel.slack_hi[k]);
-    }
-
-    // Non-basic columns rest exactly at their recorded bound; a recorded
-    // state that no longer matches a finite bound means the snapshot belongs
-    // to a different model.
-    let state = warm.state.clone();
-    let mut xval = vec![0.0f64; ncols];
-    for j in 0..ncols {
-        match state[j] {
-            ColState::Basic => {}
-            ColState::AtLower => {
-                if !lo[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected);
-                }
-                xval[j] = lo[j];
-            }
-            ColState::AtUpper => {
-                if !hi[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected);
-                }
-                xval[j] = hi[j];
-            }
-            ColState::Free => xval[j] = 0.0,
+        ResolveOutcome::Rejected { wasted_pivots } => {
+            WarmResidentOutcome::Rejected { wasted_pivots }
         }
-    }
-    if warm
-        .rows
-        .iter()
-        .any(|&b| b >= ncols || state[b] != ColState::Basic)
-    {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-
-    let (inverse, eta_nnz_cap) = if opts.engine == Engine::Eta {
-        (Inverse::Eta(EtaFile::new()), 8 * (skel.mat.nnz() + m) + 512)
-    } else {
-        // Placeholder factors; the restore refactorization below replaces
-        // them with the LU of the recorded column set.
-        let lu = LuFactors::identity(m, &[]);
-        let cap = lu_growth_cap(&lu);
-        (
-            Inverse::Lu {
-                lu,
-                etas: EtaFile::new(),
-            },
-            cap,
-        )
-    };
-    let refactor_every = refactor_budget(opts, m, opts.engine);
-    let mut core = Core {
-        skel,
-        lo,
-        hi,
-        xval,
-        state,
-        basis: warm.rows.clone(),
-        inverse,
-        arts: Vec::new(),
-        n,
-        m,
-        art_start: ncols,
-        ncols,
-        costs: vec![0.0; ncols],
-        w: vec![0.0; m],
-        y: vec![0.0; m],
-        rho: vec![0.0; m],
-        refac: RefactorBuffers::default(),
-        candidates: Vec::new(),
-        pricing: opts.pricing,
-        devex: vec![1.0; ncols],
-        clock: opts.telemetry.clone(),
-        pivots: 0,
-        refactorizations: 0,
-        eta_peak: 0,
-        pivots_since_refactor: 0,
-        refactor_every,
-        eta_nnz_cap,
-        needs_refactor: false,
-        refactor_ns: 0,
-        solve_ns: 0,
-        lu_fill: 0,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
-    };
-
-    // Refactorize the recorded column set; a singular set or a restored
-    // point that is no longer primal feasible means the snapshot is stale.
-    if !core.refactorize() {
-        return Ok(WarmResidentOutcome::Rejected);
-    }
-    core.pivots = 0;
-    core.refactorizations = 1; // the restore itself
-
-    core.set_phase2_costs(model);
-    match core.optimize(true, opts.pivot_cap(m, ncols)) {
-        Ok(()) => {}
-        Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-        Err(_) => return Ok(WarmResidentOutcome::Rejected),
-    }
-    match core.finish(model, &var_bounds, opts.emit_certificates) {
-        Ok(sol) => Ok(WarmResidentOutcome::Solved(
-            sol,
-            Some(Resident::Sparse(Box::new(SparseResident {
-                core,
-                var_bounds,
-            }))),
-        )),
-        Err(_) => Ok(WarmResidentOutcome::Rejected),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -244,6 +244,32 @@ fn feasible_sweep() -> impl Strategy<Value = FeasibleSweep> {
         })
 }
 
+/// `s` with its witness point reflected through the box center and every
+/// row's RHS moved with it (margins kept), so the skeleton stays feasible by
+/// construction while the old optima's vertices may not.
+fn moved_witness(s: &FeasibleSweep) -> FeasibleSweep {
+    let point: Vec<f64> = s
+        .bounds
+        .iter()
+        .zip(&s.point)
+        .map(|(&(l, h), &p)| l + h - p)
+        .collect();
+    let activity = |cs: &[f64], x: &[f64]| -> f64 { cs.iter().zip(x).map(|(c, v)| c * v).sum() };
+    let rows = s
+        .rows
+        .iter()
+        .map(|(cs, cmp, rhs)| {
+            let margin = rhs - activity(cs, &s.point);
+            (cs.clone(), *cmp, activity(cs, &point) + margin)
+        })
+        .collect();
+    FeasibleSweep {
+        point,
+        rows,
+        ..s.clone()
+    }
+}
+
 fn build_sweep_model(s: &FeasibleSweep) -> (Model, Vec<itne_milp::VarId>) {
     let mut m = Model::new();
     let vars: Vec<_> = s.bounds.iter().map(|&(l, h)| m.add_var(l, h)).collect();
@@ -509,30 +535,55 @@ proptest! {
     /// (`Model::solve_with_basis`) also agrees with cold solves; when no
     /// snapshot is available (e.g. a frozen artificial from the duplicated
     /// row) the chain silently degrades to cold solves and must stay exact.
+    /// Every snapshot is also restored into a copy of the model whose
+    /// witness point, and so its RHS, has moved: the restored point may now
+    /// be primal infeasible, which the sparse engines repair with the dual
+    /// simplex, and the answer must still match a cold solve of the moved
+    /// model with a certificate that checks.
     #[test]
     fn basis_snapshot_chains_match_cold_solves(s in feasible_sweep()) {
         let (model, vars) = build_sweep_model(&s);
-        let opts = SolveOptions::default();
-        let mut chain: Option<itne_milp::Basis> = None;
-        for (sense, cs) in &s.objectives {
-            let mut m = model.clone();
-            m.set_objective(
-                *sense,
-                LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0),
-            );
-            let cold = m.solve_with(&opts);
-            match (m.solve_with_basis(&opts, chain.as_ref()), cold) {
-                (Ok((warm, next)), Ok(c)) => {
-                    prop_assert!(
-                        (warm.objective - c.objective).abs() < 1e-6,
-                        "restored {} vs cold {} ({sense:?} over {cs:?})",
-                        warm.objective, c.objective);
-                    chain = next;
+        let (moved, _) = build_sweep_model(&moved_witness(&s));
+        for engine in [Engine::Lu, Engine::Eta] {
+            let opts = engine_opts(engine);
+            let mut chain: Option<itne_milp::Basis> = None;
+            for (sense, cs) in &s.objectives {
+                let objective =
+                    LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
+                let mut m = model.clone();
+                m.set_objective(*sense, objective.clone());
+                let cold = m.solve_with(&opts);
+                match (m.solve_with_basis(&opts, chain.as_ref()), cold) {
+                    (Ok((warm, next)), Ok(c)) => {
+                        prop_assert!(
+                            (warm.objective - c.objective).abs() < 1e-6,
+                            "{engine:?}: restored {} vs cold {} ({sense:?} over {cs:?})",
+                            warm.objective, c.objective);
+                        chain = next;
+                    }
+                    (Err(_), Err(_)) => chain = None,
+                    (w, c) => prop_assert!(false,
+                        "{engine:?}: paths disagree on solvability: warm {:?} vs cold {:?}",
+                        w.map(|(sol, _)| sol.objective), c.map(|sol| sol.objective)),
                 }
-                (Err(_), Err(_)) => chain = None,
-                (w, c) => prop_assert!(false,
-                    "paths disagree on solvability: warm {:?} vs cold {:?}",
-                    w.map(|(sol, _)| sol.objective), c.map(|sol| sol.objective)),
+
+                let mut mv = moved.clone();
+                mv.set_objective(*sense, objective);
+                match (mv.solve_with_basis(&opts, chain.as_ref()), mv.solve_with(&opts)) {
+                    (Ok((warm, _)), Ok(c)) => {
+                        prop_assert!(
+                            (warm.objective - c.objective).abs() < 1e-6,
+                            "{engine:?}: restored into the moved model {} vs cold {} \
+                             ({sense:?} over {cs:?})",
+                            warm.objective, c.objective);
+                        prop_assert!(certificate_checks(&mv, &warm),
+                            "{engine:?}: certificate fails on the moved model");
+                    }
+                    (Err(_), Err(_)) => {}
+                    (w, c) => prop_assert!(false,
+                        "{engine:?}: moved model: warm {:?} vs cold {:?}",
+                        w.map(|(sol, _)| sol.objective), c.map(|sol| sol.objective)),
+                }
             }
         }
     }

@@ -19,7 +19,9 @@
 //!    re-encoding (δ only perturbs bounds/RHS);
 //! 3. a **basis store** in the same state: every directed solve's final
 //!    simplex basis persists per `(encoding, objective)` across requests,
-//!    extending within-sweep warm starts to cross-query warm starts.
+//!    extending within-sweep warm starts to cross-query warm starts. A
+//!    basis a new δ or a weight update left primal infeasible is repaired
+//!    by the bounded dual simplex rather than re-solved cold.
 //!
 //! Re-registering an id with updated weights (or a new domain) produces a
 //! new key whose entry links to its predecessor; the first query against
@@ -765,6 +767,17 @@ mod tests {
             resp.stats.query.pivots,
             cold.stats.query.pivots
         );
+
+        // A second, larger step moves the encodings' RHS far enough that
+        // some stored bases restore primal infeasible: the dual simplex
+        // repairs them, so no restore falls back cold.
+        let retuned = perturbed(&tuned, 1e-3);
+        engine.register_affine("m", retuned.clone(), &dom).unwrap();
+        let resp = engine.certify("m", &q).unwrap();
+        assert!(resp.delta_seeded);
+        assert_eq!(resp.stats.query.warm_misses, 0, "{:?}", resp.stats.query);
+        let cold = certify_global_affine(&retuned, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
+        assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
     }
 
     proptest::proptest! {
