@@ -124,7 +124,7 @@ fn main() {
         }
     }
     let t_resident = t0.elapsed().as_secs_f64();
-    let stats = engine.stats();
+    let stats = engine.stats().query;
 
     let bits_identical = cold_bits == resident_bits;
     let report = ServeBenchReport {

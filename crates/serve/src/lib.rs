@@ -3,21 +3,29 @@
 //! against the same network (δ-sweeps, window ablations, per-epoch
 //! re-certification during certified training).
 //!
-//! A [`CertEngine`] holds three cache layers, each invalidated by its own
-//! key:
+//! A [`CertEngine`] holds four cache layers, each invalidated by its own
+//! key. A query tries layer 1 first; a hit there skips the other three:
 //!
-//! 1. a **model registry** keyed by everything that shapes an answer — the
+//! 1. an **answer cache**: each session keeps the ε̄ of its last successful
+//!    query together with that query's δ bit pattern and certificate-checking
+//!    flag. A query whose session (see layer 3) holds an answer for the same
+//!    δ bits and flag is an exact repeat: it returns that answer without
+//!    running the certifier, with [`QueryResponse::answer_cached`] set and
+//!    all work counters zero, and [`ServeStats::answer_hits`] counts it.
+//!    A session holds one answer; every other query replaces it. Delta
+//!    seeding (below) never copies it, since it belongs to the old weights;
+//! 2. a **model registry** keyed by everything that shapes an answer — the
 //!    weights ([`itne_nn::AffineNetwork::weight_hash`]) *and* the input
 //!    domain — holding the lowered network, the domain, and the
 //!    δ-independent interval pre-bounds ([`itne_core::ibp_values`]),
 //!    computed once at registration. The key is a hash, so a key hit is
 //!    confirmed by comparing the full content bit for bit before an entry
 //!    is shared;
-//! 2. per-session **encoding caches** inside [`ResidentState`], keyed by
+//! 3. per-session **encoding caches** inside [`ResidentState`], keyed by
 //!    `(net_key, window, refine)`: repeated δ-values over the same window
 //!    re-parameterize the cached constraint skeletons in place instead of
 //!    re-encoding (δ only perturbs bounds/RHS);
-//! 3. a **basis store** in the same state: every directed solve's final
+//! 4. a **basis store** in the same state: every directed solve's final
 //!    simplex basis persists per `(encoding, objective)` across requests,
 //!    extending within-sweep warm starts to cross-query warm starts. A
 //!    basis a new δ or a weight update left primal infeasible is repaired
@@ -29,11 +37,20 @@
 //! re-certification** after a fine-tuning step rebuilds only bounds/RHS and
 //! warm-starts every sweep from the previous model's bases.
 //!
-//! Every cache layer is a pure optimization: cached-path results are
-//! bit-identical to a cold [`itne_core::certify_global`] run (asserted by
-//! this crate's tests, serially and under concurrency). Queries run on the
-//! certifier's deterministic work-stealing pool; a bounded in-flight gate
-//! keeps concurrent clients from oversubscribing it.
+//! Every answer is the certifier's ε̄ for the exact inputs of its query, and
+//! an answer hit returns exactly the bits its session returned before.
+//! Layers 2–4 change at most the pivot path, so a computed answer equals a
+//! cold [`itne_core::certify_global`] run to solver tolerance and, after
+//! the 2⁻³⁰ snap, usually bit for bit: this crate's tests assert it on
+//! their nets, serially and under concurrency. It is not guaranteed. A
+//! warm-started solve can end on a vertex that is optimal only to
+//! tolerance, and certbench's `serve_mix` stream finds resident answers one
+//! 2⁻³⁰ step from cold on its fifth fine-tuning window.
+//!
+//! Queries run on the certifier's deterministic work-stealing pool; a
+//! bounded in-flight gate keeps concurrent clients from oversubscribing it.
+//! A query that panics leaves its session's lock poisoned; the next query on
+//! that session restarts it empty ([`ServeStats::poisoned_sessions`]).
 
 #![forbid(unsafe_code)]
 
@@ -113,6 +130,10 @@ pub struct QueryResponse {
     /// Whether this query's session was seeded by cloning a predecessor
     /// net's session (the delta re-certification path).
     pub delta_seeded: bool,
+    /// Whether the answer came from the session's answer cache: the query
+    /// repeated the session's last successful query exactly, so the
+    /// certifier did not run and every work counter in `stats` is zero.
+    pub answer_cached: bool,
 }
 
 /// Engine-lifetime counters, aggregated over every query.
@@ -123,65 +144,21 @@ pub struct ServeStats {
     /// Re-registrations of an existing id with new weights or a new domain
     /// (each links a predecessor for the delta path).
     pub delta_registrations: u64,
-    /// Queries answered.
+    /// Queries answered, answer hits included.
     pub queries: u64,
     /// Sessions seeded by cloning a predecessor net's session state.
     pub delta_seeded_sessions: u64,
-    /// LP/MILP solves issued.
-    pub solves: u64,
-    /// Total simplex pivots.
-    pub pivots: u64,
-    /// Queries that fell back to the sound IBP interval.
-    pub fallbacks: u64,
-    /// Warm-started solves (within-sweep or cross-query).
-    pub warm_hits: u64,
-    /// Rejected warm starts that re-ran cold.
-    pub warm_misses: u64,
-    /// Resident encodings reused in place (bounds/RHS re-parameterization).
-    pub encoding_cache_hits: u64,
-    /// Resident encodings rebuilt from scratch.
-    pub encoding_cache_misses: u64,
-    /// Warm starts seeded from a basis stored by a previous query.
-    pub cross_query_warm_hits: u64,
-    /// Bounds validated in exact rational arithmetic.
-    pub certs_checked: u64,
-    /// Nanoseconds spent refactorizing bases (solver telemetry clock; never
-    /// feeds certified bounds).
-    pub refactor_time_ns: u64,
-    /// Nanoseconds spent in FTRAN/BTRAN passes (telemetry clock).
-    pub ftran_btran_time_ns: u64,
-    /// Certificate validations that failed (each fell back soundly).
-    pub cert_failures: u64,
-}
-
-impl ServeStats {
-    fn absorb_query(&mut self, q: &QueryStats) {
-        self.queries = self.queries.saturating_add(1);
-        self.solves = self.solves.saturating_add(q.solves);
-        self.pivots = self.pivots.saturating_add(q.pivots);
-        self.fallbacks = self.fallbacks.saturating_add(q.fallbacks);
-        self.warm_hits = self.warm_hits.saturating_add(q.warm_hits);
-        self.warm_misses = self.warm_misses.saturating_add(q.warm_misses);
-        self.encoding_cache_hits = self
-            .encoding_cache_hits
-            .saturating_add(q.encoding_cache_hits);
-        self.encoding_cache_misses = self
-            .encoding_cache_misses
-            .saturating_add(q.encoding_cache_misses);
-        self.cross_query_warm_hits = self
-            .cross_query_warm_hits
-            .saturating_add(q.cross_query_warm_hits);
-        self.certs_checked = self.certs_checked.saturating_add(q.certs_checked);
-        self.refactor_time_ns = self.refactor_time_ns.saturating_add(q.refactor_time_ns);
-        self.ftran_btran_time_ns = self
-            .ftran_btran_time_ns
-            .saturating_add(q.ftran_btran_time_ns);
-        self.cert_failures = self.cert_failures.saturating_add(q.cert_failures);
-    }
+    /// Queries answered from their session's last answer (cache layer 1).
+    pub answer_hits: u64,
+    /// Sessions restarted empty because a query panicked while holding
+    /// their lock.
+    pub poisoned_sessions: u64,
+    /// The certifier's work counters, merged over every query that ran it.
+    pub query: QueryStats,
 }
 
 /// One registered network: everything the registry computes once per
-/// distinct (weights, domain) pair (cache layer 1).
+/// distinct (weights, domain) pair (cache layer 2).
 struct NetEntry {
     aff: AffineNetwork,
     domain: Vec<(f64, f64)>,
@@ -270,6 +247,51 @@ impl Registry {
 /// they never change the constraint skeleton.
 type SessionKey = (u64, usize, usize);
 
+/// The ε̄ of a session's last successful query, stored under what the
+/// session key leaves out: δ's bit pattern and the certificate-checking
+/// flag (a failed check falls back to the IBP range, so the flag can change
+/// the answer).
+struct Answer {
+    delta_bits: u64,
+    check_certs: bool,
+    epsilons: Vec<f64>,
+}
+
+/// One session: the resident state its queries reuse (cache layers 3 and
+/// 4) and its last answer (layer 1). The answer sits beside the state,
+/// never inside it, so seeding a successor session copies only the state.
+#[derive(Default)]
+struct Session {
+    state: ResidentState,
+    answer: Option<Answer>,
+}
+
+impl Session {
+    /// The stored ε̄ when `q` repeats the session's last successful query.
+    fn answer_for(&self, q: &QueryRequest) -> Option<&[f64]> {
+        self.answer
+            .as_ref()
+            .filter(|a| a.delta_bits == q.delta.to_bits() && a.check_certs == q.check_certs)
+            .map(|a| a.epsilons.as_slice())
+    }
+}
+
+/// Rejects the queries [`certify_global_resident`] rejects for a registered
+/// net (whose network and domain passed validation at registration), before
+/// the query touches any session.
+fn validate_query(q: &QueryRequest) -> Result<(), CertifyError> {
+    if q.delta.is_nan() || q.delta < 0.0 {
+        return Err(CertifyError::InvalidInput(format!(
+            "delta must be ≥ 0, got {}",
+            q.delta
+        )));
+    }
+    if q.window == 0 {
+        return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
+    }
+    Ok(())
+}
+
 /// Bounded in-flight gate: at most `cap` queries execute concurrently; the
 /// rest block (in arrival order of lock acquisition) until a slot frees.
 struct Gate {
@@ -298,8 +320,10 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-/// Poison-tolerant lock: the engine's shared state is telemetry and caches,
-/// both safe to keep serving after a panicking client thread.
+/// Poison-tolerant lock for the registry, the session map, the gate and the
+/// telemetry: no panic can leave any of them half-updated, so they keep
+/// serving after a panicking client thread. Sessions can be left
+/// half-updated and go through [`CertEngine::lock_session`] instead.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -310,7 +334,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct CertEngine {
     threads: usize,
     registry: Mutex<Registry>,
-    sessions: Mutex<BTreeMap<SessionKey, Arc<Mutex<ResidentState>>>>,
+    sessions: Mutex<BTreeMap<SessionKey, Arc<Mutex<Session>>>>,
     gate: Gate,
     stats: Mutex<ServeStats>,
 }
@@ -410,13 +434,18 @@ impl CertEngine {
     /// `net_id`, reusing every applicable cache layer. Queries against the
     /// same `(net, window, refine)` session serialize on its state;
     /// different nets (and different windows of one net) run concurrently
-    /// up to the engine's in-flight bound. Results are bit-identical to a
-    /// cold [`itne_core::certify_global`] run with the same options.
+    /// up to the engine's in-flight bound. An exact repeat of the session's
+    /// last successful query returns that query's ε̄ bits unchanged. Any
+    /// other query runs the certifier: its ε̄ is certified for its inputs
+    /// and equals a cold [`itne_core::certify_global`] run with the same
+    /// options to solver tolerance, usually bit for bit (see the crate
+    /// docs for when it is one 2⁻³⁰ step away).
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownNet`] for an unregistered id;
-    /// [`ServeError::Certify`] for invalid query parameters.
+    /// [`ServeError::Certify`] for invalid query parameters. A rejected
+    /// query creates, seeds and changes no session.
     pub fn certify(&self, net_id: &str, q: &QueryRequest) -> Result<QueryResponse, ServeError> {
         let _slot = self.gate.acquire();
         let entry = {
@@ -427,6 +456,7 @@ impl CertEngine {
                 .ok_or_else(|| ServeError::UnknownNet(net_id.to_string()))?;
             Arc::clone(reg.by_key.get(&key).expect("registry id without entry"))
         };
+        validate_query(q)?;
         let key: SessionKey = (entry.key, q.window, q.refine);
         let mut delta_seeded = false;
         let session = {
@@ -437,51 +467,79 @@ impl CertEngine {
                 // First query for this (net, window, refine): seed from the
                 // predecessor net's same-shaped session when one exists —
                 // its encodings re-parameterize and its bases warm-start
-                // against the updated weights (delta re-certification).
+                // against the updated weights (delta re-certification). Its
+                // answer stays behind: it belongs to the old weights.
                 let seed = entry
                     .predecessor
                     .and_then(|p| sessions.get(&(p, q.window, q.refine)))
-                    .map(|s| lock(s).clone());
+                    .map(|s| self.lock_session(s).state.clone());
                 delta_seeded = seed.is_some();
-                let s = Arc::new(Mutex::new(seed.unwrap_or_default()));
+                let s = Arc::new(Mutex::new(Session {
+                    state: seed.unwrap_or_default(),
+                    answer: None,
+                }));
                 sessions.insert(key, Arc::clone(&s));
                 s
             }
         };
-        let mut opts = CertifyOptions {
-            window: q.window,
-            refine: q.refine,
-            threads: self.threads,
-            check_certificates: q.check_certs,
-            ..Default::default()
-        };
-        // Timing telemetry (refactorization / FTRAN-BTRAN nanoseconds in the
-        // stats): audit-only clock reads inside the solver that never feed
-        // certified bounds.
-        opts.solver.telemetry = Some(itne_core::deadline::telemetry_clock());
-        let report = {
-            let mut state = lock(&session);
-            certify_global_resident(
-                &entry.aff,
-                &entry.domain,
-                q.delta,
-                &opts,
-                Some(&entry.pre),
-                &mut state,
-            )?
-        };
-        {
-            let mut stats = lock(&self.stats);
-            stats.absorb_query(&report.stats.query);
-            if delta_seeded {
-                stats.delta_seeded_sessions += 1;
+        let mut session = self.lock_session(&session);
+        let (epsilons, stats, answer_cached) = match session.answer_for(q) {
+            Some(eps) => (eps.to_vec(), CertifyStats::default(), true),
+            None => {
+                let mut opts = CertifyOptions {
+                    window: q.window,
+                    refine: q.refine,
+                    threads: self.threads,
+                    check_certificates: q.check_certs,
+                    ..Default::default()
+                };
+                // Timing telemetry (refactorization / FTRAN-BTRAN
+                // nanoseconds in the stats): audit-only clock reads inside
+                // the solver that never feed certified bounds.
+                opts.solver.telemetry = Some(itne_core::deadline::telemetry_clock());
+                let report = certify_global_resident(
+                    &entry.aff,
+                    &entry.domain,
+                    q.delta,
+                    &opts,
+                    Some(&entry.pre),
+                    &mut session.state,
+                )?;
+                session.answer = Some(Answer {
+                    delta_bits: q.delta.to_bits(),
+                    check_certs: q.check_certs,
+                    epsilons: report.epsilons.clone(),
+                });
+                (report.epsilons, report.stats, false)
             }
+        };
+        drop(session);
+        {
+            let mut totals = lock(&self.stats);
+            totals.queries += 1;
+            totals.answer_hits += u64::from(answer_cached);
+            totals.delta_seeded_sessions += u64::from(delta_seeded);
+            totals.query.absorb(stats.query);
         }
         Ok(QueryResponse {
             net_hash: entry.key,
-            epsilons: report.epsilons,
-            stats: report.stats,
+            epsilons,
+            stats,
             delta_seeded,
+            answer_cached,
+        })
+    }
+
+    /// Locks a session. A poisoned lock means a query panicked while
+    /// holding it and may have left the state partly taken, so the session
+    /// restarts empty, with no answer, and the event is counted.
+    fn lock_session<'a>(&self, session: &'a Mutex<Session>) -> MutexGuard<'a, Session> {
+        session.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            *guard = Session::default();
+            session.clear_poison();
+            lock(&self.stats).poisoned_sessions += 1;
+            guard
         })
     }
 
@@ -732,11 +790,11 @@ mod tests {
         });
         let s = engine.stats();
         assert_eq!(s.queries, 8);
-        assert_eq!(s.cert_failures, 0);
-        assert!(s.certs_checked > 0);
-        // Repeated (net, window) pairs exist in the workload, so some query
-        // must have hit the encoding cache.
-        assert!(s.encoding_cache_hits > 0, "{s:?}");
+        assert_eq!(s.query.cert_failures, 0);
+        assert!(s.query.certs_checked > 0);
+        // Repeated (net, window) pairs with different δ exist in the
+        // workload, so some query must have hit the encoding cache.
+        assert!(s.query.encoding_cache_hits > 0, "{s:?}");
     }
 
     #[test]
@@ -746,7 +804,8 @@ mod tests {
         let engine = CertEngine::new(1, 2);
         engine.register_affine("m", net.clone(), &dom).unwrap();
         let q = QueryRequest::new(0.001);
-        engine.certify("m", &q).unwrap();
+        assert!(!engine.certify("m", &q).unwrap().answer_cached);
+        assert!(engine.certify("m", &q).unwrap().answer_cached);
 
         let tuned = perturbed(&net, 1e-4);
         let h2 = engine.register_affine("m", tuned.clone(), &dom).unwrap();
@@ -757,6 +816,7 @@ mod tests {
             resp.delta_seeded,
             "delta path did not clone the old session"
         );
+        assert!(!resp.answer_cached, "the old weights' answer was reused");
         assert!(resp.stats.query.cross_query_warm_hits > 0);
         // Bits still golden against the cold path on the tuned net.
         let cold = certify_global_affine(&tuned, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
@@ -767,6 +827,9 @@ mod tests {
             resp.stats.query.pivots,
             cold.stats.query.pivots
         );
+        let repeat = engine.certify("m", &q).unwrap();
+        assert!(repeat.answer_cached && !repeat.delta_seeded);
+        assert_eq!(bits(&repeat.epsilons), bits(&resp.epsilons));
 
         // A second, larger step moves the encodings' RHS far enough that
         // some stored bases restore primal infeasible: the dual simplex
@@ -775,9 +838,139 @@ mod tests {
         engine.register_affine("m", retuned.clone(), &dom).unwrap();
         let resp = engine.certify("m", &q).unwrap();
         assert!(resp.delta_seeded);
+        assert!(!resp.answer_cached, "the old weights' answer was reused");
         assert_eq!(resp.stats.query.warm_misses, 0, "{:?}", resp.stats.query);
         let cold = certify_global_affine(&retuned, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
         assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
+        assert!(engine.certify("m", &q).unwrap().answer_cached);
+
+        // Re-registering identical content is a no-op: the session and its
+        // answer survive.
+        engine.register_affine("m", retuned, &dom).unwrap();
+        let repeat = engine.certify("m", &q).unwrap();
+        assert!(repeat.answer_cached);
+        assert_eq!(bits(&repeat.epsilons), bits(&cold.epsilons));
+        let s = engine.stats();
+        assert_eq!(
+            (s.queries, s.answer_hits, s.delta_seeded_sessions),
+            (7, 4, 2)
+        );
+    }
+
+    /// Cache layer 1: an exact repeat is answered from the session's last
+    /// answer with no certifier work. The same δ with the check flag
+    /// flipped, or a δ one ulp away, is not a repeat, and each computed
+    /// answer replaces the stored one.
+    #[test]
+    fn exact_repeats_are_answered_from_the_session() {
+        let net = dense_net(0xA5, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        engine.register_affine("m", net.clone(), &dom).unwrap();
+        let q = QueryRequest {
+            check_certs: true,
+            ..QueryRequest::new(0.002)
+        };
+        let first = engine.certify("m", &q).unwrap();
+        assert!(!first.answer_cached);
+        // A rejected query in between touches neither session nor answer.
+        assert!(engine
+            .certify("m", &QueryRequest { delta: -1.0, ..q })
+            .is_err());
+        let hit = engine.certify("m", &q).unwrap();
+        assert!(hit.answer_cached && !hit.delta_seeded);
+        assert_eq!(bits(&hit.epsilons), bits(&first.epsilons));
+        assert_eq!(hit.stats.query.solves, 0);
+        assert_eq!(hit.stats.query.certs_checked, 0);
+
+        let unchecked = QueryRequest {
+            check_certs: false,
+            ..q
+        };
+        let next_ulp = QueryRequest {
+            delta: f64::from_bits(q.delta.to_bits() + 1),
+            ..unchecked
+        };
+        for other in [unchecked, next_ulp] {
+            let resp = engine.certify("m", &other).unwrap();
+            assert!(!resp.answer_cached, "{other:?} reused another answer");
+            assert!(resp.stats.query.solves > 0);
+        }
+        // The session now holds `next_ulp`'s answer, so `q` is recomputed.
+        let again = engine.certify("m", &q).unwrap();
+        assert!(!again.answer_cached);
+        let cold = certify_global_affine(&net, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
+        assert_eq!(bits(&again.epsilons), bits(&cold.epsilons));
+        let s = engine.stats();
+        assert_eq!((s.queries, s.answer_hits), (5, 1));
+    }
+
+    /// A rejected query touches no session: after a weight update, a query
+    /// with an invalid δ or window must not create the new weights' session,
+    /// so the first valid query still seeds it from the predecessor's.
+    #[test]
+    fn rejected_queries_leave_sessions_untouched() {
+        let net = dense_net(0xBAD, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        engine.register_affine("m", net.clone(), &dom).unwrap();
+        let q = QueryRequest::new(0.001);
+        engine.certify("m", &q).unwrap();
+        engine
+            .register_affine("m", perturbed(&net, 1e-4), &dom)
+            .unwrap();
+        for bad in [
+            QueryRequest { delta: -1.0, ..q },
+            QueryRequest {
+                delta: f64::NAN,
+                ..q
+            },
+            QueryRequest { window: 0, ..q },
+        ] {
+            assert!(matches!(
+                engine.certify("m", &bad),
+                Err(ServeError::Certify(CertifyError::InvalidInput(_)))
+            ));
+        }
+        assert_eq!(
+            lock(&engine.sessions).len(),
+            1,
+            "a rejected query made a session"
+        );
+        let resp = engine.certify("m", &q).unwrap();
+        assert!(resp.delta_seeded, "a rejected query took the seeding");
+        assert_eq!(engine.stats().delta_seeded_sessions, 1);
+    }
+
+    /// A query that panics while holding its session's lock poisons it; the
+    /// next query on that session restarts it empty, with no answer.
+    #[test]
+    fn a_poisoned_session_restarts_empty() {
+        let net = dense_net(0x9015, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        let key = engine.register_affine("m", net.clone(), &dom).unwrap();
+        let q = QueryRequest::new(0.001);
+        engine.certify("m", &q).unwrap();
+        let session = Arc::clone(&lock(&engine.sessions)[&(key, q.window, q.refine)]);
+        // Leave a wrong answer behind and die holding the lock, as a query
+        // that panicked mid-update would.
+        let died = std::thread::spawn(move || {
+            let mut s = session.lock().unwrap();
+            s.answer.as_mut().expect("stored answer").epsilons = vec![0.0; 2];
+            panic!("query died holding its session");
+        })
+        .join();
+        assert!(died.is_err());
+
+        let resp = engine.certify("m", &q).unwrap();
+        assert!(!resp.answer_cached, "served the poisoned session's answer");
+        let cold = certify_global_affine(&net, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
+        assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
+        assert_eq!(engine.stats().poisoned_sessions, 1);
+        // The poison is cleared: the repeat is an ordinary hit.
+        assert!(engine.certify("m", &q).unwrap().answer_cached);
+        assert_eq!(engine.stats().poisoned_sessions, 1);
     }
 
     proptest::proptest! {
@@ -799,15 +992,17 @@ mod tests {
             for threads in [1usize, 4] {
                 let engine = CertEngine::new(threads, 2);
                 engine.register_affine("m", net.clone(), &dom).unwrap();
-                // δa cold-fills the caches, δb re-parameterizes, δa again is
-                // a full cache hit; then the delta path on the tuned net.
-                for d in [delta_a, delta_b, delta_a] {
+                // δa cold-fills the caches, δb re-parameterizes, δa again
+                // hits every encoding and basis, and its exact repeat is an
+                // answer hit; then the delta path on the tuned net.
+                for (i, d) in [delta_a, delta_b, delta_a, delta_a].into_iter().enumerate() {
                     let q = QueryRequest { check_certs: true, ..QueryRequest::new(d) };
                     let resp = engine.certify("m", &q).unwrap();
                     let cold =
                         certify_global_affine(&net, &dom, d, &cold_opts(&q, threads)).unwrap();
                     proptest::prop_assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
                     proptest::prop_assert_eq!(resp.stats.query.cert_failures, 0);
+                    proptest::prop_assert_eq!(resp.answer_cached, i == 3);
                 }
                 engine.register_affine("m", tuned.clone(), &dom).unwrap();
                 let q = QueryRequest { check_certs: true, ..QueryRequest::new(delta_b) };
@@ -817,9 +1012,11 @@ mod tests {
                 proptest::prop_assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
                 proptest::prop_assert_eq!(resp.stats.query.cert_failures, 0);
                 proptest::prop_assert!(resp.delta_seeded);
+                proptest::prop_assert!(!resp.answer_cached);
                 let s = engine.stats();
-                proptest::prop_assert!(s.encoding_cache_hits > 0);
-                proptest::prop_assert!(s.cross_query_warm_hits > 0);
+                proptest::prop_assert_eq!(s.answer_hits, 1);
+                proptest::prop_assert!(s.query.encoding_cache_hits > 0);
+                proptest::prop_assert!(s.query.cross_query_warm_hits > 0);
             }
         }
     }
