@@ -126,8 +126,8 @@ fn band_lp(n: usize, band: usize, seed: u64) -> (Model, Vec<itne_milp::VarId>) {
     (m, vars)
 }
 
-/// Dense tableau vs both sparse revised-simplex engines (product-form eta
-/// file, sparse LU) on conv-window-sized band skeletons: a cold solve plus
+/// Dense tableau vs the sparse LU revised simplex on conv-window-sized band
+/// skeletons: a cold solve plus
 /// a warm 8-objective sweep per iteration, which is exactly the work one
 /// `LpRelaxY`/`LpRelaxX` sub-problem does.
 fn bench_sparse(c: &mut Criterion) {
@@ -140,11 +140,7 @@ fn bench_sparse(c: &mut Criterion) {
         let objectives = random_objectives(n, 8, 99);
         let mk_expr =
             |cs: &[f64]| LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
-        for (label, engine) in [
-            ("dense", Engine::Dense),
-            ("eta", Engine::Eta),
-            ("lu", Engine::Lu),
-        ] {
+        for (label, engine) in [("dense", Engine::Dense), ("lu", Engine::Lu)] {
             let opts = SolveOptions {
                 engine,
                 ..Default::default()

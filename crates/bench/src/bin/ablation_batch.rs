@@ -2,16 +2,15 @@
 //!
 //! Runs Algorithm 1 on the Table I networks three times —
 //!
-//! * **dense** — the PR 2 configuration: dense tableau engine, warm starts
-//!   on, with the original `warm_start_cell_limit = 2²⁰` gate (large conv
-//!   windows re-solve cold);
+//! * **dense** — the PR 2 engine: the dense tableau with warm starts on;
 //! * **cold** — the LU-factorized sparse revised simplex with `warm_start`
 //!   off (every directed solve pays simplex phase 1 from scratch);
 //! * **warm** — the LU-factorized sparse revised simplex with the
 //!   `BatchSolver` warm-start chain on (the current default);
 //!
-//! and reports wall-clock, pivot counts, warm-start hit rates,
-//! refactorization telemetry, and the certified ε̄ of all three paths. The
+//! and reports wall-clock, each arm's query counters (pivots, warm-start
+//! hit rates, refactorization telemetry) and the certified ε̄ of all three
+//! paths. The
 //! epsilons must agree **bit for bit**: engine choice and batching are pure
 //! optimizations (the golden regression tests lock the same property).
 //!
@@ -24,11 +23,12 @@
 //! (several minutes); the default quick set matches CI budgets; `--smoke`
 //! runs only the smallest Table I net (the CI perf-smoke step). `--json
 //! <path>` additionally writes the machine-readable per-net results
-//! (wall-times, pivots, warm hits/misses, refactorizations, ε̄ bits) to an
-//! explicit path so the perf trajectory is trackable across PRs.
+//! (wall-times, each arm's `QueryStats`, ε̄ bits) to an explicit path so the
+//! perf trajectory is trackable across PRs.
 
 use itne_bench::nets::{auto_mpg_net, digits_net, BenchNet};
 use itne_bench::table::{fmt_duration, json_flag, save_json, save_json_at, Table};
+use itne_core::query::QueryStats;
 use itne_core::{certify_global, CertifyOptions, CertifyStats, GlobalReport};
 use itne_milp::Engine;
 use serde::Serialize;
@@ -40,7 +40,7 @@ struct Row {
     /// Certifier worker threads (pinned to 1: the ablation isolates solver
     /// work, and the default now follows the hardware).
     threads: usize,
-    /// PR 2 baseline: dense engine, warm starts gated at 2²⁰ cells.
+    /// PR 2 baseline: dense engine, warm starts on.
     dense_s: f64,
     /// Sparse engine, warm starts disabled.
     cold_s: f64,
@@ -50,34 +50,17 @@ struct Row {
     speedup_vs_dense: f64,
     /// Sparse-warm over sparse-cold (the warm-start win).
     speedup_vs_cold: f64,
-    dense_pivots: u64,
-    cold_pivots: u64,
-    warm_pivots: u64,
-    pivots_saved: u64,
-    dense_warm_hits: u64,
-    warm_hits: u64,
-    warm_misses: u64,
-    fallbacks_dense: u64,
-    fallbacks_cold: u64,
-    fallbacks_warm: u64,
-    refactorizations: u64,
-    eta_len: u64,
-    nnz: u64,
-    /// Nanoseconds the warm arm spent refactorizing the basis.
-    refactor_time_ns: u64,
-    /// Nanoseconds the warm arm spent in FTRAN/BTRAN passes.
-    ftran_btran_time_ns: u64,
-    /// Peak LU fill (stored `L`+`U` non-zeros) in the warm arm.
-    lu_fill_nnz: u64,
+    /// Query counters of the last repetition of each arm (pivots, warm
+    /// hits and misses, fallbacks, certificate checks, and the engine
+    /// timing telemetry: `refactor_time_ns`, `ftran_btran_time_ns`,
+    /// `lu_fill_nnz`).
+    dense: QueryStats,
+    cold: QueryStats,
+    warm: QueryStats,
     /// Whether exact-rational certificate checking was enabled for this run
     /// (the `ITNE_CHECK_CERTS` environment variable / `check_certificates`).
+    /// Any certificate failure in any arm fails the run.
     check_certificates: bool,
-    /// Certified LP bounds validated in exact arithmetic, summed over the
-    /// three arms.
-    certs_checked: u64,
-    /// Certificate checks that failed, summed over the three arms. Any
-    /// nonzero count fails the run.
-    cert_failures: u64,
     eps_bits_equal: bool,
     eps: f64,
     /// Exact bit pattern of the certified ε̄ (hex), for cross-PR tracking
@@ -87,7 +70,7 @@ struct Row {
 
 #[derive(Copy, Clone)]
 enum Arm {
-    /// PR 2's configuration: dense tableau + the original cell-limit gate.
+    /// PR 2's engine: the dense tableau, warm starts on.
     Dense,
     /// Sparse engine, every solve cold.
     SparseCold,
@@ -118,7 +101,6 @@ fn run(bench: &BenchNet, arm: Arm) -> (GlobalReport, f64) {
         Arm::Dense => {
             opts.solver.engine = Engine::Dense;
             opts.solver.warm_start = true;
-            opts.solver.warm_start_cell_limit = 1 << 20;
         }
         Arm::SparseCold => {
             opts.solver.engine = Engine::Lu;
@@ -226,29 +208,10 @@ fn main() {
             warm_s,
             speedup_vs_dense: dense_s / warm_s.max(1e-12),
             speedup_vs_cold: cold_s / warm_s.max(1e-12),
-            dense_pivots: dense.stats.query.pivots,
-            cold_pivots: cold.stats.query.pivots,
-            warm_pivots: warm.stats.query.pivots,
-            pivots_saved: warm.stats.query.pivots_saved,
-            dense_warm_hits: dense.stats.query.warm_hits,
-            warm_hits: warm.stats.query.warm_hits,
-            warm_misses: warm.stats.query.warm_misses,
-            fallbacks_dense: dense.stats.query.fallbacks,
-            fallbacks_cold: cold.stats.query.fallbacks,
-            fallbacks_warm: warm.stats.query.fallbacks,
-            refactorizations: warm.stats.query.refactorizations,
-            eta_len: warm.stats.query.eta_len,
-            nnz: warm.stats.query.nnz,
-            refactor_time_ns: warm.stats.query.refactor_time_ns,
-            ftran_btran_time_ns: warm.stats.query.ftran_btran_time_ns,
-            lu_fill_nnz: warm.stats.query.lu_fill_nnz,
+            dense: dense.stats.query,
+            cold: cold.stats.query,
+            warm: warm.stats.query,
             check_certificates: itne_core::query::default_check_certificates(),
-            certs_checked: dense.stats.query.certs_checked
-                + cold.stats.query.certs_checked
-                + warm.stats.query.certs_checked,
-            cert_failures: dense.stats.query.cert_failures
-                + cold.stats.query.cert_failures
-                + warm.stats.query.cert_failures,
             eps_bits_equal: equal,
             eps: warm.max_epsilon(),
             eps_bits: format!("{:#018x}", warm.max_epsilon().to_bits()),
@@ -260,13 +223,13 @@ fn main() {
             fmt_duration(std::time::Duration::from_secs_f64(row.warm_s)),
             format!("{:.2}×", row.speedup_vs_dense),
             format!("{:.2}×", row.speedup_vs_cold),
-            row.warm_hits.to_string(),
-            row.warm_misses.to_string(),
-            row.pivots_saved.to_string(),
-            row.refactorizations.to_string(),
+            row.warm.warm_hits.to_string(),
+            row.warm.warm_misses.to_string(),
+            row.warm.pivots_saved.to_string(),
+            row.warm.refactorizations.to_string(),
             format!(
                 "{}/{}/{}",
-                row.fallbacks_dense, row.fallbacks_cold, row.fallbacks_warm
+                row.dense.fallbacks, row.cold.fallbacks, row.warm.fallbacks
             ),
             if row.eps_bits_equal { "yes" } else { "NO" }.to_string(),
         ]);
@@ -285,7 +248,10 @@ fn main() {
         }
         std::process::exit(1);
     }
-    let cert_failures: u64 = rows.iter().map(|r| r.cert_failures).sum();
+    let cert_failures: u64 = rows
+        .iter()
+        .map(|r| r.dense.cert_failures + r.cold.cert_failures + r.warm.cert_failures)
+        .sum();
     if cert_failures > 0 {
         eprintln!("CERT FAILURES: {cert_failures} dual certificates did not validate");
         std::process::exit(1);

@@ -20,6 +20,7 @@
 
 use itne_bench::nets::auto_mpg_net;
 use itne_bench::table::{json_flag, save_json, save_json_at, Table};
+use itne_core::query::QueryStats;
 use itne_core::{certify_global, CertifyOptions};
 use itne_serve::{CertEngine, QueryRequest};
 use serde::Serialize;
@@ -43,17 +44,11 @@ struct ServeBenchReport {
     /// Byte-for-byte ε̄ agreement between the arms, per query. Asserted.
     bits_identical: bool,
     pivots_cold: u64,
-    pivots_resident: u64,
-    solves_resident: u64,
-    warm_hits: u64,
-    /// Warm starts that fell back to a cold solve (a restore the engine
-    /// could not complete or repair).
-    warm_misses: u64,
-    encoding_cache_hits: u64,
-    encoding_cache_misses: u64,
-    cross_query_warm_hits: u64,
-    certs_checked: u64,
-    cert_failures: u64,
+    /// The resident engine's query counters over the whole arm: solves and
+    /// pivots, warm hits and misses (a miss is a restore the engine could
+    /// not complete or repair), encoding-cache and cross-query hits, and
+    /// certificate checks.
+    resident: QueryStats,
 }
 
 fn main() {
@@ -108,7 +103,6 @@ fn main() {
         .register("auto_mpg_w48", &bench.net, &bench.domain)
         .expect("registration");
     let mut resident_bits: Vec<Vec<u64>> = Vec::new();
-    let mut pivots_resident = 0u64;
     let t0 = Instant::now();
     for &w in &WINDOWS {
         for &d in &deltas {
@@ -119,7 +113,6 @@ fn main() {
                 check_certs: check,
             };
             let resp = engine.certify("auto_mpg_w48", &q).expect("resident query");
-            pivots_resident += resp.stats.query.pivots;
             resident_bits.push(resp.epsilons.iter().map(|e| e.to_bits()).collect());
         }
     }
@@ -137,15 +130,7 @@ fn main() {
         speedup: t_cold / t_resident.max(1e-12),
         bits_identical,
         pivots_cold,
-        pivots_resident,
-        solves_resident: stats.solves,
-        warm_hits: stats.warm_hits,
-        warm_misses: stats.warm_misses,
-        encoding_cache_hits: stats.encoding_cache_hits,
-        encoding_cache_misses: stats.encoding_cache_misses,
-        cross_query_warm_hits: stats.cross_query_warm_hits,
-        certs_checked: stats.certs_checked,
-        cert_failures: stats.cert_failures,
+        resident: stats,
     };
 
     let mut table = Table::new(
@@ -162,7 +147,7 @@ fn main() {
     table.row(&[
         "resident".into(),
         format!("{t_resident:.3}s"),
-        pivots_resident.to_string(),
+        stats.pivots.to_string(),
         format!(
             "{}/{}",
             stats.encoding_cache_hits,

@@ -18,9 +18,9 @@
 //! JSON, so `BENCH_table1.json` captures scaling across PRs. Bounds are
 //! bit-identical at any count; only `t_ours_s` moves.
 //!
-//! `--json <path>` writes the machine-readable rows (wall-times, pivot and
-//! warm-start counters, refactorizations, ε̄ values *and* their exact bit
-//! patterns) to an explicit path; `BENCH_table1.json` at the repo root is
+//! `--json <path>` writes the machine-readable rows (wall-times, each arm's
+//! `QueryStats`, ε̄ values *and* their exact bit patterns) to an explicit
+//! path; `BENCH_table1.json` at the repo root is
 //! the committed snapshot that tracks the perf trajectory across PRs.
 //!
 //! Absolute numbers differ from the paper (pure-Rust simplex vs Gurobi,
@@ -32,6 +32,7 @@
 use itne_attack::{dataset_under_approximation, PgdOptions};
 use itne_bench::nets::{table1_nets, BenchNet};
 use itne_bench::table::{fmt_duration, json_flag, save_json, save_json_at, Table};
+use itne_core::query::QueryStats;
 use itne_core::split::{split_global, SplitOptions};
 use itne_core::{certify_global, exact_global, CertifyOptions};
 use serde::Serialize;
@@ -60,45 +61,18 @@ struct Row {
     /// Exact bit pattern of ε̄ (hex), for cross-PR tracking without
     /// float-formatting ambiguity.
     eps_ours_bits: String,
-    /// Queries that fell back to their IBP interval (degenerate/stalled LPs);
-    /// a non-zero count means ε̄ is looser than the LP relaxation could give.
-    fallbacks: u64,
-    /// Whether the certificate-checked arm ran (always true since the second
-    /// arm was added; kept so older snapshots compare meaningfully).
-    check_certificates: bool,
-    /// Certified LP bounds validated in exact arithmetic (checked arm).
-    certs_checked: u64,
-    /// Certificate checks that failed (the bound fell back to IBP). Must be
-    /// zero on the golden nets — the golden suite asserts it.
-    cert_failures: u64,
-    pivots: u64,
-    warm_hits: u64,
-    warm_misses: u64,
-    pivots_saved: u64,
-    refactorizations: u64,
-    eta_len: u64,
-    nnz: u64,
-    /// Nanoseconds spent refactorizing the basis (telemetry clock installed
-    /// by this binary; `0` would mean telemetry was off).
-    refactor_time_ns: u64,
-    /// Nanoseconds spent in FTRAN/BTRAN passes.
-    ftran_btran_time_ns: u64,
-    /// Peak LU fill (stored `L`+`U` non-zeros) across all solves.
-    lu_fill_nnz: u64,
-    /// Resident-cache telemetry, shared schema with `serve_bench`'s JSON.
-    /// This binary's one-shot runs never hit the encoding cache, so hits
-    /// stay zero here; the fields exist so cross-PR tooling reads one row
-    /// shape for both outputs.
-    encoding_cache_hits: u64,
-    encoding_cache_misses: u64,
-    cross_query_warm_hits: u64,
-    /// Branch-and-bound nodes explored, and how their warm re-solves from
-    /// the parent basis ended: solved warm, pruned on an exactly checked
-    /// Farkas ray, or fallen back cold.
-    bb_nodes: u64,
-    warm_nodes: u64,
-    farkas_pruned: u64,
-    cold_fallbacks: u64,
+    /// Query counters of the unchecked `ours` run: LP solves, pivots,
+    /// branch-and-bound nodes and how their warm re-solves ended, warm-start
+    /// and refactorization telemetry (timings from the telemetry clock this
+    /// binary installs), and IBP fallbacks. A one-shot run encodes every
+    /// sub-problem fresh, so `encoding_cache_misses` counts one per
+    /// sub-problem and the cache and cross-query hits stay zero.
+    query: QueryStats,
+    /// The same counters for the certificate-checked arm, whose
+    /// `certs_checked` and `cert_failures` count the bounds validated in
+    /// exact arithmetic. Failures must be zero on the golden nets — the
+    /// golden suite asserts it.
+    query_checked: QueryStats,
 }
 
 fn main() {
@@ -246,24 +220,7 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
     row.eps_ours = ours.max_epsilon();
     row.eps_ours_bits = format!("{:#018x}", ours.max_epsilon().to_bits());
     let q = ours.stats.query;
-    row.fallbacks = q.fallbacks;
-    row.pivots = q.pivots;
-    row.warm_hits = q.warm_hits;
-    row.warm_misses = q.warm_misses;
-    row.pivots_saved = q.pivots_saved;
-    row.refactorizations = q.refactorizations;
-    row.eta_len = q.eta_len;
-    row.nnz = q.nnz;
-    row.refactor_time_ns = q.refactor_time_ns;
-    row.ftran_btran_time_ns = q.ftran_btran_time_ns;
-    row.lu_fill_nnz = q.lu_fill_nnz;
-    row.encoding_cache_hits = q.encoding_cache_hits;
-    row.encoding_cache_misses = q.encoding_cache_misses;
-    row.cross_query_warm_hits = q.cross_query_warm_hits;
-    row.bb_nodes = q.nodes;
-    row.warm_nodes = q.warm_nodes;
-    row.farkas_pruned = q.farkas_pruned;
-    row.cold_fallbacks = q.cold_fallbacks;
+    row.query = q;
 
     // --- Ours, second arm: identical settings with exact-rational
     //     certificate checking forced on (`ITNE_CHECK_CERTS=1` semantics).
@@ -275,9 +232,7 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
     let t0 = Instant::now();
     let checked = certify_global(net, domain, *delta, &checked_opts).expect("checked arm runs");
     row.t_ours_checked_s = t0.elapsed().as_secs_f64();
-    row.check_certificates = true;
-    row.certs_checked = checked.stats.query.certs_checked;
-    row.cert_failures = checked.stats.query.cert_failures;
+    row.query_checked = checked.stats.query;
     assert_eq!(
         checked.max_epsilon().to_bits(),
         ours.max_epsilon().to_bits(),
@@ -285,7 +240,10 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
     );
     eprintln!(
         "   checked arm: {}/{} certs checked/failed in {:.2}s (unchecked {:.2}s)",
-        row.certs_checked, row.cert_failures, row.t_ours_checked_s, row.t_ours_s
+        row.query_checked.certs_checked,
+        row.query_checked.cert_failures,
+        row.t_ours_checked_s,
+        row.t_ours_s
     );
     // Surface the solver-health counters — a fallback means a sub-problem
     // kept its looser IBP range, which would otherwise be invisible here.

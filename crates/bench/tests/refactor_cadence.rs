@@ -1,9 +1,9 @@
 //! Regression lock for the LU engine's refactorization cadence: on the
 //! Table I smoke net the basis must be refactorized orders of magnitude
-//! less often than it pivots. The eta engine rebuilds its inverse every
-//! `O(m)` pivots by necessity (the eta file is its only representation);
-//! the LU engine refactorizes only on warm restores and measured fill
-//! growth, which is the whole point of carrying real factors.
+//! less often than it pivots. A pure product-form eta file would have to
+//! rebuild its inverse every `O(m)` pivots (the file is its only
+//! representation); the LU engine refactorizes only on warm restores and
+//! measured fill growth, which is the whole point of carrying real factors.
 
 use itne_bench::nets::auto_mpg_net;
 use itne_core::{certify_global, CertifyOptions};

@@ -16,16 +16,12 @@
 //! index — bit-identical bounds at every thread count and steal schedule.
 
 use crate::bounds::TwinBounds;
-use crate::encode::{
-    encode_subnet, encode_subnet_with, refined_for, EncodeOptions, EncodingKind, Relaxation,
-    TargetKind, TargetOverride,
-};
+use crate::encode::{EncodeOptions, EncodingKind, Relaxation, TargetKind, TargetOverride};
 use crate::error::CertifyError;
 use crate::ibp::{ibp_twin, ibp_twin_from_values, ValuePreBounds};
-use crate::interval::{distance_relaxation_bounds, relu_distance_range, Interval};
-use crate::query::{lp_relax_x, lp_relax_x_resident, lp_relax_y, lp_relax_y_resident, QueryStats};
-use crate::refine::select_refined;
-use crate::resident::{NeuronCache, ResidentState};
+use crate::interval::Interval;
+use crate::query::{lp_relax, QueryStats};
+use crate::resident::{prepare_subcache, NeuronCache, ResidentState};
 use crate::schedule::{run_steal, Step};
 use crate::subnet::SubNetwork;
 use itne_milp::{Engine, SolveOptions};
@@ -106,15 +102,14 @@ fn default_threads() -> usize {
     })
 }
 
-/// Default LP engine: `ITNE_TEST_ENGINE` (`lu`, `eta`, or `dense`) when set,
-/// else the solver's own default ([`Engine::Lu`]). Read once — the golden
-/// and metamorphic suites certify identical ε̄ bits whichever engine runs,
-/// so CI forces each legacy engine through the whole pipeline this way.
+/// Default LP engine: `ITNE_TEST_ENGINE` (`lu` or `dense`) when set, else
+/// the solver's own default ([`Engine::Lu`]). Read once — the golden and
+/// metamorphic suites certify identical ε̄ bits whichever engine runs, so CI
+/// forces the dense oracle through the whole pipeline this way.
 fn default_engine() -> Engine {
     static ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
     *ENGINE.get_or_init(|| match std::env::var("ITNE_TEST_ENGINE").as_deref() {
         Ok("lu") => Engine::Lu,
-        Ok("eta") => Engine::Eta,
         Ok("dense") => Engine::Dense,
         _ => Engine::default(),
     })
@@ -277,12 +272,24 @@ pub(crate) fn validate(
     opts: &CertifyOptions,
 ) -> Result<(), CertifyError> {
     validate_network(aff, domain)?;
+    validate_query(delta, opts.window)
+}
+
+/// Checks the per-query parameters of a certification: `delta` is a number
+/// `≥ 0` and the window has at least one layer. The certifier runs it on
+/// every call; a service can run it before a query touches any cached
+/// state.
+///
+/// # Errors
+///
+/// [`CertifyError::InvalidInput`] naming the first problem found.
+pub fn validate_query(delta: f64, window: usize) -> Result<(), CertifyError> {
     if delta.is_nan() || delta < 0.0 {
         return Err(CertifyError::InvalidInput(format!(
             "delta must be ≥ 0, got {delta}"
         )));
     }
-    if opts.window == 0 {
+    if window == 0 {
         return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
     }
     Ok(())
@@ -342,13 +349,14 @@ pub fn propagate(
     propagate_cached(aff, domain, delta, opts, None, None)
 }
 
-/// [`propagate`] with optional resident cache state. With `pre = None` and
-/// `resident = None` this *is* the one-shot path, bit for bit. `pre` skips
-/// the δ-independent half of the IBP seed (it must come from
+/// [`propagate`] with optional resident cache state. There is one path: a
+/// one-shot run is a resident run with an empty state that keeps nothing.
+/// `pre` skips the δ-independent half of the IBP seed (it must come from
 /// [`crate::ibp::ibp_values`] over the same network and domain); `resident`
 /// reuses per-neuron encodings and basis snapshots across calls and stores
 /// the updated state back, which is the engine behind
-/// [`crate::resident::certify_global_resident`].
+/// [`crate::resident::certify_global_resident`]. Without it, each neuron's
+/// cache is dropped as soon as its task chain finishes.
 pub(crate) fn propagate_cached(
     aff: &AffineNetwork,
     domain: &[Interval],
@@ -407,8 +415,8 @@ pub(crate) fn propagate_cached(
 /// One schedulable unit of the per-layer loop: a neuron's `LpRelaxY` sweep,
 /// or the `LpRelaxX` follow-up it spawned (kept separate so an idle worker
 /// can steal the X part of a neighboring neuron while its Y owner is still
-/// deep in another unit). Each unit carries the neuron's resident cache by
-/// value (`None` on the one-shot path), so cached state needs no locking:
+/// deep in another unit). Each unit carries the neuron's cache by value
+/// (`None` before a first touch), so cached state needs no locking:
 /// exactly one worker owns a neuron's cache at any time.
 enum LayerTask<'a> {
     Sweep {
@@ -420,13 +428,13 @@ enum LayerTask<'a> {
         sub: SubNetwork<'a>,
         yr: Interval,
         dyr: Interval,
-        cache: Option<Box<NeuronCache>>,
+        cache: Box<NeuronCache>,
     },
 }
 
 /// The per-neuron ranges a task chain finishes with; merged into
 /// [`TwinBounds`] by neuron index (the task's slot), the cache handed back
-/// to the [`ResidentState`].
+/// to the [`ResidentState`] (`None` when the run keeps no caches).
 struct NeuronResult {
     y: Interval,
     dy: Interval,
@@ -448,7 +456,10 @@ struct WorkerAcc {
 /// encodes and runs `LpRelaxY`; it finishes the neuron inline when no
 /// `LpRelaxX` solve is needed (affine layer, or the provably-equal closed
 /// form) and otherwise spawns the `Post` follow-up carrying the fresh
-/// `(y, Δy)` ranges into the `LpRelaxX` solve.
+/// `(y, Δy)` ranges into the `LpRelaxX` solve. Both passes ready the
+/// neuron's cached encoding ([`prepare_subcache`]) and sweep it with its
+/// basis slots; a finished chain hands the cache back only when
+/// `caching` is set, and otherwise drops it on the spot.
 #[allow(clippy::too_many_arguments)]
 fn run_task<'a>(
     aff: &'a AffineNetwork,
@@ -462,73 +473,53 @@ fn run_task<'a>(
     acc: &mut WorkerAcc,
 ) -> Step<LayerTask<'a>, NeuronResult> {
     let enc_opts = opts.encode_options(delta);
+    let check = opts.check_certificates;
+    let done = |j, y, dy, x, dx, cache| Step::Done {
+        slot: j,
+        result: NeuronResult {
+            y,
+            dy,
+            x,
+            dx,
+            cache: caching.then_some(cache),
+        },
+    };
     match task {
-        LayerTask::Sweep { j, mut cache } => {
+        LayerTask::Sweep { j, cache } => {
             let sub = SubNetwork::decompose(aff, li, j, opts.window);
+            let mut cache = cache.unwrap_or_default();
 
             // --- LpRelaxY: ranges of (y, Δy). ---
-            let (yr, dyr) = if caching {
-                let nc = cache.get_or_insert_with(Default::default);
-                let refined = refined_for(&sub, bounds, TargetKind::PreActivation, &enc_opts);
-                let sc = crate::resident::prepare_subcache(
-                    &mut nc.y,
-                    &sub,
-                    bounds,
-                    TargetKind::PreActivation,
-                    &enc_opts,
-                    None,
-                    refined,
-                    &mut acc.stats,
-                );
-                lp_relax_y_resident(
-                    &mut sc.enc,
-                    bounds.y[li][j],
-                    bounds.dy[li][j],
-                    solver,
-                    opts.check_certificates,
-                    &mut sc.bases,
-                    &mut acc.stats,
-                )
-            } else {
-                let mut enc_y = encode_subnet(&sub, bounds, TargetKind::PreActivation, &enc_opts);
-                lp_relax_y(
-                    &mut enc_y,
-                    bounds.y[li][j],
-                    bounds.dy[li][j],
-                    solver,
-                    opts.check_certificates,
-                    &mut acc.stats,
-                )
-            };
+            let target = TargetKind::PreActivation;
+            let sc = prepare_subcache(
+                &mut cache.y,
+                &sub,
+                bounds,
+                target,
+                &enc_opts,
+                None,
+                &mut acc.stats,
+            );
+            let fallbacks = [bounds.y[li][j], bounds.dy[li][j]];
+            let (yr, dyr) = lp_relax(
+                &mut sc.enc,
+                target,
+                fallbacks,
+                solver,
+                check,
+                &mut sc.bases,
+                &mut acc.stats,
+            );
             acc.subproblems = acc.subproblems.saturating_add(1);
 
-            let relu = aff.layers[li].relu;
-            if !relu {
-                Step::Done {
-                    slot: j,
-                    result: NeuronResult {
-                        y: yr,
-                        dy: dyr,
-                        x: yr,
-                        dx: dyr,
-                        cache,
-                    },
-                }
+            if !aff.layers[li].relu {
+                done(j, yr, dyr, yr, dyr, cache)
             } else if opts.closed_form_x
-                && closed_form_applies(&sub, bounds, yr, dyr, opts, &enc_opts)
+                && closed_form::closed_form_applies(&sub, bounds, yr, dyr, opts, &enc_opts)
             {
                 acc.closed_form = acc.closed_form.saturating_add(1);
-                let (x, dx) = closed_form_x(yr, dyr, opts.encoding);
-                Step::Done {
-                    slot: j,
-                    result: NeuronResult {
-                        y: yr,
-                        dy: dyr,
-                        x,
-                        dx,
-                        cache,
-                    },
-                }
+                let (x, dx) = closed_form::closed_form_x(yr, dyr, opts.encoding);
+                done(j, yr, dyr, x, dx, cache)
             } else {
                 Step::Follow(LayerTask::Post {
                     j,
@@ -556,138 +547,131 @@ fn run_task<'a>(
                 y: yr,
                 dy: dyr,
                 x: yr.relu(),
-                dx: fallback_dx(yr, dyr, opts.encoding),
+                dx: closed_form::fallback_dx(yr, dyr, opts.encoding),
             };
-            let (x, dx) = if caching {
-                let nc = cache.get_or_insert_with(Default::default);
-                let refined = refined_for(&sub, bounds, TargetKind::PostActivation, &enc_opts);
-                let sc = crate::resident::prepare_subcache(
-                    &mut nc.x,
-                    &sub,
-                    bounds,
-                    TargetKind::PostActivation,
-                    &enc_opts,
-                    Some(over),
-                    refined,
-                    &mut acc.stats,
-                );
-                lp_relax_x_resident(
-                    &mut sc.enc,
-                    over.x,
-                    over.dx,
-                    solver,
-                    opts.check_certificates,
-                    &mut sc.bases,
-                    &mut acc.stats,
-                )
-            } else {
-                let mut enc_x = encode_subnet_with(
-                    &sub,
-                    bounds,
-                    TargetKind::PostActivation,
-                    &enc_opts,
-                    Some(over),
-                );
-                lp_relax_x(
-                    &mut enc_x,
-                    over.x,
-                    over.dx,
-                    solver,
-                    opts.check_certificates,
-                    &mut acc.stats,
-                )
-            };
-            Step::Done {
-                slot: j,
-                result: NeuronResult {
-                    y: yr,
-                    dy: dyr,
-                    x,
-                    dx,
-                    cache,
-                },
+            let target = TargetKind::PostActivation;
+            let sc = prepare_subcache(
+                &mut cache.x,
+                &sub,
+                bounds,
+                target,
+                &enc_opts,
+                Some(over),
+                &mut acc.stats,
+            );
+            let (x, dx) = lp_relax(
+                &mut sc.enc,
+                target,
+                [over.x, over.dx],
+                solver,
+                check,
+                &mut sc.bases,
+                &mut acc.stats,
+            );
+            done(j, yr, dyr, x, dx, cache)
+        }
+    }
+}
+
+pub mod closed_form {
+    //! The closed form of the `LpRelaxX` optimum. Where it provably equals
+    //! the LP's answer ([`closed_form_applies`]), the certifier substitutes
+    //! [`closed_form_x`] for the solve (see
+    //! [`CertifyOptions::closed_form_x`]); [`fallback_dx`] is the sound `Δx`
+    //! interval every `LpRelaxX` solve is clipped to. Exported so an outside
+    //! replay of Algorithm 1 applies the same rule.
+
+    use super::CertifyOptions;
+    use crate::bounds::TwinBounds;
+    use crate::encode::{EncodeOptions, EncodingKind, Relaxation, TargetKind};
+    use crate::interval::{distance_relaxation_bounds, relu_distance_range, Interval};
+    use crate::refine::select_refined;
+    use crate::subnet::SubNetwork;
+
+    /// Sound fallback for the target's `Δx` given fresh `(y, Δy)` ranges.
+    pub fn fallback_dx(yr: Interval, dyr: Interval, kind: EncodingKind) -> Interval {
+        match kind {
+            EncodingKind::Single => Interval::point(0.0),
+            EncodingKind::Itne => relu_distance_range(yr, dyr),
+            EncodingKind::Btne => {
+                // Decoupled copies: Δx ranges over x̂_range − x_range.
+                let x = yr.relu();
+                Interval::new(x.lo - x.hi, x.hi - x.lo)
             }
         }
     }
-}
 
-/// Sound fallback for the target's `Δx` given fresh `(y, Δy)` ranges.
-fn fallback_dx(yr: Interval, dyr: Interval, kind: EncodingKind) -> Interval {
-    match kind {
-        EncodingKind::Single => Interval::point(0.0),
-        EncodingKind::Itne => relu_distance_range(yr, dyr),
-        EncodingKind::Btne => {
-            // Decoupled copies: Δx ranges over x̂_range − x_range.
-            let x = yr.relu();
-            Interval::new(x.lo - x.hi, x.hi - x.lo)
-        }
-    }
-}
-
-/// Whether the `LpRelaxX` optimum equals the closed form (ITNE/Single, LPR,
-/// target unrefined, paper-faithful distance relaxation, and a phase
-/// combination whose relaxed LP optimum is attained at the range corners).
-fn closed_form_applies(
-    sub: &SubNetwork<'_>,
-    bounds: &TwinBounds,
-    yr: Interval,
-    dyr: Interval,
-    opts: &CertifyOptions,
-    enc_opts: &EncodeOptions,
-) -> bool {
-    if opts.relaxation != Relaxation::Lpr || opts.y_aware_distance {
-        return false;
-    }
-    if opts.encoding == EncodingKind::Btne {
-        return false; // input-coupled windows make the LP strictly tighter
-    }
-    // The target itself must not be selectively refined.
-    if opts.refine > 0 {
-        let layer = sub.cone.layer;
-        let target = sub.target();
-        let refined = select_refined(sub, bounds, TargetKind::PostActivation, enc_opts);
-        if refined.contains(&(layer, target)) {
+    /// Whether the `LpRelaxX` optimum equals the closed form (ITNE/Single,
+    /// LPR, target unrefined, paper-faithful distance relaxation, and a
+    /// phase combination whose relaxed LP optimum is attained at the range
+    /// corners).
+    pub fn closed_form_applies(
+        sub: &SubNetwork<'_>,
+        bounds: &TwinBounds,
+        yr: Interval,
+        dyr: Interval,
+        opts: &CertifyOptions,
+        enc_opts: &EncodeOptions,
+    ) -> bool {
+        if opts.relaxation != Relaxation::Lpr || opts.y_aware_distance {
             return false;
         }
-    }
-    match opts.encoding {
-        EncodingKind::Single => true,
-        EncodingKind::Itne => {
-            let yhr = yr.add(dyr);
-            let both_stable = (yr.stable_active() && yhr.stable_active())
-                || (yr.stable_inactive() && yhr.stable_inactive());
-            let both_unstable = !(yr.stable_active()
-                || yr.stable_inactive()
-                || yhr.stable_active()
-                || yhr.stable_inactive());
-            // Mixed phases admit exact linear couplings (x̂ = ŷ etc.) that
-            // make the LP strictly tighter than the corner formula, so only
-            // the two symmetric cases use the closed form.
-            both_stable || both_unstable
+        if opts.encoding == EncodingKind::Btne {
+            return false; // input-coupled windows make the LP strictly tighter
         }
-        EncodingKind::Btne => false,
-    }
-}
-
-/// The closed form of the `LpRelaxX` LP optimum (see
-/// [`closed_form_applies`]): `x = relu(y)` ranges and the Eq. 6 corner box
-/// for `Δx` (or `Δy` when both copies are provably active).
-fn closed_form_x(yr: Interval, dyr: Interval, kind: EncodingKind) -> (Interval, Interval) {
-    let xr = yr.relu();
-    match kind {
-        EncodingKind::Single => (xr, Interval::point(0.0)),
-        EncodingKind::Itne => {
-            let yhr = yr.add(dyr);
-            if yr.stable_active() && yhr.stable_active() {
-                (xr, dyr)
-            } else if yr.stable_inactive() && yhr.stable_inactive() {
-                (Interval::point(0.0), Interval::point(0.0))
-            } else {
-                let (l, u) = distance_relaxation_bounds(dyr);
-                (xr, Interval::new(l, u))
+        // The target itself must not be selectively refined.
+        if opts.refine > 0 {
+            let layer = sub.cone.layer;
+            let target = sub.target();
+            let refined = select_refined(sub, bounds, TargetKind::PostActivation, enc_opts);
+            if refined.contains(&(layer, target)) {
+                return false;
             }
         }
-        EncodingKind::Btne => unreachable!("closed form never applies to BTNE"),
+        match opts.encoding {
+            EncodingKind::Single => true,
+            EncodingKind::Itne => {
+                let yhr = yr.add(dyr);
+                let both_stable = (yr.stable_active() && yhr.stable_active())
+                    || (yr.stable_inactive() && yhr.stable_inactive());
+                let both_unstable = !(yr.stable_active()
+                    || yr.stable_inactive()
+                    || yhr.stable_active()
+                    || yhr.stable_inactive());
+                // Mixed phases admit exact linear couplings (x̂ = ŷ etc.)
+                // that make the LP strictly tighter than the corner formula,
+                // so only the two symmetric cases use the closed form.
+                both_stable || both_unstable
+            }
+            EncodingKind::Btne => false,
+        }
+    }
+
+    /// The closed form of the `LpRelaxX` LP optimum (see
+    /// [`closed_form_applies`]): `x = relu(y)` ranges and the Eq. 6 corner
+    /// box for `Δx` (or `Δy` when both copies are provably active).
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`EncodingKind::Btne`], where the closed form never
+    /// applies.
+    pub fn closed_form_x(yr: Interval, dyr: Interval, kind: EncodingKind) -> (Interval, Interval) {
+        let xr = yr.relu();
+        match kind {
+            EncodingKind::Single => (xr, Interval::point(0.0)),
+            EncodingKind::Itne => {
+                let yhr = yr.add(dyr);
+                if yr.stable_active() && yhr.stable_active() {
+                    (xr, dyr)
+                } else if yr.stable_inactive() && yhr.stable_inactive() {
+                    (Interval::point(0.0), Interval::point(0.0))
+                } else {
+                    let (l, u) = distance_relaxation_bounds(dyr);
+                    (xr, Interval::new(l, u))
+                }
+            }
+            EncodingKind::Btne => unreachable!("closed form never applies to BTNE"),
+        }
     }
 }
 
@@ -776,6 +760,21 @@ mod tests {
                 );
             }
             assert!(a.stats.closed_form_hits > 0 || refine > 0);
+        }
+    }
+
+    /// A one-shot run is a resident run whose state is empty and kept by
+    /// nobody: every sub-problem encodes fresh and no basis survives into a
+    /// later query.
+    #[test]
+    fn one_shot_runs_keep_nothing_across_queries() {
+        let aff = fig1_affine();
+        for _ in 0..2 {
+            let r = certify_global_affine(&aff, &DOM, 0.1, &CertifyOptions::default()).unwrap();
+            let q = r.stats.query;
+            assert_eq!(q.cross_query_warm_hits, 0, "{q:?}");
+            assert_eq!(q.encoding_cache_hits, 0, "{q:?}");
+            assert_eq!(q.encoding_cache_misses, r.stats.subproblems, "{q:?}");
         }
     }
 

@@ -63,8 +63,8 @@ pub mod subnet;
 mod exact;
 
 pub use algorithm::{
-    certify_global, certify_global_affine, propagate, validate_network, CertifyOptions,
-    CertifyStats, GlobalReport,
+    certify_global, certify_global_affine, propagate, validate_network, validate_query,
+    CertifyOptions, CertifyStats, GlobalReport,
 };
 pub use bounds::TwinBounds;
 pub use encode::{EncodingKind, Relaxation};

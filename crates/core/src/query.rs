@@ -15,21 +15,27 @@
 //! discarded in favor of the sound IBP fallback and counted in
 //! [`QueryStats::cert_failures`].
 //!
+//! One sweep path, `lp_relax`, serves one-shot and resident runs alike.
 //! Each sub-problem encodes its skeleton **once** and sweeps all of its
 //! objectives (min/max of the target's value and distance expressions)
-//! through one [`BatchSolver`]: the first solve runs cold, every later one
-//! warm-starts from the previous optimal basis and skips simplex phase 1.
-//! Warm starting is a pure optimization — a basis that cannot be restored
-//! falls back to a cold solve inside the batch layer — so certified ranges
-//! are identical to the per-objective cold path (asserted bit-for-bit by the
-//! golden regression suite; disable via [`SolveOptions::warm_start`]).
+//! through one [`BatchSolver`], each directed solve with its own basis slot
+//! ([`BatchSolver::solve_slot`]). A resident run passes the slots the
+//! previous query stored, so every solve restores the basis last optimal
+//! for its objective. A one-shot run passes empty slots: the first solve
+//! runs cold, and every later one warm-starts from the previous optimal
+//! basis and skips simplex phase 1. Warm starting is a pure optimization —
+//! a basis that cannot be restored falls back to a cold solve inside the
+//! batch layer — so certified ranges are identical to the per-objective
+//! cold path (asserted bit-for-bit by the golden regression suite; disable
+//! via [`SolveOptions::warm_start`]).
 
-use crate::encode::EncodedSubNet;
+use crate::encode::{EncodedSubNet, TargetKind};
 use crate::interval::Interval;
 use itne_certcheck::{verify_bound, RowCmp, RowRef};
 use itne_milp::{
     Basis, BatchSolver, BatchStats, Cmp, LinExpr, Model, Sense, Solution, SolveOptions, StopWhen,
 };
+use serde::Serialize;
 
 /// Slack added to LP optima before use as bounds, absorbing solver
 /// tolerances.
@@ -79,11 +85,14 @@ fn interval_grid(sides: [Option<f64>; 2]) -> bool {
 }
 
 /// Work counters accumulated across queries.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct QueryStats {
     /// LP/MILP solves issued.
     pub solves: u64,
-    /// Total simplex pivots.
+    /// Total simplex pivots, including those burned by warm restores that
+    /// were rejected and re-solved cold ([`BatchStats::pivots`]). A solve
+    /// that ends in a solver error still loses its pivots: the error
+    /// carries no counters.
     pub pivots: u64,
     /// Total branch-and-bound nodes.
     pub nodes: u64,
@@ -97,10 +106,11 @@ pub struct QueryStats {
     /// Estimated simplex pivots avoided by warm starts (see
     /// [`BatchStats::pivots_saved`]).
     pub pivots_saved: u64,
-    /// Total basis refactorizations across all solves (sparse-engine eta
-    /// rebuilds plus warm-restore factorizations).
+    /// Total basis refactorizations across all solves (sparse-engine
+    /// fill-triggered rebuilds plus warm-restore factorizations).
     pub refactorizations: u64,
-    /// Peak product-form eta-file length observed in any single solve.
+    /// Peak basis-update count (Forrest–Tomlin replacements plus
+    /// product-form etas on top of the LU factors) in any single solve.
     pub eta_len: u64,
     /// Structural non-zeros of the largest constraint matrix solved — the
     /// sparsity the revised simplex exploits on that worst-case sub-problem.
@@ -184,16 +194,16 @@ impl QueryStats {
         self.cold_fallbacks = self.cold_fallbacks.saturating_add(other.cold_fallbacks);
     }
 
-    /// Folds in the warm-start counters of one finished batch sweep. Solve
-    /// and pivot counts are *not* taken from the batch — they are already
-    /// accounted per query — only the counters unique to batching.
+    /// Folds in the counters of one finished batch sweep that only the
+    /// batch sees: the pivots of every attempt (rejected warm restores
+    /// included) and the warm-start telemetry.
     fn absorb_batch(&mut self, batch: BatchStats) {
+        self.pivots = self.pivots.saturating_add(batch.pivots);
         self.warm_hits = self.warm_hits.saturating_add(batch.warm_hits);
         self.warm_misses = self.warm_misses.saturating_add(batch.warm_misses);
         self.pivots_saved = self.pivots_saved.saturating_add(batch.pivots_saved);
         // Seed hits are warm starts from a basis stored by an *earlier*
-        // query over the same encoding (only `BatchSolver::solve_slot`
-        // sweeps can have them; plain batches report zero).
+        // query over the same encoding (a slot the caller kept).
         self.cross_query_warm_hits = self.cross_query_warm_hits.saturating_add(batch.seed_hits);
     }
 }
@@ -213,34 +223,23 @@ pub fn default_check_certificates() -> bool {
     })
 }
 
-/// Minimizes and maximizes `expr` over the encoded model, returning a sound
-/// interval clipped to `fallback`.
-pub fn range_of_expr(
-    enc: &mut EncodedSubNet,
-    expr: LinExpr,
-    fallback: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    stats: &mut QueryStats,
-) -> Interval {
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let r = range_in_batch(&mut batch, expr, fallback, solver, check, stats);
-    stats.absorb_batch(batch.stats());
-    r
-}
-
-/// [`range_of_expr`] inside an already-open batch sweep, so consecutive
-/// ranges over the same skeleton share one warm-start chain.
-fn range_in_batch(
+/// Minimizes and maximizes `expr` in an open batch sweep (`slots[0]` =
+/// min, `slots[1]` = max), returning a sound interval clipped to
+/// `fallback`. Consecutive ranges over the same skeleton share one
+/// warm-start chain.
+fn range_in_slots(
     batch: &mut BatchSolver<'_>,
     expr: LinExpr,
     fallback: Interval,
     solver: &SolveOptions,
     check: bool,
+    slots: &mut [Option<Basis>],
     stats: &mut QueryStats,
 ) -> Interval {
-    let lo_sol = directed_solve(batch, expr.clone(), Sense::Minimize, solver, stats);
-    let hi_sol = directed_solve(batch, expr, Sense::Maximize, solver, stats);
+    let (slot_lo, rest) = slots.split_first_mut().expect("two basis slots");
+    let (slot_hi, _) = rest.split_first_mut().expect("two basis slots");
+    let lo_sol = directed_solve(batch, expr.clone(), Sense::Minimize, solver, slot_lo, stats);
+    let hi_sol = directed_solve(batch, expr, Sense::Maximize, solver, slot_hi, stats);
     let grid = interval_grid([
         lo_sol.as_ref().map(Solution::bound_value),
         hi_sol.as_ref().map(Solution::bound_value),
@@ -272,14 +271,17 @@ fn range_in_batch(
         .unwrap_or(fallback)
 }
 
-/// One directed solve. Returns `None` when the solver cannot produce a
-/// solution (errors, or an early-out on a fired stop signal) — the caller
-/// then uses its fallback bound.
+/// One directed solve through [`BatchSolver::solve_slot`]. Returns `None`
+/// when the solver cannot produce a solution (errors, or an early-out on a
+/// fired stop signal) — the caller then uses its fallback bound. Pivots are
+/// not counted here: [`QueryStats::absorb_batch`] takes them from the batch,
+/// which also sees the pivots of rejected warm restores.
 fn directed_solve(
     batch: &mut BatchSolver<'_>,
     expr: LinExpr,
     sense: Sense,
     solver: &SolveOptions,
+    slot: &mut Option<Basis>,
     stats: &mut QueryStats,
 ) -> Option<Solution> {
     if solver.stop.as_ref().is_some_and(StopWhen::should_stop) {
@@ -287,9 +289,8 @@ fn directed_solve(
         return None;
     }
     stats.solves += 1;
-    match batch.solve(sense, expr, solver) {
+    match batch.solve_slot(sense, expr, solver, slot) {
         Ok(sol) => {
-            stats.pivots += sol.stats.pivots;
             stats.nodes += sol.stats.nodes;
             stats.refactorizations += sol.stats.refactorizations;
             stats.eta_len = stats.eta_len.max(sol.stats.eta_len);
@@ -389,12 +390,85 @@ fn certificate_validates(model: &Model, sol: &Solution, sense: Sense, reported: 
     .is_valid()
 }
 
-/// `LpRelaxY`: ranges of the target's pre-activation and its distance,
-/// `(y, Δy)`. For BTNE encodings the distance is the expression `ŷ − y`; for
-/// single-copy encodings it is `[0, 0]`.
+/// Number of persistent basis slots a sub-problem sweep keeps: one per
+/// directed objective, in the fixed order
+/// `[value min, value max, distance min, distance max]`.
+pub(crate) const BASIS_SLOTS: usize = 4;
+
+/// One sub-problem sweep of Algorithm 1: `LpRelaxY` for a
+/// [`TargetKind::PreActivation`] encoding (ranges of the target's `y` and
+/// its distance `Δy`) or `LpRelaxX` for a [`TargetKind::PostActivation`]
+/// one (`x` and `Δx`). For ITNE encodings the distance is the target's
+/// distance variable, for BTNE encodings the expression `ŷ − y` (or
+/// `x̂ − x`), and for single-copy encodings `[0, 0]`. `fallbacks` holds the
+/// sound `[value, distance]` intervals every result is clipped to.
 ///
-/// The encoding is built once by the caller; all four directed solves (min y,
-/// max y, min Δy, max Δy) run as one warm-started sweep over it.
+/// All four directed solves (min/max value, min/max distance) run as one
+/// warm-started sweep over the encoding, each starting from its slot of
+/// `bases` and writing its final basis back. A resident run passes the
+/// slots the previous query stored: a repeated query finds each basis still
+/// optimal, and a new δ or new weights get it repaired by the dual simplex.
+/// A one-shot run passes empty slots. Results are bit-identical either way:
+/// warm starting never changes certified ranges.
+pub(crate) fn lp_relax(
+    enc: &mut EncodedSubNet,
+    target: TargetKind,
+    fallbacks: [Interval; 2],
+    solver: &SolveOptions,
+    check: bool,
+    bases: &mut [Option<Basis>; BASIS_SLOTS],
+    stats: &mut QueryStats,
+) -> (Interval, Interval) {
+    let t = enc.target_vars();
+    let (value, distance, hat) = match target {
+        TargetKind::PreActivation => (
+            t.y.expect("target has a pre-activation variable"),
+            t.dy,
+            t.yh,
+        ),
+        TargetKind::PostActivation => (
+            t.x.expect("target has a post-activation variable"),
+            t.dx,
+            t.xh,
+        ),
+    };
+    let distance = match (distance, hat) {
+        (Some(d), _) => Some((1.0 * d).compact()),
+        (None, Some(h)) => Some(1.0 * h - 1.0 * value),
+        (None, None) => None,
+    };
+    let [fallback_value, fallback_distance] = fallbacks;
+    let (value_slots, distance_slots) = bases.split_at_mut(2);
+    let mut batch = BatchSolver::new(&mut enc.model);
+    let value_range = range_in_slots(
+        &mut batch,
+        (1.0 * value).compact(),
+        fallback_value,
+        solver,
+        check,
+        value_slots,
+        stats,
+    );
+    let distance_range = match distance {
+        Some(e) => range_in_slots(
+            &mut batch,
+            e,
+            fallback_distance,
+            solver,
+            check,
+            distance_slots,
+            stats,
+        ),
+        None => Interval::point(0.0),
+    };
+    stats.absorb_batch(batch.stats());
+    (value_range, distance_range)
+}
+
+/// `LpRelaxY`: ranges of the target's pre-activation and its distance,
+/// `(y, Δy)` — the crate's one sweep (`lp_relax`) over a
+/// [`TargetKind::PreActivation`] encoding with empty basis slots, as a
+/// one-shot run sweeps it.
 pub fn lp_relax_y(
     enc: &mut EncodedSubNet,
     fallback_y: Interval,
@@ -403,44 +477,23 @@ pub fn lp_relax_y(
     check: bool,
     stats: &mut QueryStats,
 ) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let y = t.y.expect("target has a pre-activation variable");
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let yr = range_in_batch(
-        &mut batch,
-        (1.0 * y).compact(),
-        fallback_y,
+    let mut bases = Default::default();
+    let fallbacks = [fallback_y, fallback_dy];
+    lp_relax(
+        enc,
+        TargetKind::PreActivation,
+        fallbacks,
         solver,
         check,
+        &mut bases,
         stats,
-    );
-    let dyr = if let Some(dy) = t.dy {
-        range_in_batch(
-            &mut batch,
-            (1.0 * dy).compact(),
-            fallback_dy,
-            solver,
-            check,
-            stats,
-        )
-    } else if let Some(yh) = t.yh {
-        range_in_batch(
-            &mut batch,
-            1.0 * yh - 1.0 * y,
-            fallback_dy,
-            solver,
-            check,
-            stats,
-        )
-    } else {
-        Interval::point(0.0)
-    };
-    stats.absorb_batch(batch.stats());
-    (yr, dyr)
+    )
 }
 
 /// `LpRelaxX`: ranges of the target's post-activation and its distance,
-/// `(x, Δx)`, swept warm-started over one encoding like [`lp_relax_y`].
+/// `(x, Δx)` — the crate's one sweep (`lp_relax`) over a
+/// [`TargetKind::PostActivation`] encoding with empty basis slots, as a
+/// one-shot run sweeps it.
 pub fn lp_relax_x(
     enc: &mut EncodedSubNet,
     fallback_x: Interval,
@@ -449,226 +502,17 @@ pub fn lp_relax_x(
     check: bool,
     stats: &mut QueryStats,
 ) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let x = t.x.expect("target has a post-activation variable");
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let xr = range_in_batch(
-        &mut batch,
-        (1.0 * x).compact(),
-        fallback_x,
+    let mut bases = Default::default();
+    let fallbacks = [fallback_x, fallback_dx];
+    lp_relax(
+        enc,
+        TargetKind::PostActivation,
+        fallbacks,
         solver,
         check,
+        &mut bases,
         stats,
-    );
-    let dxr = if let Some(dx) = t.dx {
-        range_in_batch(
-            &mut batch,
-            (1.0 * dx).compact(),
-            fallback_dx,
-            solver,
-            check,
-            stats,
-        )
-    } else if let Some(xh) = t.xh {
-        range_in_batch(
-            &mut batch,
-            1.0 * xh - 1.0 * x,
-            fallback_dx,
-            solver,
-            check,
-            stats,
-        )
-    } else {
-        Interval::point(0.0)
-    };
-    stats.absorb_batch(batch.stats());
-    (xr, dxr)
-}
-
-/// Number of persistent basis slots a resident sub-problem keeps: one per
-/// directed objective, in the fixed order
-/// `[value min, value max, distance min, distance max]`.
-pub(crate) const BASIS_SLOTS: usize = 4;
-
-/// [`lp_relax_y`] against a resident encoding: identical objectives and the
-/// same certified-bound pipeline, but each directed solve starts from the
-/// basis the *previous query* stored for the same objective
-/// ([`BatchSolver::solve_slot`]) — optimal as stored for a repeated query,
-/// repaired by the dual simplex when a new δ or new weights moved the RHS —
-/// and writes its final basis back for the next one.
-/// The sweep shares one live engine: the first restore rebuilds it from its
-/// snapshot, later restores rebase it in place, paying a basis
-/// refactorization instead of a skeleton compile per solve. Results are
-/// bit-identical to [`lp_relax_y`]: warm starting never changes certified
-/// ranges.
-pub(crate) fn lp_relax_y_resident(
-    enc: &mut EncodedSubNet,
-    fallback_y: Interval,
-    fallback_dy: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    bases: &mut [Option<Basis>; BASIS_SLOTS],
-    stats: &mut QueryStats,
-) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let y = t.y.expect("target has a pre-activation variable");
-    let dy_expr = if let Some(dy) = t.dy {
-        Some((1.0 * dy).compact())
-    } else {
-        t.yh.map(|yh| 1.0 * yh - 1.0 * y)
-    };
-    let (value_slots, distance_slots) = bases.split_at_mut(2);
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let yr = range_in_slots(
-        &mut batch,
-        (1.0 * y).compact(),
-        fallback_y,
-        solver,
-        check,
-        value_slots,
-        stats,
-    );
-    let dyr = match dy_expr {
-        Some(e) => range_in_slots(
-            &mut batch,
-            e,
-            fallback_dy,
-            solver,
-            check,
-            distance_slots,
-            stats,
-        ),
-        None => Interval::point(0.0),
-    };
-    stats.absorb_batch(batch.stats());
-    (yr, dyr)
-}
-
-/// [`lp_relax_x`] against a resident encoding (see [`lp_relax_y_resident`]).
-pub(crate) fn lp_relax_x_resident(
-    enc: &mut EncodedSubNet,
-    fallback_x: Interval,
-    fallback_dx: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    bases: &mut [Option<Basis>; BASIS_SLOTS],
-    stats: &mut QueryStats,
-) -> (Interval, Interval) {
-    let t = enc.target_vars();
-    let x = t.x.expect("target has a post-activation variable");
-    let dx_expr = if let Some(dx) = t.dx {
-        Some((1.0 * dx).compact())
-    } else {
-        t.xh.map(|xh| 1.0 * xh - 1.0 * x)
-    };
-    let (value_slots, distance_slots) = bases.split_at_mut(2);
-    let mut batch = BatchSolver::new(&mut enc.model);
-    let xr = range_in_slots(
-        &mut batch,
-        (1.0 * x).compact(),
-        fallback_x,
-        solver,
-        check,
-        value_slots,
-        stats,
-    );
-    let dxr = match dx_expr {
-        Some(e) => range_in_slots(
-            &mut batch,
-            e,
-            fallback_dx,
-            solver,
-            check,
-            distance_slots,
-            stats,
-        ),
-        None => Interval::point(0.0),
-    };
-    stats.absorb_batch(batch.stats());
-    (xr, dxr)
-}
-
-/// [`range_in_batch`] with persistent basis slots (`slots[0]` = min,
-/// `slots[1]` = max): identical grid decision and [`certified_bound`] gate,
-/// but each directed solve goes through [`BatchSolver::solve_slot`].
-#[allow(clippy::too_many_arguments)]
-fn range_in_slots(
-    batch: &mut BatchSolver<'_>,
-    expr: LinExpr,
-    fallback: Interval,
-    solver: &SolveOptions,
-    check: bool,
-    slots: &mut [Option<Basis>],
-    stats: &mut QueryStats,
-) -> Interval {
-    let (slot_lo, rest) = slots.split_first_mut().expect("two basis slots");
-    let (slot_hi, _) = rest.split_first_mut().expect("two basis slots");
-    let lo_sol = directed_solve_slot(batch, expr.clone(), Sense::Minimize, solver, slot_lo, stats);
-    let hi_sol = directed_solve_slot(batch, expr, Sense::Maximize, solver, slot_hi, stats);
-    let grid = interval_grid([
-        lo_sol.as_ref().map(Solution::bound_value),
-        hi_sol.as_ref().map(Solution::bound_value),
-    ]);
-    // As in `range_in_batch`: both solves installed the same objective
-    // expression, so the model data matches both certificates.
-    let lo = certified_bound(
-        batch.model(),
-        lo_sol,
-        Sense::Minimize,
-        grid,
-        check,
-        fallback.lo,
-        stats,
-    );
-    let hi = certified_bound(
-        batch.model(),
-        hi_sol,
-        Sense::Maximize,
-        grid,
-        check,
-        fallback.hi,
-        stats,
-    );
-    Interval::new(lo.min(hi), hi.max(lo))
-        .intersect(fallback, 1e-9)
-        .unwrap_or(fallback)
-}
-
-/// [`directed_solve`] through [`BatchSolver::solve_slot`] — same stop-check
-/// and stat accounting, plus the persistent slot.
-fn directed_solve_slot(
-    batch: &mut BatchSolver<'_>,
-    expr: LinExpr,
-    sense: Sense,
-    solver: &SolveOptions,
-    slot: &mut Option<Basis>,
-    stats: &mut QueryStats,
-) -> Option<Solution> {
-    if solver.stop.as_ref().is_some_and(StopWhen::should_stop) {
-        stats.fallbacks += 1;
-        return None;
-    }
-    stats.solves += 1;
-    match batch.solve_slot(sense, expr, solver, slot) {
-        Ok(sol) => {
-            stats.pivots += sol.stats.pivots;
-            stats.nodes += sol.stats.nodes;
-            stats.refactorizations += sol.stats.refactorizations;
-            stats.eta_len = stats.eta_len.max(sol.stats.eta_len);
-            stats.nnz = stats.nnz.max(sol.stats.nnz);
-            stats.refactor_time_ns += sol.stats.refactor_time_ns;
-            stats.ftran_btran_time_ns += sol.stats.ftran_btran_time_ns;
-            stats.lu_fill_nnz = stats.lu_fill_nnz.max(sol.stats.lu_fill_nnz);
-            stats.warm_nodes += sol.stats.warm_nodes;
-            stats.farkas_pruned += sol.stats.farkas_pruned;
-            stats.cold_fallbacks += sol.stats.cold_fallbacks;
-            Some(sol)
-        }
-        Err(_) => {
-            stats.fallbacks += 1;
-            None
-        }
-    }
+    )
 }
 
 #[cfg(test)]
@@ -790,8 +634,8 @@ mod tests {
 
     #[test]
     fn resident_sweep_matches_batch_and_warm_starts_across_queries() {
-        // The resident solve path (slot-seeded batch sweep) must reproduce
-        // the batch path bit-for-bit, and a repeat query over the same
+        // A sweep over kept basis slots (the resident path) must reproduce
+        // the one-shot sweep bit-for-bit, and a repeat query over the same
         // encoding must warm-start from the stored per-objective bases.
         let net = fig1_affine();
         let domain = vec![Interval::new(-1.0, 1.0); 2];
@@ -814,17 +658,18 @@ mod tests {
             );
             let mut enc = encode_subnet(&sub, &bounds, TargetKind::PreActivation, &opts);
             let mut bases: [Option<Basis>; BASIS_SLOTS] = Default::default();
+            let fallbacks = [bounds.y[li][j], bounds.dy[li][j]];
             let mut s1 = QueryStats::default();
-            let r1 = lp_relax_y_resident(
+            let r1 = lp_relax(
                 &mut enc,
-                bounds.y[li][j],
-                bounds.dy[li][j],
+                TargetKind::PreActivation,
+                fallbacks,
                 &SolveOptions::default(),
                 true,
                 &mut bases,
                 &mut s1,
             );
-            assert_eq!(r1, batch_r, "resident diverged from batch at ({li}, {j})");
+            assert_eq!(r1, batch_r, "kept slots diverged at ({li}, {j})");
             assert_eq!(
                 s1.cross_query_warm_hits, 0,
                 "first query has no stored basis"
@@ -837,10 +682,10 @@ mod tests {
             // Second query over the same resident encoding: each directed
             // solve restores its own slot instead of running cold phase-1.
             let mut s2 = QueryStats::default();
-            let r2 = lp_relax_y_resident(
+            let r2 = lp_relax(
                 &mut enc,
-                bounds.y[li][j],
-                bounds.dy[li][j],
+                TargetKind::PreActivation,
+                fallbacks,
                 &SolveOptions::default(),
                 true,
                 &mut bases,
@@ -977,12 +822,13 @@ mod tests {
         m.add_constraint(1.0 * x, Cmp::Le, 2.0);
         let mut batch = BatchSolver::new(&mut m);
         let mut stats = QueryStats::default();
-        let r = range_in_batch(
+        let r = range_in_slots(
             &mut batch,
             (1.0 * x).compact(),
             fb,
             &SolveOptions::default(),
             true,
+            &mut [None, None],
             &mut stats,
         );
         assert_eq!(r, fb);
@@ -997,17 +843,70 @@ mod tests {
         m.add_constraint(1.0 * s, Cmp::Le, 1.0);
         let mut batch = BatchSolver::new(&mut m);
         let mut stats = QueryStats::default();
-        let r = range_in_batch(
+        let r = range_in_slots(
             &mut batch,
             (1.0 * x).compact(),
             fb,
             &SolveOptions::default(),
             true,
+            &mut [None, None],
             &mut stats,
         );
         assert_eq!(r, fb);
         assert!(r.lo <= r.hi);
         assert!(stats.fallbacks >= 1);
+    }
+
+    #[test]
+    fn rejected_restores_count_their_pivots() {
+        // A sweep stores both slots of `3x + 2y + z`. Two right-hand sides
+        // then move, so the max slot's vertex leaves the feasible region,
+        // and the next sweep runs under a one-pivot cap: the repair of the
+        // max slot is rejected after burning a pivot, and its cold re-solve
+        // hits the cap. The burned pivot is real work and must be counted.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_var(0.0, 10.0);
+        let z = m.add_var(0.0, 10.0);
+        m.add_constraint(x + y + z, Cmp::Le, 6.0);
+        m.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
+        m.add_constraint(1.0 * y + 2.0 * z, Cmp::Le, 8.0);
+        m.add_constraint(x - y, Cmp::Ge, -5.0);
+        let expr = (3.0 * x + 2.0 * y + 1.0 * z).compact();
+        let fb = Interval::new(-100.0, 100.0);
+        let mut slots = [None, None];
+        let mut stats = QueryStats::default();
+        let mut batch = BatchSolver::new(&mut m);
+        let opts = SolveOptions::default();
+        range_in_slots(
+            &mut batch,
+            expr.clone(),
+            fb,
+            &opts,
+            false,
+            &mut slots,
+            &mut stats,
+        );
+        assert!(slots.iter().all(Option::is_some), "sweep stored no basis");
+
+        m.update_rhs(0, 4.0);
+        m.update_rhs(2, 6.0);
+        let capped = SolveOptions {
+            max_pivots: 1,
+            ..Default::default()
+        };
+        let mut stats = QueryStats::default();
+        let mut batch = BatchSolver::new(&mut m);
+        range_in_slots(&mut batch, expr, fb, &capped, false, &mut slots, &mut stats);
+        let b = batch.stats();
+        stats.absorb_batch(b);
+        assert_eq!(b.warm_misses, 1, "{b:?}");
+        assert_eq!(
+            stats.fallbacks, 1,
+            "the cold re-solve hit the cap: {stats:?}"
+        );
+        assert!(b.pivots > 0, "{b:?}");
+        assert_eq!(stats.pivots, b.pivots, "{stats:?} vs {b:?}");
     }
 
     #[test]
@@ -1023,12 +922,13 @@ mod tests {
         let fb = Interval::new(-5.0, 5.0);
         let mut batch = BatchSolver::new(&mut m);
         let mut stats = QueryStats::default();
-        let r = range_in_batch(
+        let r = range_in_slots(
             &mut batch,
             (1.0e308 * x - 1.0e308 * y).compact(),
             fb,
             &SolveOptions::default(),
             true,
+            &mut [None, None],
             &mut stats,
         );
         assert_eq!(r, fb);

@@ -27,13 +27,15 @@
 //!
 //! Both reuse layers are pure optimizations: replay verifies the skeleton
 //! bit-for-bit and falls back to a fresh encode, and warm starts fall back
-//! to cold solves, so resident results are bit-identical to the one-shot
-//! path (asserted by the tests below and the golden suite).
+//! to cold solves, so resident results are bit-identical to a one-shot run
+//! (asserted by the tests below and the golden suite). A one-shot run takes
+//! the same path with an empty state and drops each neuron's caches as
+//! soon as that neuron is done.
 
 use crate::algorithm::{propagate_cached, validate, CertifyOptions, GlobalReport};
 use crate::bounds::TwinBounds;
 use crate::encode::{
-    encode_subnet_refined, reencode_subnet, EncodeOptions, EncodedSubNet, TargetKind,
+    encode_subnet_refined, reencode_subnet, refined_for, EncodeOptions, EncodedSubNet, TargetKind,
     TargetOverride,
 };
 use crate::error::CertifyError;
@@ -45,10 +47,10 @@ use crate::subnet::SubNetwork;
 use itne_milp::Basis;
 use itne_nn::AffineNetwork;
 
-/// One pass's resident artifacts for one neuron: the encoded sub-network,
-/// the refined set that keys its structure, and the per-objective [`Basis`]
-/// slots the previous query's sweep stored — the seeds the next query's
-/// directed solves restore ([`crate::query::lp_relax_y_resident`]).
+/// One pass's artifacts for one neuron: the encoded sub-network, the refined
+/// set that keys its structure, and the per-objective [`Basis`] slots the
+/// previous query's sweep stored — the seeds the next query's directed
+/// solves restore ([`crate::query::lp_relax`]).
 #[derive(Clone)]
 pub(crate) struct SubCache {
     pub(crate) enc: EncodedSubNet,
@@ -110,9 +112,10 @@ impl ResidentState {
 
 /// Readies `slot` for a solve against the current `bounds`: replays the
 /// cached encoding in place when its structure (refined set + skeleton)
-/// still matches, else encodes fresh. The stored bases survive either way —
-/// a basis restore is shape-checked downstream and at worst re-runs cold.
-#[allow(clippy::too_many_arguments)]
+/// still matches, else encodes fresh (an empty slot — every slot of a
+/// one-shot run — always encodes fresh). The stored bases survive either
+/// way — a basis restore is shape-checked downstream and at worst re-runs
+/// cold.
 pub(crate) fn prepare_subcache<'c>(
     slot: &'c mut Option<SubCache>,
     sub: &SubNetwork<'_>,
@@ -120,9 +123,9 @@ pub(crate) fn prepare_subcache<'c>(
     target: TargetKind,
     opts: &EncodeOptions,
     over: Option<TargetOverride>,
-    refined: RefinedSet,
     stats: &mut QueryStats,
 ) -> &'c mut SubCache {
+    let refined = refined_for(sub, bounds, target, opts);
     let hit = match slot.as_mut() {
         Some(sc) if sc.refined == refined => {
             reencode_subnet(&mut sc.enc, sub, bounds, target, opts, over, &refined)

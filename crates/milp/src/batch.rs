@@ -40,7 +40,8 @@ pub struct BatchStats {
     pub cold_solves: u64,
     /// Total simplex pivots across all solves, *including* the pivots burned
     /// by warm attempts that were later rejected (that work is real even
-    /// though its result was discarded).
+    /// though its result was discarded). A solve that ends in an error
+    /// contributes nothing: [`SolveError`] carries no counters.
     pub pivots: u64,
     /// Estimated pivots avoided by warm-starting: for each warm hit, the
     /// pivot count of the most recent *cold* solve on this skeleton minus
@@ -90,9 +91,8 @@ pub struct BatchSolver<'m> {
     model: &'m mut Model,
     /// The previous solve's live factorized tableau. Reoptimizing it in
     /// place is strictly cheaper than restoring a [`crate::Basis`] snapshot
-    /// (no `B⁻¹` refactorization per solve); the snapshot API remains the
-    /// mechanism for warm starts *across* model instances
-    /// ([`Model::solve_with_basis`]).
+    /// (no `B⁻¹` refactorization per solve); snapshots carry warm starts
+    /// *across* sweeps ([`BatchSolver::solve_slot`]).
     resident: Option<Resident>,
     /// Pivot count of the most recent cold solve, the baseline for
     /// [`BatchStats::pivots_saved`].
@@ -103,7 +103,7 @@ pub struct BatchSolver<'m> {
 impl<'m> BatchSolver<'m> {
     /// Wraps a model skeleton. The model's constraints and bounds must stay
     /// fixed for the sweep's duration (the borrow enforces exclusivity); the
-    /// objective is overwritten by every [`BatchSolver::solve`].
+    /// objective is overwritten by every solve.
     pub fn new(model: &'m mut Model) -> Self {
         BatchSolver {
             model,
@@ -135,7 +135,8 @@ impl<'m> BatchSolver<'m> {
 
     /// Sets `sense expr` as the objective and solves, warm-starting from the
     /// previous solve's basis when one is available (and
-    /// [`SolveOptions::warm_start`] is on).
+    /// [`SolveOptions::warm_start`] is on): [`BatchSolver::solve_slot`] with
+    /// an empty slot.
     ///
     /// # Errors
     ///
@@ -145,6 +146,40 @@ impl<'m> BatchSolver<'m> {
         sense: Sense,
         expr: impl Into<LinExpr>,
         opts: &SolveOptions,
+    ) -> Result<Solution, SolveError> {
+        self.solve_slot(sense, expr, opts, &mut None)
+    }
+
+    /// Sets `sense expr` as the objective and solves it, with a persistent
+    /// per-objective basis `slot` spanning sweeps: the solve starts from the
+    /// basis the *previous sweep* stored for this same objective (a
+    /// cross-sweep warm start, counted in [`BatchStats::seed_hits`]) and
+    /// writes its own final basis back for the next one. With an empty slot
+    /// it chains from the previous solve of this sweep instead, and the
+    /// sweep's first solve runs cold.
+    ///
+    /// With a live resident the restore reuses the compiled skeleton and
+    /// working arrays and pays only a basis refactorization
+    /// ([`Resident::resolve_from`]); the sweep's first solve rebuilds the
+    /// engine from the snapshot. A stored basis whose point is no longer
+    /// primal feasible — the model's RHS or bounds moved since the slot was
+    /// written — is repaired in place by the sparse engine's bounded dual
+    /// simplex and still counts as a seed hit. A restore that cannot
+    /// complete (shape mismatch, singular basis, a repair that finds no
+    /// entering column or hits the pivot cap, a failed residual check, or
+    /// any stale point on the dense engine) is a warm miss and falls back to
+    /// a cold solve, so the slot is advisory and never affects results, only
+    /// the work counters.
+    ///
+    /// # Errors
+    ///
+    /// See [`SolveError`]; identical failure modes to [`Model::solve_with`].
+    pub fn solve_slot(
+        &mut self,
+        sense: Sense,
+        expr: impl Into<LinExpr>,
+        opts: &SolveOptions,
+        slot: &mut Option<Basis>,
     ) -> Result<Solution, SolveError> {
         self.model.set_objective(sense, expr);
         self.stats.solves += 1;
@@ -157,16 +192,6 @@ impl<'m> BatchSolver<'m> {
             self.stats.pivots += sol.stats.pivots;
             return Ok(sol);
         }
-
-        // Problem-size escape hatch (see `SolveOptions::warm_start_cell_limit`
-        // — effectively unlimited by default now that the sparse revised
-        // simplex makes warm pivots cost the same as cold ones; a finite
-        // limit reproduces the old dense-engine gating). The working set is
-        // `[A | I_slack | I_art]`, i.e. up to n + 2m columns — one slack per
-        // row plus at worst one artificial per row.
-        let m = self.model.num_constraints() as u64;
-        let cells = m.saturating_mul(2 * m + self.model.num_vars() as u64);
-        let warm_allowed = opts.warm_start && cells <= opts.warm_start_cell_limit;
 
         // A resident factorization belongs to the engine that ran the cold
         // solve; if the caller switches `opts.engine` mid-sweep (e.g. for a
@@ -181,130 +206,16 @@ impl<'m> BatchSolver<'m> {
             self.resident = None;
         }
 
-        if warm_allowed {
-            if let Some(resident) = &mut self.resident {
-                match resident.resolve(self.model, opts) {
-                    Ok(ResolveOutcome::Solved(sol)) => {
-                        self.stats.warm_hits += 1;
-                        self.stats.pivots += sol.stats.pivots;
-                        self.stats.pivots_saved +=
-                            self.last_cold_pivots.saturating_sub(sol.stats.pivots);
-                        return Ok(sol);
-                    }
-                    Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
-                        // Fall through to a cold solve.
-                        self.stats.warm_misses += 1;
-                        self.stats.pivots += wasted_pivots;
-                        self.resident = None;
-                    }
-                    Err(e) => {
-                        self.resident = None;
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        self.stats.cold_solves += 1;
-        match simplex::solve_lp_resident(self.model, opts) {
-            Ok((sol, resident)) => {
-                self.stats.pivots += sol.stats.pivots;
-                self.last_cold_pivots = sol.stats.pivots;
-                self.resident = if warm_allowed { resident } else { None };
-                Ok(sol)
-            }
-            Err(e) => {
-                self.resident = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// [`BatchSolver::solve`] with a persistent per-objective basis `slot`
-    /// spanning sweeps: the solve starts from the basis the *previous sweep*
-    /// stored for this same objective (a cross-sweep warm start, counted in
-    /// [`BatchStats::seed_hits`]) and writes its own final basis back for
-    /// the next one.
-    ///
-    /// With a live resident the restore reuses the compiled skeleton and
-    /// working arrays and pays only a basis refactorization
-    /// ([`Resident::resolve_from`]); the sweep's first solve rebuilds the
-    /// engine from the snapshot. A stored basis whose point is no longer
-    /// primal feasible — the model's RHS or bounds moved since the slot was
-    /// written — is repaired in place by the sparse engines' bounded dual
-    /// simplex and still counts as a seed hit. A restore that cannot
-    /// complete (shape mismatch, singular basis, a repair that finds no
-    /// entering column or hits the pivot cap, a failed residual check, or
-    /// any stale point on the dense engine) is a warm miss and falls back to
-    /// a cold solve, so the slot is advisory and never affects results, only
-    /// the work counters.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`]; identical failure modes to [`BatchSolver::solve`].
-    pub fn solve_slot(
-        &mut self,
-        sense: Sense,
-        expr: impl Into<LinExpr>,
-        opts: &SolveOptions,
-        slot: &mut Option<Basis>,
-    ) -> Result<Solution, SolveError> {
-        self.model.set_objective(sense, expr);
-        self.stats.solves += 1;
-        self.model.validate()?;
-
-        if self.model.num_integers() > 0 {
-            // Mixed models: no warm start, same dispatch as `solve`.
-            self.stats.cold_solves += 1;
-            let sol = branch_bound::solve_milp(self.model, opts)?;
-            self.stats.pivots += sol.stats.pivots;
-            return Ok(sol);
-        }
-
-        let m = self.model.num_constraints() as u64;
-        let cells = m.saturating_mul(2 * m + self.model.num_vars() as u64);
-        let warm_allowed = opts.warm_start && cells <= opts.warm_start_cell_limit;
-
-        if self
-            .resident
-            .as_ref()
-            .is_some_and(|r| r.engine() != opts.engine)
-        {
-            self.resident = None;
-        }
-
-        if warm_allowed {
-            if let Some(warm) = slot.as_ref() {
+        if opts.warm_start {
+            let attempt = match (slot.as_ref(), self.resident.as_mut()) {
                 // Slot restore against the live engine: skeleton and working
                 // arrays are reused, only the basis is refactorized.
-                if let Some(resident) = &mut self.resident {
-                    match resident.resolve_from(self.model, opts, warm) {
-                        Ok(ResolveOutcome::Solved(sol)) => {
-                            self.stats.warm_hits += 1;
-                            self.stats.seed_hits += 1;
-                            self.stats.pivots += sol.stats.pivots;
-                            self.stats.pivots_saved +=
-                                self.last_cold_pivots.saturating_sub(sol.stats.pivots);
-                            self.store_slot(slot);
-                            return Ok(sol);
-                        }
-                        Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
-                            // The failed restore may have left the engine
-                            // inconsistent; a full rebuild from the same
-                            // snapshot would reject for the same reason, so
-                            // go straight to a cold solve.
-                            self.stats.warm_misses += 1;
-                            self.stats.pivots += wasted_pivots;
-                            self.resident = None;
-                        }
-                        Err(e) => {
-                            self.resident = None;
-                            return Err(e);
-                        }
-                    }
-                } else {
-                    // First solve of the sweep: rebuild the engine once from
-                    // the stored snapshot; later slot solves rebase it.
+                (Some(warm), Some(resident)) => Some(resident.resolve_from(self.model, opts, warm)),
+                // Empty slot: chain from the previous solve of this sweep.
+                (None, Some(resident)) => Some(resident.resolve(self.model, opts)),
+                // First solve of the sweep: rebuild the engine once from the
+                // stored snapshot; later slot solves rebase it.
+                (Some(warm), None) => {
                     match simplex::solve_lp_warm_resident(self.model, opts, warm)? {
                         WarmResidentOutcome::Solved(sol, resident) => {
                             self.stats.warm_hits += 1;
@@ -319,28 +230,34 @@ impl<'m> BatchSolver<'m> {
                             self.stats.pivots += wasted_pivots;
                         }
                     }
+                    None
                 }
-            } else if let Some(resident) = &mut self.resident {
-                // Empty slot: chain from the previous solve as `solve` does.
-                match resident.resolve(self.model, opts) {
-                    Ok(ResolveOutcome::Solved(sol)) => {
-                        self.stats.warm_hits += 1;
-                        self.stats.pivots += sol.stats.pivots;
-                        self.stats.pivots_saved +=
-                            self.last_cold_pivots.saturating_sub(sol.stats.pivots);
-                        self.store_slot(slot);
-                        return Ok(sol);
-                    }
-                    Ok(ResolveOutcome::Rejected { wasted_pivots }) => {
-                        self.stats.warm_misses += 1;
-                        self.stats.pivots += wasted_pivots;
-                        self.resident = None;
-                    }
-                    Err(e) => {
-                        self.resident = None;
-                        return Err(e);
-                    }
+                (None, None) => None,
+            };
+            match attempt {
+                Some(Ok(ResolveOutcome::Solved(sol))) => {
+                    self.stats.warm_hits += 1;
+                    self.stats.seed_hits += u64::from(slot.is_some());
+                    self.stats.pivots += sol.stats.pivots;
+                    self.stats.pivots_saved +=
+                        self.last_cold_pivots.saturating_sub(sol.stats.pivots);
+                    self.store_slot(slot);
+                    return Ok(sol);
                 }
+                Some(Ok(ResolveOutcome::Rejected { wasted_pivots })) => {
+                    // The failed attempt may have left the engine
+                    // inconsistent; a full rebuild from the same snapshot
+                    // would reject for the same reason, so go straight to a
+                    // cold solve.
+                    self.stats.warm_misses += 1;
+                    self.stats.pivots += wasted_pivots;
+                    self.resident = None;
+                }
+                Some(Err(e)) => {
+                    self.resident = None;
+                    return Err(e);
+                }
+                None => {}
             }
         }
 
@@ -349,7 +266,7 @@ impl<'m> BatchSolver<'m> {
             Ok((sol, resident)) => {
                 self.stats.pivots += sol.stats.pivots;
                 self.last_cold_pivots = sol.stats.pivots;
-                self.resident = if warm_allowed { resident } else { None };
+                self.resident = if opts.warm_start { resident } else { None };
                 self.store_slot(slot);
                 Ok(sol)
             }
@@ -368,38 +285,6 @@ impl<'m> BatchSolver<'m> {
         if let Some(b) = self.snapshot() {
             *slot = Some(b);
         }
-    }
-
-    /// Solves every `(sense, expr)` objective in order, returning one result
-    /// per objective. Failures are per-objective — a failed solve does not
-    /// abort the rest of the sweep (matching the certifier's per-query
-    /// fallback semantics).
-    pub fn sweep(
-        &mut self,
-        objectives: impl IntoIterator<Item = (Sense, LinExpr)>,
-        opts: &SolveOptions,
-    ) -> Vec<Result<Solution, SolveError>> {
-        objectives
-            .into_iter()
-            .map(|(sense, expr)| self.solve(sense, expr, opts))
-            .collect()
-    }
-
-    /// Minimizes then maximizes `expr`, returning `(min, max)` objective
-    /// values — the warm-started counterpart of [`Model::solve_range`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`].
-    pub fn solve_range(
-        &mut self,
-        expr: impl Into<LinExpr>,
-        opts: &SolveOptions,
-    ) -> Result<(f64, f64), SolveError> {
-        let e = expr.into();
-        let lo = self.solve(Sense::Minimize, e.clone(), opts)?.objective;
-        let hi = self.solve(Sense::Maximize, e, opts)?.objective;
-        Ok((lo, hi))
     }
 }
 
@@ -440,15 +325,23 @@ mod tests {
             .collect();
 
         let mut batch = BatchSolver::new(&mut m);
-        let warm: Vec<f64> = batch
-            .sweep(objectives, &opts)
+        let mut slots: Vec<Option<Basis>> = vec![None; objectives.len()];
+        let warm: Vec<f64> = objectives
             .into_iter()
-            .map(|r| r.expect("warm sweep solves").objective)
+            .zip(&mut slots)
+            .map(|((sense, e), slot)| {
+                let sol = batch.solve_slot(sense, e, &opts, slot);
+                sol.expect("warm sweep solves").objective
+            })
             .collect();
 
         for (w, c) in warm.iter().zip(&cold) {
             assert!((w - c).abs() < 1e-9, "warm {w} vs cold {c}");
         }
+        assert!(
+            slots.iter().all(Option::is_some),
+            "every solve stores its basis"
+        );
         let stats = batch.stats();
         assert_eq!(stats.solves, 5);
         assert_eq!(stats.cold_solves + stats.warm_hits + stats.warm_misses, 5);
@@ -545,7 +438,7 @@ mod tests {
     fn redundant_equality_rows_stay_warm() {
         // The duplicated hyperplane keeps a frozen artificial in the final
         // basis. A `Basis` snapshot cannot represent that (see
-        // `Model::solve_with_basis`), but the live resident tableau carries
+        // `BatchSolver::snapshot`), but the live resident tableau carries
         // the frozen artificial along, so the sweep still warm-starts — and
         // must still agree with `Model::solve`.
         let mut m = Model::new();
@@ -629,59 +522,43 @@ mod tests {
 
     /// Slots stored before the RHS moved hold bases whose restored points
     /// are primal infeasible (`x + y ≤ 6 → 12` puts both optima's vertices
-    /// outside the box or past `2x + y ≤ 9`). The sparse engines repair them
+    /// outside the box or past `2x + y ≤ 9`). The sparse engine repairs them
     /// warm — the sweep's first slot through a rebuilt engine, the second
-    /// through the in-core rebase — and land on the cold optimum.
+    /// through the in-core rebase — and lands on the cold optimum.
     #[test]
     fn stale_slots_are_repaired_by_the_dual_simplex() {
-        for engine in [crate::Engine::Lu, crate::Engine::Eta] {
-            let opts = SolveOptions {
-                engine,
-                ..Default::default()
-            };
-            let (mut m, x, y) = skeleton();
-            let objectives = [3.0 * x + 2.0 * y, 1.0 * x + 3.0 * y];
-            let mut slots = [None, None];
-            let mut batch = BatchSolver::new(&mut m);
-            for (e, slot) in objectives.iter().zip(&mut slots) {
-                batch
-                    .solve_slot(Sense::Maximize, e.clone(), &opts, slot)
-                    .unwrap();
-            }
-            m.update_rhs(0, 12.0);
-
-            let mut batch = BatchSolver::new(&mut m);
-            for ((e, slot), want) in objectives.iter().zip(&mut slots).zip([50.0, 61.0]) {
-                let warm = batch
-                    .solve_slot(Sense::Maximize, e.clone(), &opts, slot)
-                    .unwrap();
-                let cold = batch.model().solve_with(&opts).unwrap();
-                assert!((warm.objective - want / 3.0).abs() < 1e-9, "{engine:?}");
-                let claim = snapped(warm.objective, Sense::Maximize);
-                assert_eq!(
-                    claim.to_bits(),
-                    snapped(cold.objective, Sense::Maximize).to_bits(),
-                    "{engine:?}: warm {} vs cold {}",
-                    warm.objective,
-                    cold.objective
-                );
-                assert!(certifies(batch.model(), &warm, claim), "{engine:?}");
-            }
-            let stats = batch.stats();
-            assert_eq!(stats.warm_misses, 0, "{engine:?}: {stats:?}");
-            assert_eq!(stats.seed_hits, 2, "{engine:?}: {stats:?}");
-            assert_eq!(stats.cold_solves, 0, "{engine:?}: {stats:?}");
-        }
-    }
-
-    #[test]
-    fn solve_range_is_warm_on_the_second_leg() {
-        let (mut m, x, y) = skeleton();
         let opts = SolveOptions::default();
+        let (mut m, x, y) = skeleton();
+        let objectives = [3.0 * x + 2.0 * y, 1.0 * x + 3.0 * y];
+        let mut slots = [None, None];
         let mut batch = BatchSolver::new(&mut m);
-        let (lo, hi) = batch.solve_range(x + y, &opts).unwrap();
-        assert!(lo.abs() < 1e-9);
-        assert!((hi - 6.0).abs() < 1e-6);
-        assert_eq!(batch.stats().warm_hits, 1);
+        for (e, slot) in objectives.iter().zip(&mut slots) {
+            batch
+                .solve_slot(Sense::Maximize, e.clone(), &opts, slot)
+                .unwrap();
+        }
+        m.update_rhs(0, 12.0);
+
+        let mut batch = BatchSolver::new(&mut m);
+        for ((e, slot), want) in objectives.iter().zip(&mut slots).zip([50.0, 61.0]) {
+            let warm = batch
+                .solve_slot(Sense::Maximize, e.clone(), &opts, slot)
+                .unwrap();
+            let cold = batch.model().solve_with(&opts).unwrap();
+            assert!((warm.objective - want / 3.0).abs() < 1e-9);
+            let claim = snapped(warm.objective, Sense::Maximize);
+            assert_eq!(
+                claim.to_bits(),
+                snapped(cold.objective, Sense::Maximize).to_bits(),
+                "warm {} vs cold {}",
+                warm.objective,
+                cold.objective
+            );
+            assert!(certifies(batch.model(), &warm, claim));
+        }
+        let stats = batch.stats();
+        assert_eq!(stats.warm_misses, 0, "{stats:?}");
+        assert_eq!(stats.seed_hits, 2, "{stats:?}");
+        assert_eq!(stats.cold_solves, 0, "{stats:?}");
     }
 }

@@ -11,7 +11,7 @@
 //! cannot certify within 24h" rows of Table I. The solver never reads the
 //! clock itself (determinism lint rule `wall-clock`).
 //!
-//! **Warm nodes.** On the sparse engines the tree compiles its constraint
+//! **Warm nodes.** On the sparse engine the tree compiles its constraint
 //! skeleton once and keeps one live simplex core ([`sparse::NodeLp`]). A
 //! child only tightens one variable bound of its parent, so the parent's
 //! optimal basis stays dual feasible: the child popped right after its
@@ -117,10 +117,10 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
         emit_certificates: false,
         ..opts.clone()
     };
-    // The sparse engines compile the skeleton once for the whole tree
-    // (nodes only override variable bounds, never rows) and re-solve every
+    // The sparse engine compiles the skeleton once for the whole tree
+    // (nodes only override variable bounds, never rows) and re-solves every
     // node in one live core.
-    let mut lp = (opts.engine != Engine::Dense).then(|| NodeLp::new(model, opts));
+    let mut lp = (opts.engine != Engine::Dense).then(|| NodeLp::new(model));
     let warm = opts.warm_start && lp.is_some();
     // The exact checker's view of the rows, built once per tree.
     let rows: Vec<RowRef<'_>> = if warm {
@@ -474,37 +474,27 @@ mod tests {
     /// passes the exact check, so the child is pruned without a cold solve.
     #[test]
     fn infeasible_child_is_pruned_on_a_proved_farkas_ray() {
-        for engine in [crate::Engine::Lu, crate::Engine::Eta] {
-            let opts = crate::SolveOptions {
-                engine,
-                ..Default::default()
-            };
-            let s = capacity_model().solve_with(&opts).unwrap();
-            assert!(
-                (s.objective - 1.0).abs() < 1e-9,
-                "{engine:?}: {}",
-                s.objective
-            );
-            assert_eq!(s.stats.nodes, 3, "{engine:?}: {:?}", s.stats);
-            assert_eq!(s.stats.farkas_pruned, 1, "{engine:?}: {:?}", s.stats);
-            assert_eq!(s.stats.warm_nodes, 1, "{engine:?}: {:?}", s.stats);
-            assert_eq!(s.stats.cold_fallbacks, 0, "{engine:?}: {:?}", s.stats);
+        let s = capacity_model().solve().unwrap();
+        assert!((s.objective - 1.0).abs() < 1e-9, "{}", s.objective);
+        assert_eq!(s.stats.nodes, 3, "{:?}", s.stats);
+        assert_eq!(s.stats.farkas_pruned, 1, "{:?}", s.stats);
+        assert_eq!(s.stats.warm_nodes, 1, "{:?}", s.stats);
+        assert_eq!(s.stats.cold_fallbacks, 0, "{:?}", s.stats);
 
-            // With warm starts off nothing is pruned on a ray.
-            let cold = capacity_model()
-                .solve_with(&crate::SolveOptions {
-                    warm_start: false,
-                    ..opts
-                })
-                .unwrap();
-            assert_eq!(cold.objective.to_bits(), s.objective.to_bits());
-            assert_eq!(
-                (cold.stats.warm_nodes, cold.stats.farkas_pruned),
-                (0, 0),
-                "{engine:?}: {:?}",
-                cold.stats
-            );
-        }
+        // With warm starts off nothing is pruned on a ray.
+        let cold = capacity_model()
+            .solve_with(&crate::SolveOptions {
+                warm_start: false,
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(cold.objective.to_bits(), s.objective.to_bits());
+        assert_eq!(
+            (cold.stats.warm_nodes, cold.stats.farkas_pruned),
+            (0, 0),
+            "{:?}",
+            cold.stats
+        );
     }
 
     /// A warm re-solve that hits the pivot cap is abandoned and the node

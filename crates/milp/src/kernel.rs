@@ -1,6 +1,6 @@
 //! Fixed-width chunked kernels for the FTRAN/BTRAN/pricing inner loops.
 //!
-//! The sparse engines spend almost all of their time in three loop shapes:
+//! The sparse engine spends almost all of its time in three loop shapes:
 //! scatter updates `v[idx[e]] -= val[e]·t` (eta application, the L/U
 //! triangular solves of [`crate::lu`]), gather reductions
 //! `s -= Σ x[idx[e]]·val[e]` (BTRAN, the transposed solves, reduced-cost

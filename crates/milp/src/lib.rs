@@ -8,27 +8,29 @@
 //! * a **two-phase primal simplex** method with *bounded variables*
 //!   ([`Model::solve`] on continuous models). Box bounds are handled directly
 //!   in the ratio test instead of as explicit rows, which matters because the
-//!   certification encodings bound every variable. Three interchangeable
+//!   certification encodings bound every variable. Two interchangeable
 //!   engines implement it behind [`SolveOptions::engine`]: the default
 //!   **sparse LU revised simplex** (CSC storage, real sparse LU
 //!   factorization with hybrid Forrest–Tomlin / product-form updates,
-//!   range-row folding, fill-growth-triggered refactorization), the pure
-//!   **eta-file revised simplex**, and the original **dense tableau** — the
-//!   latter two kept as differential-testing references;
+//!   range-row folding, fill-growth-triggered refactorization) and the
+//!   original **dense tableau**, kept as the independent
+//!   differential-testing oracle;
 //! * a **branch-and-bound** search over integer (in practice binary ReLU
 //!   indicator) variables, with cooperative cancellation ([`StopWhen`],
 //!   typically a caller-built deadline) and node-limit support
-//!   ([`Model::solve`] on mixed models). On the sparse engines every child
+//!   ([`Model::solve`] on mixed models). On the sparse engine every child
 //!   re-solves warm from its parent's basis through a bounded dual simplex,
 //!   and a child the dual ratio test finds infeasible is pruned only once
 //!   its Farkas ray passes `itne_certcheck`'s exact check;
-//! * **warm-started objective sweeps**: a solve's final simplex [`Basis`] can
-//!   be snapshotted and re-injected as the starting basis of the next solve
-//!   over the same constraint skeleton ([`Model::solve_with_basis`]), and
-//!   [`BatchSolver`] drives whole objective batches that way — skipping
-//!   phase 1 on every hit and falling back to a cold solve whenever a
-//!   restored basis cannot complete. This is the certifier's hot path: every
-//!   `LpRelaxY`/`LpRelaxX` sub-problem is "one skeleton, several objectives".
+//! * **warm-started objective sweeps**: [`BatchSolver`] keeps the live
+//!   factorization of one solve resident and reoptimizes the next objective
+//!   over the same constraint skeleton from it, skipping phase 1. Its
+//!   [`BatchSolver::solve_slot`] also restores a [`Basis`] snapshot that an
+//!   earlier sweep stored for the same objective (repairing it with the
+//!   dual simplex when the right-hand sides or bounds moved since), and
+//!   falls back to a cold solve whenever a restore cannot complete. This is
+//!   the certifier's hot path: every `LpRelaxY`/`LpRelaxX` sub-problem is
+//!   "one skeleton, several objectives".
 //!
 //! The API is deliberately Gurobi-shaped: build a [`Model`], add variables with
 //! bounds, add linear constraints, set a linear objective, and solve.
@@ -78,8 +80,8 @@ mod sparse;
 pub use batch::{BatchSolver, BatchStats};
 pub use error::SolveError;
 pub use linexpr::LinExpr;
-pub use model::{Cmp, Model, Sense, VarId, VarType, WarmSolve};
-pub use options::{Engine, Pricing, SolveOptions, StopWhen, TelemetryClock, Tolerances};
+pub use model::{Cmp, Model, Sense, VarId, VarType};
+pub use options::{Engine, SolveOptions, StopWhen, TelemetryClock, Tolerances};
 pub use simplex::Basis;
 
 use serde::{Deserialize, Serialize};
@@ -118,14 +120,14 @@ pub struct Stats {
     /// Structural non-zeros of the solved constraint matrix (the sparsity
     /// the revised simplex exploits; `rows × cols` would be the dense cost).
     pub nnz: u64,
-    /// Basis refactorizations performed (sparse engines: periodic basis
+    /// Basis refactorizations performed (sparse engine: periodic basis
     /// rebuilds plus warm-restore factorizations; dense engine: one per warm
     /// restore).
     pub refactorizations: u64,
-    /// Peak product-form eta-file length during the solve (sparse engines
-    /// only; `0` on the dense engine). On [`Engine::Lu`] this counts the
-    /// *update* etas layered on top of the LU factors since the last
-    /// refactorization.
+    /// Peak update count during the solve: Forrest–Tomlin column
+    /// replacements plus product-form etas layered on top of the LU factors
+    /// since the last refactorization ([`Engine::Lu`] only; `0` on the
+    /// dense engine).
     pub eta_len: u64,
     /// Nanoseconds spent refactorizing the basis. Requires a caller-injected
     /// [`TelemetryClock`] ([`SolveOptions::telemetry`]); `0` otherwise.
@@ -134,7 +136,7 @@ pub struct Stats {
     /// prices). Requires a [`TelemetryClock`]; `0` otherwise.
     pub ftran_btran_time_ns: u64,
     /// Peak stored non-zeros of the LU factors (`L` + `U` fill;
-    /// [`Engine::Lu`] only, `0` on the other engines).
+    /// [`Engine::Lu`] only, `0` on the dense engine).
     pub lu_fill_nnz: u64,
     /// Branch-and-bound nodes re-solved warm from their parent's basis
     /// (dual simplex, then a primal clean-up pass) to an optimum.

@@ -47,21 +47,6 @@ pub enum Sense {
     Maximize,
 }
 
-/// Result of [`Model::solve_warm`]: the solution, the final basis snapshot
-/// for the next solve over this skeleton, and whether the supplied warm
-/// basis actually carried the solve (as opposed to a silent cold fallback).
-#[derive(Clone, Debug)]
-pub struct WarmSolve {
-    /// The solve result, identical to what [`Model::solve_with`] returns.
-    pub solution: crate::Solution,
-    /// Final basis snapshot (continuous models only; `None` after
-    /// branch-and-bound or when no basis exists).
-    pub basis: Option<crate::Basis>,
-    /// `true` iff the supplied warm basis restored successfully and the
-    /// solve reoptimized from it rather than starting cold.
-    pub warm_used: bool,
-}
-
 #[derive(Clone, Debug)]
 pub(crate) struct Column {
     pub lo: f64,
@@ -346,96 +331,6 @@ impl Model {
         }
     }
 
-    /// Re-solves the model for both senses of the same objective expression,
-    /// returning `(min, max)` objective values. Convenience for range
-    /// derivation, which is the certifier's dominant query pattern.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`].
-    pub fn solve_range(
-        &mut self,
-        expr: impl Into<LinExpr>,
-        opts: &SolveOptions,
-    ) -> Result<(f64, f64), SolveError> {
-        let e = expr.into();
-        self.set_objective(Sense::Minimize, e.clone());
-        let lo = self.solve_with(opts)?.objective;
-        self.set_objective(Sense::Maximize, e);
-        let hi = self.solve_with(opts)?.objective;
-        Ok((lo, hi))
-    }
-
-    /// Re-solves the model for a new objective, warm-starting from `warm`
-    /// (the basis snapshot of an earlier solve over the same constraint
-    /// skeleton) when possible, and returns the solution together with a
-    /// snapshot of its own final basis for the next solve.
-    ///
-    /// Warm-starting never changes results: a basis that cannot be restored
-    /// (shape mismatch, singularity, a stale point the engine cannot
-    /// repair) silently falls back to a cold solve. On the sparse engines a
-    /// basis whose restored point the moved RHS or bounds made primal
-    /// infeasible is repaired by the bounded dual simplex; the dense engine
-    /// rejects it. Models with integer variables are solved
-    /// by branch-and-bound and return no snapshot. For sweeping many
-    /// objectives, prefer [`crate::BatchSolver`], which also tracks
-    /// warm-start hit/miss statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`]; identical failure modes to [`Model::solve_with`].
-    pub fn solve_with_basis(
-        &self,
-        opts: &SolveOptions,
-        warm: Option<&crate::Basis>,
-    ) -> Result<(Solution, Option<crate::Basis>), SolveError> {
-        let w = self.solve_warm(opts, warm)?;
-        Ok((w.solution, w.basis))
-    }
-
-    /// [`Model::solve_with_basis`] that also reports whether the warm basis
-    /// actually carried the solve (`warm_used`), so callers keeping
-    /// cross-query basis stores can count real warm hits instead of
-    /// attempts. Identical solving behavior: a basis that cannot be restored
-    /// silently falls back to a cold solve with `warm_used == false`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`]; identical failure modes to [`Model::solve_with`].
-    pub fn solve_warm(
-        &self,
-        opts: &SolveOptions,
-        warm: Option<&crate::Basis>,
-    ) -> Result<WarmSolve, SolveError> {
-        self.validate()?;
-        if self.num_integers() > 0 {
-            return Ok(WarmSolve {
-                solution: branch_bound::solve_milp(self, opts)?,
-                basis: None,
-                warm_used: false,
-            });
-        }
-        if opts.warm_start {
-            if let Some(basis) = warm {
-                if let simplex::WarmOutcome::Solved(solution, basis) =
-                    simplex::solve_lp_warm(self, opts, basis)?
-                {
-                    return Ok(WarmSolve {
-                        solution,
-                        basis,
-                        warm_used: true,
-                    });
-                }
-            }
-        }
-        let (solution, basis) = simplex::solve_lp_snapshot(self, opts)?;
-        Ok(WarmSolve {
-            solution,
-            basis,
-            warm_used: false,
-        })
-    }
-
     pub(crate) fn validate(&self) -> Result<(), SolveError> {
         for (i, c) in self.cols.iter().enumerate() {
             if c.lo.is_nan() || c.hi.is_nan() {
@@ -496,7 +391,6 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolveOptions;
 
     fn toy() -> (Model, VarId, VarId) {
         let mut m = Model::new();
@@ -568,23 +462,5 @@ mod tests {
         assert_eq!(m.bounds(x), (-1.0, 2.0));
         assert_eq!(m.reparam_var(0, 0.0, 1.0, VarType::Integer), None);
         assert_eq!(m.reparam_var(7, 0.0, 1.0, VarType::Continuous), None);
-    }
-
-    #[test]
-    fn solve_warm_reports_warm_used_and_preserves_bits() {
-        let (mut m, x, y) = toy();
-        let opts = SolveOptions::default();
-        let cold = m.solve_warm(&opts, None).expect("feasible");
-        assert!(!cold.warm_used);
-        let basis = cold.basis.clone().expect("continuous model has a basis");
-
-        m.set_objective(Sense::Minimize, 1.0 * x + 4.0 * y);
-        let warm = m.solve_warm(&opts, Some(&basis)).expect("feasible");
-        let coldagain = m.solve_warm(&opts, None).expect("feasible");
-        assert!(warm.warm_used, "restorable basis must carry the solve");
-        assert_eq!(
-            warm.solution.objective.to_bits(),
-            coldagain.solution.objective.to_bits()
-        );
     }
 }

@@ -32,7 +32,7 @@ impl Default for Tolerances {
 
 /// Which simplex implementation runs LP solves (warm and cold).
 ///
-/// All engines implement the same two-phase bounded-variable method with
+/// Both engines implement the same two-phase bounded-variable method with
 /// identical tolerances and termination semantics; they differ only in how
 /// the basis inverse is represented, so swapping engines never changes
 /// which problems are solvable — only how fast pivots are.
@@ -53,40 +53,11 @@ pub enum Engine {
     /// of the ITNE encoding stop inflating the working basis. The default.
     #[default]
     Lu,
-    /// Sparse revised simplex whose basis inverse is a pure
-    /// product-form-of-inverse eta file, periodically rebuilt by
-    /// Gauss-Jordan refactorization (the PR 5 engine). Kept as a
-    /// differential-testing reference; degrades on long pivot runs because
-    /// every refactorization replays the whole basis through the file.
-    Eta,
     /// Dense tableau (the original engine): every pivot rewrites the full
-    /// `B⁻¹·[A | I | I]` tableau. Kept as a differential-testing reference
-    /// and numerical second opinion.
+    /// `B⁻¹·[A | I | I]` tableau. Kept as the independent differential-
+    /// testing oracle and numerical second opinion: it shares no code with
+    /// the sparse engine's factorization, pricing or range folding.
     Dense,
-}
-
-/// Entering-column pricing rule of the sparse engines ([`Engine::Lu`],
-/// [`Engine::Eta`]). The dense engine always uses its Dantzig scan.
-///
-/// Pricing only ranks *which* eligible column enters next; eligibility and
-/// termination are tolerance checks on reduced costs that both rules share,
-/// so the rule changes the pivot path, never the optimum.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Pricing {
-    /// Devex pricing (Forrest–Goldfarb reference-framework weights,
-    /// maintained over the candidate list): ranks columns by
-    /// `d_j² / w_j`, approximating steepest edge at eta-update prices.
-    /// Takes slightly fewer pivots than the Dantzig scan, but on the
-    /// certifier's workload — tens of thousands of small short-run LPs —
-    /// the per-pivot weight maintenance costs more than the saved pivots
-    /// return (measured ~15% slower end-to-end), so it is the fallback,
-    /// not the default.
-    Devex,
-    /// Candidate-list Dantzig scan: ranks columns by `|d_j|` alone. The
-    /// default — cheapest per pivot, and the measured end-to-end winner on
-    /// short-run-dominated workloads.
-    #[default]
-    Dantzig,
 }
 
 /// A caller-injected monotonic nanosecond clock for engine telemetry
@@ -181,44 +152,27 @@ pub struct SolveOptions {
     /// the incumbent with [`crate::Status::TimedOut`] (or
     /// [`crate::SolveError::Timeout`] if none exists).
     pub stop: Option<StopWhen>,
-    /// Allow [`crate::BatchSolver`] (and [`crate::Model::solve_with_basis`])
-    /// to reuse the basis of an earlier solve instead of running phase 1
-    /// from scratch, and branch-and-bound on the sparse engines to re-solve
-    /// each node warm from its parent's basis (dual simplex). Disabling
-    /// forces every solve and every node cold — useful to prove
-    /// warm-started results are a pure optimization (see the golden
-    /// regression tests) and to bisect suspected solver issues.
+    /// Allow [`crate::BatchSolver`] to reuse the basis of an earlier solve
+    /// instead of running phase 1 from scratch, and branch-and-bound on the
+    /// sparse engine to re-solve each node warm from its parent's basis
+    /// (dual simplex). Disabling forces every solve and every node cold —
+    /// useful to prove warm-started results are a pure optimization (see
+    /// the golden regression tests) and to bisect suspected solver issues.
     pub warm_start: bool,
-    /// Problem-size ceiling (rows × worst-case columns, `m·(n + 2m)`) above
-    /// which [`crate::BatchSolver`] re-solves cold even when `warm_start` is
-    /// on. This gate existed for the dense engine, where a warm
-    /// reoptimization always starts from the previous solve's *fully dense*
-    /// tableau end state and loses wall-clock on very large sub-problems
-    /// despite winning the pivot count. The sparse revised simplex engines
-    /// ([`Engine::Lu`], [`Engine::Eta`]) have no dense end state — their
-    /// pivots cost the same warm or cold — so the default is now effectively
-    /// unlimited (`u64::MAX`). The knob remains as an escape hatch: set a
-    /// finite limit to reproduce the old gating (e.g. when forcing
-    /// [`Engine::Dense`] for differential runs).
-    pub warm_start_cell_limit: u64,
     /// Which simplex engine runs LP solves. See [`Engine`].
     pub engine: Engine,
-    /// Entering-column pricing rule of the sparse engines. See [`Pricing`].
-    pub pricing: Pricing,
     /// Emit a [`crate::DualCertificate`] on every optimal pure-LP
     /// termination (one BTRAN pass plus a sparse mat-vec per solve — cheap,
     /// so the default is on). Branch-and-bound turns this off for its node
     /// relaxations, whose duals nobody consumes.
     pub emit_certificates: bool,
     /// Sparse-engine refactorization cadence: refactorize the basis after
-    /// this many pivots. `0` means "scale with the engine and model size":
-    /// the eta engine rebuilds after `(m/2).clamp(64, 256)` pivots (its
-    /// refactorization replays the whole basis through the file, so it must
-    /// stay frequent to bound FTRAN length); the LU engine after
-    /// `(8m).max(2000)` pivots, because its cadence is really governed by
-    /// *measured fill growth* — the updates are folded back into fresh
-    /// factors whenever their accumulated fill outgrows twice the factors'
-    /// own, independent of this knob.
+    /// this many pivots. `0` (the default) means `(8m).max(2000)` pivots, a
+    /// drift backstop only: the cadence is really governed by *measured
+    /// fill growth* — the updates are folded back into fresh LU factors
+    /// whenever their accumulated fill outgrows twice the factors' own,
+    /// independent of this knob. The refactorization-equivalence tests set
+    /// it to `1` to rebuild after every pivot.
     pub refactor_interval: u64,
     /// Optional monotonic clock for timing telemetry
     /// (`Stats::{refactor_time_ns, ftran_btran_time_ns}`). See
@@ -234,9 +188,7 @@ impl Default for SolveOptions {
             max_nodes: 20_000_000,
             stop: None,
             warm_start: true,
-            warm_start_cell_limit: u64::MAX,
             engine: Engine::default(),
-            pricing: Pricing::default(),
             emit_certificates: true,
             refactor_interval: 0,
             telemetry: None,

@@ -33,10 +33,10 @@ pub(crate) enum ColState {
 /// A reusable snapshot of a simplex basis: which column occupies each row
 /// plus the resting state of every structural and slack column.
 ///
-/// Produced by [`crate::Model::solve_with_basis`] (and internally by every
-/// successful LP solve) and re-injected as the *starting* basis of a later
-/// solve over the **same** constraint skeleton — typically with a different
-/// objective. Restoring skips phase 1 entirely: the basis is refactorized
+/// Stored by [`crate::BatchSolver::solve_slot`] after every successful LP
+/// solve and re-injected as the *starting* basis of a later solve over the
+/// **same** constraint skeleton — typically in a later sweep, after the
+/// right-hand sides or bounds moved. Restoring skips phase 1 entirely: the basis is refactorized
 /// against the original matrix and phase 2 reoptimizes from there. A snapshot
 /// is only meaningful for the model shape that produced it; restoring it
 /// elsewhere is detected (shape/feasibility checks) and rejected, at which
@@ -66,33 +66,21 @@ impl Basis {
     }
 }
 
-/// Outcome of a warm-started solve attempt (crate-internal: callers decide
-/// how to fall back and how to count the attempt). Transient — consumed
-/// immediately at each call site, so the size skew between variants never
-/// sits in a collection.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum WarmOutcome {
-    /// The restored basis reoptimized to optimality.
-    Solved(Solution, Option<Basis>),
-    /// The basis could not be restored (shape mismatch, singular
-    /// refactorization, a stale point the engine could not repair, or
-    /// numerical trouble during reoptimization). The caller should solve
-    /// cold.
-    Rejected,
-}
-
-/// [`WarmOutcome`] whose success variant keeps the live engine state instead
-/// of flattening it to a [`Basis`] snapshot, so a slot sweep
-/// ([`crate::BatchSolver::solve_slot`]) can chain later objectives through
-/// in-place reoptimization — paying the snapshot-restore refactorization
-/// once per sweep rather than once per solve.
+/// Outcome of restoring a [`Basis`] snapshot into a fresh engine
+/// ([`solve_lp_warm_resident`]). Success keeps the live engine state, so a
+/// slot sweep ([`crate::BatchSolver::solve_slot`]) can chain later
+/// objectives through in-place reoptimization — paying the snapshot-restore
+/// refactorization once per sweep rather than once per solve.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum WarmResidentOutcome {
     /// The restored basis reoptimized to optimality; the live engine stays
     /// available for [`Resident::resolve`].
     Solved(Solution, Option<Resident>),
-    /// See [`WarmOutcome::Rejected`]. Carries the pivots the abandoned
-    /// attempt burned, as [`ResolveOutcome::Rejected`] does.
+    /// The basis could not be restored (shape mismatch, singular
+    /// refactorization, a stale point the engine could not repair, or
+    /// numerical trouble during reoptimization); the caller should solve
+    /// cold. Carries the pivots the abandoned attempt burned, as
+    /// [`ResolveOutcome::Rejected`] does.
     Rejected { wasted_pivots: u64 },
 }
 
@@ -127,7 +115,7 @@ impl Resident {
     pub(crate) fn engine(&self) -> Engine {
         match self {
             Resident::Dense(_) => Engine::Dense,
-            Resident::Sparse(r) => r.engine(),
+            Resident::Sparse(_) => Engine::Lu,
         }
     }
 
@@ -146,8 +134,8 @@ impl Resident {
 
     /// [`Resident::resolve`], but restoring `warm` as the starting basis
     /// instead of continuing from the current one — the slot-restore path of
-    /// a resident sweep. Sparse engines reuse the live core (skeleton and
-    /// working arrays), pay one basis refactorization, and repair a stale
+    /// a resident sweep. The sparse engine reuses the live core (skeleton and
+    /// working arrays), pays one basis refactorization, and repairs a stale
     /// point with the dual simplex ([`sparse::SparseResident::resolve_from`]);
     /// the dense engine rejects, so its callers fall back to a chain or cold
     /// solve (dense exists for differential testing, not throughput).
@@ -562,21 +550,6 @@ pub(crate) fn solve_lp(model: &Model, opts: &SolveOptions) -> Result<Solution, S
     solve_lp_bounded(model, &bounds, opts)
 }
 
-/// [`solve_lp`] that also extracts a [`Basis`] snapshot for warm-starting a
-/// later solve over the same skeleton.
-pub(crate) fn solve_lp_snapshot(
-    model: &Model,
-    opts: &SolveOptions,
-) -> Result<(Solution, Option<Basis>), SolveError> {
-    if opts.engine != Engine::Dense {
-        return sparse::solve_snapshot(model, opts);
-    }
-    let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, t) = solve_lp_core(model, &bounds, opts, &mut 0)?;
-    let snapshot = t.and_then(|t| t.snapshot(model.cols.len()));
-    Ok((sol, snapshot))
-}
-
 /// [`solve_lp`] that also hands back the live factorized engine state for
 /// in-place reoptimization under later objectives ([`Resident::resolve`]).
 pub(crate) fn solve_lp_resident(
@@ -810,7 +783,7 @@ fn finish(
 }
 
 /// The per-engine work counters a terminated solve reports into [`Stats`].
-/// The dense engine only has pivots; the sparse engines fill the rest
+/// The dense engine only has pivots; the sparse engine fills the rest
 /// (timing counters only when a [`crate::TelemetryClock`] was injected).
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct EngineCounters {
@@ -877,36 +850,23 @@ pub(crate) fn finish_values(
     })
 }
 
-/// Attempts a warm-started solve: restore `warm`, refactorize it against the
-/// original matrix, and reoptimize phase 2 under the model's current
-/// objective. Phase 1 is skipped entirely. The restored basis is primal
-/// feasible when the constraint data is unchanged; when the RHS or the
-/// bounds moved, the sparse engines first repair it with the bounded dual
-/// simplex, while the dense engine rejects it.
+/// Warm-started solve from a [`Basis`] snapshot: restore `warm`,
+/// refactorize it against the original matrix, and reoptimize phase 2 under
+/// the model's current objective, skipping phase 1 entirely. The restored
+/// basis is primal feasible when the constraint data is unchanged; when the
+/// RHS or the bounds moved, the sparse engine first repairs it with the
+/// bounded dual simplex, while the dense engine rejects it.
 ///
-/// Anything that prevents completing from the restored basis (shape mismatch,
-/// a singular refactorization, a stale point the engine cannot repair,
-/// iteration limits, residual failures) yields [`WarmOutcome::Rejected`] so
-/// the caller can fall back to a cold solve; only genuine model-level errors
-/// ([`SolveError::Unbounded`], invalid bounds) propagate as `Err`.
-pub(crate) fn solve_lp_warm(
-    model: &Model,
-    opts: &SolveOptions,
-    warm: &Basis,
-) -> Result<WarmOutcome, SolveError> {
-    Ok(match solve_lp_warm_resident(model, opts, warm)? {
-        WarmResidentOutcome::Solved(sol, res) => {
-            WarmOutcome::Solved(sol, res.as_ref().and_then(Resident::snapshot))
-        }
-        WarmResidentOutcome::Rejected { .. } => WarmOutcome::Rejected,
-    })
-}
-
-/// [`solve_lp_warm`] variant that hands back the live engine state on
-/// success (see [`WarmResidentOutcome`]): the slot path of a batch sweep
+/// On success the live engine state comes back (see
+/// [`WarmResidentOutcome`]): the slot path of a batch sweep
 /// ([`crate::BatchSolver::solve_slot`]) installs it as the sweep's resident
 /// tableau, so the restore refactorization is paid once per sweep instead of
-/// once per solve.
+/// once per solve. Anything that prevents completing from the restored basis
+/// (shape mismatch, a singular refactorization, a stale point the engine
+/// cannot repair, iteration limits, residual failures) is
+/// [`WarmResidentOutcome::Rejected`] so the caller can fall back to a cold
+/// solve; only genuine model-level errors ([`SolveError::Unbounded`],
+/// invalid bounds) propagate as `Err`.
 pub(crate) fn solve_lp_warm_resident(
     model: &Model,
     opts: &SolveOptions,

@@ -1,4 +1,4 @@
-//! Sparse revised simplex: the default LP engine family.
+//! Sparse revised simplex: the default LP engine ([`crate::Engine::Lu`]).
 //!
 //! Where the dense engine ([`crate::simplex`]) maintains the whole
 //! `B⁻¹·[A | I | I]` tableau explicitly — making every pivot O(m·n)
@@ -8,50 +8,44 @@
 //! * the constraint rows are compiled **once** per model into a [`Skeleton`]:
 //!   the structural columns of `A` in compressed-sparse-column form plus the
 //!   per-row slack bounds, shared (`Arc`) across branch-and-bound nodes and
-//!   resident sweeps. Under [`Engine::Lu`] the skeleton also performs
-//!   **range-row folding**: an adjacent `≤`/`≥` pair over identical terms
-//!   (the `[A | I]` box constraints of the ITNE encoding) becomes one row
-//!   whose slack carries *both* bounds, halving the working basis for those
-//!   rows instead of spending a basis column on each side;
-//! * `B⁻¹` is never formed. Under [`Engine::Lu`] it is a **sparse LU
-//!   factorization** of the basis ([`crate::lu`]: static Markowitz ordering,
-//!   threshold partial pivoting) plus a hybrid update scheme: a pivot lands
-//!   as a **Forrest–Tomlin column replacement** inside the factors when its
-//!   `U`-tail is short (the factors stay exact and the representation does
-//!   not grow) and as a product-form eta on top of them otherwise. A fresh
-//!   solve starts from the trivial `diag(±1)` slack basis, whose FTRAN and
-//!   BTRAN are pure sign flips — so the certifier's tens of thousands of
-//!   short solves never pay for a factorization at all. Under
-//!   [`Engine::Eta`] it is the PR 5 pure product-form eta file, kept as a
-//!   differential-testing reference. Systems with `B` are solved by running
-//!   a vector through the representation — FTRAN for `w = B⁻¹·a` (the
-//!   entering column of the ratio test), BTRAN for `y = c_B·B⁻¹` (the dual
-//!   prices behind reduced costs);
-//! * pricing is **candidate-list partial pricing** with two ranking rules
-//!   ([`Pricing`]): the largest-reduced-cost Dantzig scan (the default —
-//!   cheapest per pivot, which wins on the short-run-dominated workload) or
-//!   devex reference-framework weights (`d_j²/w_j`). A full O(ncols) scan
-//!   runs only to (re)fill the candidate list; ordinary iterations re-price
-//!   just the candidates. Bland's anti-cycling rule falls back to a full
+//!   resident sweeps. The skeleton also performs **range-row folding**: an
+//!   adjacent `≤`/`≥` pair over identical terms (the `[A | I]` box
+//!   constraints of the ITNE encoding) becomes one row whose slack carries
+//!   *both* bounds, halving the working basis for those rows instead of
+//!   spending a basis column on each side;
+//! * `B⁻¹` is never formed. It is a **sparse LU factorization** of the basis
+//!   ([`crate::lu`]: static Markowitz ordering, threshold partial pivoting)
+//!   plus a hybrid update scheme: a pivot lands as a **Forrest–Tomlin column
+//!   replacement** inside the factors when its `U`-tail is short (the
+//!   factors stay exact and the representation does not grow) and as a
+//!   product-form eta on top of them otherwise. A fresh solve starts from
+//!   the trivial `diag(±1)` slack basis, whose FTRAN and BTRAN are pure sign
+//!   flips — so the certifier's tens of thousands of short solves never pay
+//!   for a factorization at all. Systems with `B` are solved by running a
+//!   vector through the representation — FTRAN for `w = B⁻¹·a` (the entering
+//!   column of the ratio test), BTRAN for `y = c_B·B⁻¹` (the dual prices
+//!   behind reduced costs);
+//! * pricing is **candidate-list partial pricing** with the
+//!   largest-reduced-cost Dantzig rank, the cheapest per pivot, which wins
+//!   on the short-run-dominated workload. A full O(ncols) scan runs only to
+//!   (re)fill the candidate list; ordinary iterations re-price just the
+//!   candidates. Bland's anti-cycling rule falls back to a full
 //!   first-eligible scan, exactly like the dense engine;
-//! * the factorization is **refreshed on measured fill growth**. The eta
-//!   engine refactorizes on a short pivot budget (its whole representation
-//!   *is* the file). The LU engine refactorizes only when its update file's
-//!   accumulated fill outgrows twice the factors' own non-zeros (with a
-//!   floor that lets short solves finish entirely on the trivial basis plus
-//!   etas) — i.e. cadence keyed off observed fill growth, not a fixed small
-//!   constant. Refactorization also recomputes the basic values from the
-//!   original data, resetting accumulated round-off.
+//! * the factorization is **refreshed on measured fill growth**: only when
+//!   the update file's accumulated fill outgrows twice the factors' own
+//!   non-zeros (with a floor that lets short solves finish entirely on the
+//!   trivial basis plus etas), not on a fixed small pivot cadence.
+//!   Refactorization also recomputes the basic values from the original
+//!   data, resetting accumulated round-off.
 //!
 //! Per-iteration cost is therefore one BTRAN + a handful of sparse dot
 //! products + one FTRAN + O(m) value updates, instead of an O(m·ncols) dense
-//! tableau sweep — and on long pivot runs the LU engine's solves stay short
-//! where the eta file used to degrade into constant refactorization.
+//! tableau sweep.
 //!
 //! Semantics (two-phase method, bounded variables, bound flips, tolerances,
 //! ratio-test tie-breaking, pricing→Bland switching) deliberately mirror the
-//! dense engine; the proptests run every random skeleton through all three
-//! engines and assert identical optima.
+//! dense engine; the proptests run every random skeleton through both
+//! engines and assert identical snapped optima.
 
 use std::sync::Arc;
 
@@ -59,7 +53,7 @@ use crate::error::SolveError;
 use crate::kernel;
 use crate::lu::LuFactors;
 use crate::model::{Cmp, Model, Sense};
-use crate::options::{Engine, Pricing, SolveOptions, TelemetryClock};
+use crate::options::{SolveOptions, TelemetryClock};
 use crate::simplex::{
     finish_values, initial_value, slack_bounds, solve_unconstrained, Basis, ColState,
     EngineCounters, Resident, ResolveOutcome, WarmResidentOutcome,
@@ -146,6 +140,7 @@ impl SparseMatrix {
     }
 
     /// Structural non-zero count.
+    #[cfg(test)]
     pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
@@ -168,7 +163,7 @@ enum RowOrigin {
 /// the CSC matrix of internal rows, their right-hand sides and slack bounds,
 /// and the mapping back to model rows for dual expansion.
 ///
-/// Folding (LU engine only) is purely an internal reformulation: primal
+/// Folding is purely an internal reformulation: primal
 /// values, objective, and the *expanded* duals are exactly what the unfolded
 /// problem produces, which is what keeps the certcheck contract intact.
 pub(crate) struct Skeleton {
@@ -184,7 +179,7 @@ impl Skeleton {
     /// Compiles `model`'s rows. With `fold` on, adjacent `≤`/`≥` pairs over
     /// identical terms with `rhs_le ≥ rhs_ge` become range rows; a *crossed*
     /// pair (`rhs_le < rhs_ge`, trivially infeasible) is left unfolded so
-    /// phase 1 reports infeasibility exactly like the other engines.
+    /// phase 1 reports infeasibility exactly like the dense engine.
     pub(crate) fn build(model: &Model, fold: bool) -> Self {
         let m_model = model.rows.len();
         let mut origin = Vec::with_capacity(m_model);
@@ -279,9 +274,8 @@ impl Skeleton {
     }
 }
 
-/// The product-form-of-inverse representation of `B⁻¹` (or, under
-/// [`Engine::Lu`], of the *update* since the last LU refactorization) as a
-/// sequence of elementary eta matrices: each pivot appends one eta, and
+/// The product-form representation of the basis *update* since the last LU
+/// refactorization, as a sequence of elementary eta matrices: each pivot appends one eta, and
 /// systems are solved by running a vector through the file — forward for
 /// FTRAN, backward for BTRAN. Everything is stored in flat contiguous arrays
 /// so both passes stream linearly through memory (the engine's innermost
@@ -326,14 +320,6 @@ impl EtaFile {
     /// behind the refactorization trigger.
     fn nnz(&self) -> usize {
         self.rows.len() + self.idx.len()
-    }
-
-    /// Appends a fill-free eta with a single diagonal `pivot` at `row`
-    /// (seeds the `diag(±1)` starting basis in O(1), no scratch column).
-    fn push_unit(&mut self, row: usize, pivot: f64) {
-        self.rows.push(row);
-        self.pivots.push(pivot);
-        self.ptr.push(self.idx.len());
     }
 
     /// Appends the eta of a pivot at `row` on the FTRAN'd column `w`.
@@ -384,86 +370,56 @@ impl EtaFile {
 /// keep the factors exact with zero file growth.
 const FT_TAIL_MAX: usize = 32;
 
-/// The basis-inverse representation, per engine. Under [`Engine::Eta`]
-/// every pivot since the solve began lives in a product-form eta file.
-/// Under [`Engine::Lu`] the LU factors carry the basis: cheap pivots fold
-/// in via Forrest–Tomlin column replacement (factors stay exact, nothing
-/// grows), expensive ones append to a product-form eta file *on top of* the
-/// factors until the next refactorization discards it.
-// One `Inverse` exists per solver core, so the variant-size skew costs a few
-// hundred bytes total; boxing `LuFactors` would instead put a pointer chase
-// on every FTRAN/BTRAN of the hot path.
-#[allow(clippy::large_enum_variant)]
-enum Inverse {
-    Eta(EtaFile),
-    Lu { lu: LuFactors, etas: EtaFile },
+/// The basis-inverse representation: the LU factors carry the basis; cheap
+/// pivots fold in via Forrest–Tomlin column replacement (factors stay exact,
+/// nothing grows), expensive ones append to a product-form eta file *on top
+/// of* the factors until the next refactorization discards it.
+struct Inverse {
+    lu: LuFactors,
+    etas: EtaFile,
 }
 
 impl Inverse {
     /// `v ← B⁻¹·v`.
     fn ftran(&mut self, v: &mut [f64]) {
-        match self {
-            Inverse::Eta(etas) => etas.ftran(v),
-            Inverse::Lu { lu, etas } => {
-                lu.ftran(v);
-                etas.ftran(v);
-            }
-        }
+        self.lu.ftran(v);
+        self.etas.ftran(v);
     }
 
     /// `yᵀ ← yᵀ·B⁻¹`.
     fn btran(&mut self, y: &mut [f64]) {
-        match self {
-            Inverse::Eta(etas) => etas.btran(y),
-            Inverse::Lu { lu, etas } => {
-                etas.btran(y);
-                lu.btran(y);
-            }
-        }
+        self.etas.btran(y);
+        self.lu.btran(y);
     }
 
-    /// Folds the pivot at `row` into the inverse: the eta engine appends the
-    /// pivot eta of the FTRAN'd column `w`; the LU engine replaces the
-    /// column in the factors (Forrest–Tomlin, using the spike its FTRAN
-    /// saved) when that is cheap, and appends a product-form eta otherwise.
-    /// Once an eta exists the factors no longer see later pivots, so every
-    /// subsequent fold must stay in the file until a refactorization.
-    /// Returns `false` when the updated factors are numerically unusable and
-    /// the caller must refactorize before the next solve.
+    /// Folds the pivot at `row` into the inverse: replaces the column in the
+    /// factors (Forrest–Tomlin, using the spike its FTRAN saved) when that is
+    /// cheap, and appends the product-form eta of the FTRAN'd column `w`
+    /// otherwise. Once an eta exists the factors no longer see later pivots,
+    /// so every subsequent fold must stay in the file until a
+    /// refactorization. Returns `false` when the updated factors are
+    /// numerically unusable and the caller must refactorize before the next
+    /// solve.
     fn fold_pivot(&mut self, row: usize, w: &[f64], pivot_tol: f64) -> bool {
-        match self {
-            Inverse::Eta(etas) => {
-                etas.push_from_column(row, w);
-                true
-            }
-            Inverse::Lu { lu, etas } => {
-                if !lu.is_trivial() && etas.len() == 0 && lu.replace_cost(row) <= FT_TAIL_MAX {
-                    lu.replace_column(row, pivot_tol)
-                } else {
-                    etas.push_from_column(row, w);
-                    true
-                }
-            }
+        let lu = &mut self.lu;
+        if !lu.is_trivial() && self.etas.len() == 0 && lu.replace_cost(row) <= FT_TAIL_MAX {
+            lu.replace_column(row, pivot_tol)
+        } else {
+            self.etas.push_from_column(row, w);
+            true
         }
     }
 
-    /// Updates applied since the last refactorization (eta-file length for
-    /// the eta engine, column replacements plus file etas for the LU
-    /// engine).
+    /// Updates applied since the last refactorization: column replacements
+    /// plus file etas.
     fn update_len(&self) -> usize {
-        match self {
-            Inverse::Eta(etas) => etas.len(),
-            Inverse::Lu { lu, etas } => lu.update_len() + etas.len(),
-        }
+        self.lu.update_len() + self.etas.len()
     }
 
     /// Stored fill accumulated since the last refactorization — the
     /// measured growth the refactorization trigger watches.
     fn update_nnz(&self) -> usize {
-        match self {
-            Inverse::Eta(etas) => etas.nnz(),
-            Inverse::Lu { lu, etas } => lu.update_fill() + etas.nnz(),
-        }
+        self.lu.update_fill() + self.etas.nnz()
     }
 }
 
@@ -492,11 +448,6 @@ enum DualOutcome {
     /// Pivot cap, a failed refactorization, or inconsistent pivot numerics.
     Abandoned,
 }
-
-/// Devex weights above this are reset to the unit framework: the weights are
-/// only *relative* pivot-steering scores, and letting them grow unbounded
-/// eventually drowns the ranking in round-off.
-const DEVEX_RESET: f64 = 1e12;
 
 /// Work areas of [`Core::refactorize_lu`]: the basis columns in
 /// elimination order and in CSC form, the Markowitz row weights, and the
@@ -544,9 +495,6 @@ struct Core {
     refac: RefactorBuffers,
     /// Partial-pricing candidate list.
     candidates: Vec<usize>,
-    pricing: Pricing,
-    /// Devex reference-framework weights, length `ncols` (all `≥ 1`).
-    devex: Vec<f64>,
     clock: Option<TelemetryClock>,
     pivots: u64,
     refactorizations: u64,
@@ -657,16 +605,6 @@ impl Core {
         }
     }
 
-    /// Pricing rank of an eligible column: plain `|d_j|` under Dantzig,
-    /// `d_j²/w_j` under devex. Eligibility (`score > opt_tol`) is shared, so
-    /// the rule steers the pivot path but never changes termination.
-    fn rank(&self, j: usize, score: f64) -> f64 {
-        match self.pricing {
-            Pricing::Dantzig => score,
-            Pricing::Devex => score * score / self.devex[j],
-        }
-    }
-
     /// Candidate-list cap: a small slice of the column space, enough to keep
     /// high-quality entering choices without a full scan per iteration.
     fn candidate_cap(limit: usize) -> usize {
@@ -711,10 +649,9 @@ impl Core {
             let dj = self.reduced_cost(j);
             if let Some((dir, score)) = self.direction(j, dj) {
                 if score > self.opt_tol {
-                    let rank = self.rank(j, score);
                     match best {
-                        Some((_, _, s)) if s >= rank => {}
-                        _ => best = Some((j, dir, rank)),
+                        Some((_, _, s)) if s >= score => {}
+                        _ => best = Some((j, dir, score)),
                     }
                 }
             }
@@ -734,7 +671,7 @@ impl Core {
             let dj = self.reduced_cost(j);
             if let Some((dir, score)) = self.direction(j, dj) {
                 if score > self.opt_tol {
-                    scored.push((j, dir, self.rank(j, score)));
+                    scored.push((j, dir, score));
                 }
             }
         }
@@ -750,29 +687,6 @@ impl Core {
         self.candidates = scored.iter().map(|&(j, _, _)| j).collect();
         let (j, dir, _) = scored[0];
         Some((j, dir))
-    }
-
-    /// Devex weight maintenance for a basis change at row `r` with entering
-    /// column `q` (expects `w = B⁻¹·A_q` and must run *before* the basis
-    /// heading mutates). This is the *cheap* reference-framework variant:
-    /// only the leaving variable's weight is refreshed
-    /// (`w_p ← max(w_q/α_r², 1)`, the exact devex value for the column that
-    /// just left), other non-basic weights keep their last value until the
-    /// framework resets. The full Forrest–Goldfarb update needs the pivot
-    /// row `e_r·B⁻¹N` — an extra BTRAN plus a pricing pass per pivot, which
-    /// measured ~1.8× slower end-to-end on the Table I nets for a ~4% pivot
-    /// reduction. Stale weights still bias pricing toward columns with
-    /// historically large tableau entries, which is devex's point.
-    fn update_devex(&mut self, r: usize, q: usize) {
-        let alpha_r = self.w[r];
-        if alpha_r == 0.0 {
-            return;
-        }
-        let wq = self.devex[q].max(1.0);
-        self.devex[self.basis[r]] = (wq / (alpha_r * alpha_r)).max(1.0);
-        if self.devex[self.basis[r]] > DEVEX_RESET {
-            self.devex.fill(1.0);
-        }
     }
 
     /// One simplex iteration: price, FTRAN, ratio test, then bound-flip or
@@ -837,9 +751,6 @@ impl Core {
                 StepOutcome::Progress { degenerate: false }
             }
             Some((r, to_lower)) => {
-                if self.pricing == Pricing::Devex {
-                    self.update_devex(r, q);
-                }
                 for i in 0..self.m {
                     let a = self.w[i];
                     if a != 0.0 {
@@ -908,11 +819,7 @@ impl Core {
     /// rejects, and out-of-bound basic values are kept as computed.
     fn refresh(&mut self, check: bool) -> bool {
         let t0 = self.clock_now();
-        let rebuilt = match self.inverse {
-            Inverse::Eta(_) => self.refactorize_eta(),
-            Inverse::Lu { .. } => self.refactorize_lu(),
-        };
-        let ok = rebuilt && {
+        let ok = self.refactorize_lu() && {
             self.refactorizations += 1;
             self.pivots_since_refactor = 0;
             self.needs_refactor = false;
@@ -937,60 +844,7 @@ impl Core {
         out[units..].sort_by_key(|&j| (self.skel.mat.col_nnz(j), j));
     }
 
-    /// Eta-engine refactorization: Gauss-Jordan elimination of the basis
-    /// columns back into a fresh eta file. Within each column the pivot row
-    /// is the largest remaining magnitude, ties to the lowest row. The
-    /// row↔column pairing may change; only the column *set* is meaningful,
-    /// and the heading is rebuilt to match.
-    fn refactorize_eta(&mut self) -> bool {
-        let m = self.m;
-        // Extract the file so the rebuild can FTRAN through it while
-        // scattering into `self.w` (disjoint borrows of `self`).
-        let mut etas = match std::mem::replace(&mut self.inverse, Inverse::Eta(EtaFile::new())) {
-            Inverse::Eta(e) => e,
-            Inverse::Lu { .. } => unreachable!("eta refactorization of an LU inverse"),
-        };
-        etas.clear();
-        let mut order = Vec::with_capacity(m);
-        self.elimination_order(&mut order);
-        let mut eliminated = vec![false; m];
-        let mut new_basis = vec![usize::MAX; m];
-        let mut ok = true;
-        for &j in &order {
-            self.w.fill(0.0);
-            Self::scatter_col(&self.skel.mat, &self.arts, self.n, j, &mut self.w);
-            etas.ftran(&mut self.w);
-            let mut best: Option<(usize, f64)> = None;
-            for (r, &done) in eliminated.iter().enumerate() {
-                if done {
-                    continue;
-                }
-                let a = self.w[r].abs();
-                if best.is_none_or(|(_, mag)| a > mag) {
-                    best = Some((r, a));
-                }
-            }
-            let Some((r, mag)) = best else {
-                ok = false;
-                break;
-            };
-            if mag <= self.pivot_tol {
-                ok = false;
-                break;
-            }
-            etas.push_from_column(r, &self.w);
-            eliminated[r] = true;
-            new_basis[r] = j;
-        }
-        self.eta_peak = self.eta_peak.max(etas.len());
-        self.inverse = Inverse::Eta(etas);
-        if ok {
-            self.basis = new_basis;
-        }
-        ok
-    }
-
-    /// LU-engine refactorization: a fresh sparse LU factorization of the
+    /// The refactorization itself: a fresh sparse LU factorization of the
     /// basis matrix ([`LuFactors::factorize`] — threshold partial pivoting
     /// with the Markowitz row-weight tie-break), discarding the update eta
     /// file. The fill trigger (`eta_nnz_cap`) is re-derived from the
@@ -1039,13 +893,8 @@ impl Core {
             }
             self.lu_fill = self.lu_fill.max(lu.nnz() as u64);
             self.eta_nnz_cap = lu_growth_cap(&lu);
-            match &mut self.inverse {
-                Inverse::Lu { lu: current, etas } => {
-                    std::mem::swap(current, &mut lu);
-                    etas.clear();
-                }
-                Inverse::Eta(_) => unreachable!("LU refactorization of an eta inverse"),
-            }
+            std::mem::swap(&mut self.inverse.lu, &mut lu);
+            self.inverse.etas.clear();
         }
         // The replaced factors (or the failed attempt) become the next
         // refactorization's buffer.
@@ -1382,7 +1231,6 @@ impl Core {
         for c in self.costs.iter_mut().skip(self.art_start) {
             *c = 1.0;
         }
-        self.devex.fill(1.0);
     }
 
     fn set_phase2_costs(&mut self, model: &Model) {
@@ -1392,7 +1240,6 @@ impl Core {
             self.costs[v] += if flip { -c } else { c };
         }
         self.candidates.clear();
-        self.devex.fill(1.0);
     }
 
     fn freeze_artificials(&mut self) {
@@ -1457,9 +1304,9 @@ impl Core {
 
     /// Extracts a reusable [`Basis`] snapshot, or `None` when an artificial
     /// column is still basic (redundant row). `m` is the *internal* row
-    /// count, so a snapshot taken under range folding only restores into an
-    /// engine that folds the same way (others reject it shape-first and
-    /// fall back cold).
+    /// count, so a snapshot taken under range folding only restores into a
+    /// core that folds the same way (the dense engine rejects it
+    /// shape-first and falls back cold).
     fn snapshot(&self) -> Option<Basis> {
         let mut out = Basis::empty();
         self.snapshot_into(&mut out).then_some(out)
@@ -1487,10 +1334,7 @@ impl Core {
         self.refactor_ns = 0;
         self.solve_ns = 0;
         self.eta_peak = self.inverse.update_len();
-        self.lu_fill = match &self.inverse {
-            Inverse::Eta(_) => 0,
-            Inverse::Lu { lu, .. } => lu.nnz() as u64,
-        };
+        self.lu_fill = self.inverse.lu.nnz() as u64;
     }
 
     /// Installs `warm`'s column states and basis heading (the caller
@@ -1603,17 +1447,12 @@ fn lu_growth_cap(lu: &LuFactors) -> usize {
     (2 * lu.nnz()).max(8192)
 }
 
-/// Auto refactorization cadence. The eta engine must refresh frequently —
-/// its whole inverse is the file, and refactorization replays the entire
-/// basis through it. The LU engine's real trigger is measured update-file
-/// fill growth against the factors (`eta_nnz_cap`, re-derived per
-/// refactorization), so its pivot budget is only a drift backstop and can be
-/// orders of magnitude longer.
-fn refactor_budget(opts: &SolveOptions, m: usize, engine: Engine) -> u64 {
+/// Refactorization cadence. The real trigger is measured update-file fill
+/// growth against the factors (`eta_nnz_cap`, re-derived per
+/// refactorization), so the pivot budget is only a drift backstop.
+fn refactor_budget(opts: &SolveOptions, m: usize) -> u64 {
     if opts.refactor_interval > 0 {
         opts.refactor_interval
-    } else if engine == Engine::Eta {
-        ((m as u64) / 2).clamp(64, 256)
     } else {
         (m as u64 * 8).max(2000)
     }
@@ -1621,158 +1460,73 @@ fn refactor_budget(opts: &SolveOptions, m: usize, engine: Engine) -> u64 {
 
 /// Builds the initial working state (columns, resting values, slack-or-
 /// artificial starting basis) for `model` under `var_bounds` against the
-/// compiled `skel`. The arithmetic mirrors the dense engine's setup except
-/// that rows are never negated: an artificial covering a negative residual
-/// gets a `−1` coefficient, represented exactly in the starting inverse
-/// (a seed eta or a `−1` LU diagonal).
+/// compiled `skel`: a [`restore_core`] whose rows each keep their slack
+/// basic when its required value fits the slack's bounds and get an
+/// artificial otherwise. The arithmetic mirrors the dense engine's setup
+/// except that rows are never negated: an artificial covering a negative
+/// residual gets a `−1` coefficient, represented exactly in the starting
+/// inverse (a `−1` diagonal of the identity LU).
 fn build_core(
     model: &Model,
     var_bounds: &[(f64, f64)],
     opts: &SolveOptions,
     skel: Arc<Skeleton>,
 ) -> (Core, f64) {
-    let n = model.cols.len();
-    let m = skel.m();
-    let tol = opts.tolerances;
-
-    let mut lo = Vec::with_capacity(n + 2 * m);
-    let mut hi = Vec::with_capacity(n + 2 * m);
-    let mut xval = Vec::with_capacity(n + 2 * m);
-    let mut state = Vec::with_capacity(n + 2 * m);
-    for &(l, h) in var_bounds {
-        let (v, s) = initial_value(l, h);
-        lo.push(l);
-        hi.push(h);
-        xval.push(v);
-        state.push(s);
+    let mut c = restore_core(var_bounds, opts, skel);
+    for (j, &(l, h)) in var_bounds.iter().enumerate() {
+        (c.xval[j], c.state[j]) = initial_value(l, h);
     }
-    for k in 0..m {
-        lo.push(skel.slack_lo[k]);
-        hi.push(skel.slack_hi[k]);
-        xval.push(0.0); // placeholder; set below
-        state.push(ColState::AtLower); // placeholder
-    }
-
-    let mut basis = Vec::with_capacity(m);
-    let mut arts: Vec<(usize, f64)> = Vec::new();
-    let mut art_values: Vec<f64> = Vec::new();
     let mut art_sum = 0.0;
-    for k in 0..m {
-        let terms = skel.row_terms(model, k);
-        let activity: f64 = terms.iter().map(|&(v, c)| c * xval[v]).sum();
-        let v = skel.rhs[k] - activity; // required slack value
-        let sc = n + k;
-        if v >= lo[sc] && v <= hi[sc] {
-            xval[sc] = v;
-            state[sc] = ColState::Basic;
-            basis.push(sc);
+    let mut neg_rows = Vec::new();
+    for k in 0..c.m {
+        let terms = c.skel.row_terms(model, k);
+        let activity: f64 = terms.iter().map(|&(v, a)| a * c.xval[v]).sum();
+        let v = c.skel.rhs[k] - activity; // required slack value
+        let sc = c.n + k;
+        if v >= c.lo[sc] && v <= c.hi[sc] {
+            c.xval[sc] = v;
+            c.state[sc] = ColState::Basic;
+            continue;
+        }
+        let sv = v.clamp(c.lo[sc], c.hi[sc]);
+        c.xval[sc] = sv;
+        c.state[sc] = if sv == c.lo[sc] {
+            ColState::AtLower
         } else {
-            let sv = v.clamp(lo[sc], hi[sc]);
-            xval[sc] = sv;
-            state[sc] = if sv == lo[sc] {
-                ColState::AtLower
-            } else {
-                ColState::AtUpper
-            };
-            let resid = v - sv;
-            arts.push((k, resid.signum()));
-            art_values.push(resid.abs());
-            art_sum += resid.abs();
-            basis.push(usize::MAX); // fixed up below
+            ColState::AtUpper
+        };
+        let resid = v - sv;
+        let sign = resid.signum();
+        if sign < 0.0 {
+            neg_rows.push(k);
         }
+        c.arts.push((k, sign));
+        c.basis[k] = c.ncols;
+        c.lo.push(0.0);
+        c.hi.push(INF);
+        c.xval.push(resid.abs());
+        c.state.push(ColState::Basic);
+        c.ncols += 1;
+        art_sum += resid.abs();
     }
-
-    let art_start = n + m;
-    let ncols = art_start + arts.len();
-    for (k, &(r, _)) in arts.iter().enumerate() {
-        lo.push(0.0);
-        hi.push(INF);
-        xval.push(art_values[k]);
-        state.push(ColState::Basic);
-        basis[r] = art_start + k;
+    c.costs.resize(c.ncols, 0.0);
+    if !neg_rows.is_empty() {
+        c.inverse.lu = LuFactors::identity(c.m, &neg_rows);
     }
-
-    // Starting basis B = diag(±1): the −1 artificials are inverted exactly
-    // from the first iteration — one entry-free seed eta on the eta engine,
-    // a −1 diagonal of the identity LU on the LU engine.
-    let neg_rows: Vec<usize> = arts
-        .iter()
-        .filter(|&&(_, sign)| sign < 0.0)
-        .map(|&(r, _)| r)
-        .collect();
-    let (inverse, eta_nnz_cap, lu_fill) = if opts.engine == Engine::Eta {
-        let mut etas = EtaFile::new();
-        for &r in &neg_rows {
-            etas.push_unit(r, -1.0);
-        }
-        (Inverse::Eta(etas), 8 * (skel.mat.nnz() + m) + 512, 0u64)
-    } else {
-        let lu = LuFactors::identity(m, &neg_rows);
-        let cap = lu_growth_cap(&lu);
-        let fill = lu.nnz() as u64;
-        (
-            Inverse::Lu {
-                lu,
-                etas: EtaFile::new(),
-            },
-            cap,
-            fill,
-        )
-    };
-
-    let refactor_every = refactor_budget(opts, m, opts.engine);
-    let core = Core {
-        skel,
-        lo,
-        hi,
-        xval,
-        state,
-        basis,
-        inverse,
-        arts,
-        n,
-        m,
-        art_start,
-        ncols,
-        costs: vec![0.0; ncols],
-        w: vec![0.0; m],
-        y: vec![0.0; m],
-        rho: vec![0.0; m],
-        refac: RefactorBuffers::default(),
-        candidates: Vec::new(),
-        pricing: opts.pricing,
-        devex: vec![1.0; ncols],
-        clock: opts.telemetry.clone(),
-        pivots: 0,
-        refactorizations: 0,
-        eta_peak: 0,
-        pivots_since_refactor: 0,
-        refactor_every,
-        eta_nnz_cap,
-        needs_refactor: false,
-        refactor_ns: 0,
-        solve_ns: 0,
-        lu_fill,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
-    };
-    (core, art_sum)
+    (c, art_sum)
 }
 
 /// The working arrays of a core under `var_bounds` against `skel`, with
-/// no artificial columns and a placeholder slack basis: the target of a
-/// snapshot restore, which installs its own basis heading and values.
-/// [`build_core`] also chooses a feasible starting basis, creating
-/// artificials and computing every row's activity to do so, work a restore
-/// would discard on every slot sweep.
+/// no artificial columns, the slack basis and the identity LU: the target
+/// of a snapshot restore, which installs its own basis heading and values,
+/// and the base [`build_core`] chooses a feasible starting basis on.
 fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skeleton>) -> Core {
     let n = var_bounds.len();
     let m = skel.m();
     let ncols = n + m;
     let tol = opts.tolerances;
-    let mut lo = Vec::with_capacity(ncols);
-    let mut hi = Vec::with_capacity(ncols);
+    let mut lo = Vec::with_capacity(n + 2 * m);
+    let mut hi = Vec::with_capacity(n + 2 * m);
     for &(l, h) in var_bounds {
         lo.push(l);
         hi.push(h);
@@ -1781,21 +1535,9 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
         lo.push(skel.slack_lo[k]);
         hi.push(skel.slack_hi[k]);
     }
-    let (inverse, eta_nnz_cap) = if opts.engine == Engine::Eta {
-        (Inverse::Eta(EtaFile::new()), 8 * (skel.mat.nnz() + m) + 512)
-    } else {
-        // Placeholder factors; the restore refactorization replaces them.
-        let lu = LuFactors::identity(m, &[]);
-        let cap = lu_growth_cap(&lu);
-        (
-            Inverse::Lu {
-                lu,
-                etas: EtaFile::new(),
-            },
-            cap,
-        )
-    };
-    let refactor_every = refactor_budget(opts, m, opts.engine);
+    let lu = LuFactors::identity(m, &[]);
+    let eta_nnz_cap = lu_growth_cap(&lu);
+    let lu_fill = lu.nnz() as u64;
     Core {
         skel,
         lo,
@@ -1803,7 +1545,10 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
         xval: vec![0.0; ncols],
         state: vec![ColState::AtLower; ncols],
         basis: (n..ncols).collect(),
-        inverse,
+        inverse: Inverse {
+            lu,
+            etas: EtaFile::new(),
+        },
         arts: Vec::new(),
         n,
         m,
@@ -1815,28 +1560,21 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
         rho: vec![0.0; m],
         refac: RefactorBuffers::default(),
         candidates: Vec::new(),
-        pricing: opts.pricing,
-        devex: vec![1.0; ncols],
         clock: opts.telemetry.clone(),
         pivots: 0,
         refactorizations: 0,
         eta_peak: 0,
         pivots_since_refactor: 0,
-        refactor_every,
+        refactor_every: refactor_budget(opts, m),
         eta_nnz_cap,
         needs_refactor: false,
         refactor_ns: 0,
         solve_ns: 0,
-        lu_fill: 0,
+        lu_fill,
         feas_tol: tol.feasibility,
         opt_tol: tol.optimality,
         pivot_tol: tol.pivot,
     }
-}
-
-/// Whether `opts.engine` folds range-row pairs into bounded slacks.
-fn folds(opts: &SolveOptions) -> bool {
-    opts.engine == Engine::Lu
 }
 
 /// Cold two-phase solve, returning the terminated [`Core`] for snapshotting
@@ -1859,7 +1597,7 @@ fn solve_core(
         return solve_unconstrained(model, var_bounds).map(|s| (s, None));
     }
 
-    let skel = skel.unwrap_or_else(|| Arc::new(Skeleton::build(model, folds(opts))));
+    let skel = skel.unwrap_or_else(|| Arc::new(Skeleton::build(model, true)));
     let (mut core, art_sum) = build_core(model, var_bounds, opts, skel);
     let sol = cold_phases(&mut core, art_sum, model, var_bounds, opts)?;
     Ok((sol, Some(core)))
@@ -1983,9 +1721,9 @@ pub(crate) struct NodeLp {
 }
 
 impl NodeLp {
-    pub(crate) fn new(model: &Model, opts: &SolveOptions) -> Self {
+    pub(crate) fn new(model: &Model) -> Self {
         NodeLp {
-            skel: Arc::new(Skeleton::build(model, folds(opts))),
+            skel: Arc::new(Skeleton::build(model, true)),
             core: None,
             ray: Vec::new(),
             work: EngineCounters::default(),
@@ -2055,16 +1793,6 @@ impl NodeLp {
     }
 }
 
-/// Cold solve that also extracts a [`Basis`] snapshot.
-pub(crate) fn solve_snapshot(
-    model: &Model,
-    opts: &SolveOptions,
-) -> Result<(Solution, Option<Basis>), SolveError> {
-    let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, core) = solve_core(model, &bounds, opts, None)?;
-    Ok((sol, core.and_then(|c| c.snapshot())))
-}
-
 /// A live factorized sparse engine kept resident between the solves of one
 /// objective sweep — the sparse counterpart of the dense resident tableau,
 /// minus the dense tableau: reoptimizing in place costs one reduced-cost
@@ -2079,15 +1807,6 @@ impl SparseResident {
     /// when an artificial column is still basic).
     pub(crate) fn snapshot(&self) -> Option<Basis> {
         self.core.snapshot()
-    }
-
-    /// Which engine this resident's inverse belongs to (a resident built
-    /// under one engine must not serve a sweep that requested another).
-    pub(crate) fn engine(&self) -> Engine {
-        match self.core.inverse {
-            Inverse::Eta(_) => Engine::Eta,
-            Inverse::Lu { .. } => Engine::Lu,
-        }
     }
 
     /// Restores `warm` into the live core — reusing the compiled skeleton
@@ -2132,10 +1851,7 @@ impl SparseResident {
             return reject;
         }
         c.eta_peak = c.inverse.update_len();
-        c.lu_fill = match &c.inverse {
-            Inverse::Eta(_) => 0,
-            Inverse::Lu { lu, .. } => lu.nnz() as u64,
-        };
+        c.lu_fill = c.inverse.lu.nnz() as u64;
         c.set_phase2_costs(model);
         if !c.clamp_basic_values()
             && !matches!(
@@ -2218,7 +1934,7 @@ pub(crate) fn solve_warm_resident(
     if var_bounds.iter().any(|&(lo, hi)| lo > hi) {
         return Err(SolveError::Infeasible);
     }
-    let skel = Arc::new(Skeleton::build(model, folds(opts)));
+    let skel = Arc::new(Skeleton::build(model, true));
     let core = restore_core(&var_bounds, opts, skel);
     let mut resident = SparseResident { core, var_bounds };
     Ok(match resident.resolve_from(model, opts, warm)? {
@@ -2234,12 +1950,7 @@ pub(crate) fn solve_warm_resident(
 #[cfg(test)]
 mod tests {
     use super::Skeleton;
-    use crate::{
-        BatchSolver, Cmp, Engine, LinExpr, Model, Pricing, Sense, SolveError, SolveOptions,
-    };
-
-    /// Both sparse engines, for tests that loop the same property over each.
-    const SPARSE_ENGINES: [Engine; 2] = [Engine::Lu, Engine::Eta];
+    use crate::{BatchSolver, Cmp, Engine, LinExpr, Model, Sense, SolveError, SolveOptions};
 
     fn opts(engine: Engine) -> SolveOptions {
         SolveOptions {
@@ -2305,7 +2016,7 @@ mod tests {
     #[test]
     fn textbook_problems_match_dense_engine() {
         // The dense engine's unit suite distilled into an engine-agreement
-        // check: every model solves to the same objective on all engines.
+        // check: every model solves to the same objective on both engines.
         let build: Vec<fn() -> Model> = vec![
             || {
                 let mut m = Model::new();
@@ -2380,53 +2091,47 @@ mod tests {
             let dense = m
                 .solve_with(&opts(Engine::Dense))
                 .unwrap_or_else(|e| panic!("case {i} dense: {e}"));
-            for engine in SPARSE_ENGINES {
-                let sparse = m
-                    .solve_with(&opts(engine))
-                    .unwrap_or_else(|e| panic!("case {i} {engine:?}: {e}"));
-                assert!(
-                    (sparse.objective - dense.objective).abs() < 1e-6,
-                    "case {i}: {engine:?} {} vs dense {}",
-                    sparse.objective,
-                    dense.objective
-                );
-            }
+            let sparse = m
+                .solve_with(&opts(Engine::Lu))
+                .unwrap_or_else(|e| panic!("case {i} lu: {e}"));
+            assert!(
+                (sparse.objective - dense.objective).abs() < 1e-6,
+                "case {i}: lu {} vs dense {}",
+                sparse.objective,
+                dense.objective
+            );
         }
     }
 
     #[test]
     fn infeasible_and_unbounded_detected() {
-        for engine in SPARSE_ENGINES {
-            let mut m = Model::new();
-            let x = m.add_var(0.0, 1.0);
-            m.add_constraint(2.0 * x, Cmp::Ge, 3.0);
-            m.set_objective(Sense::Maximize, 1.0 * x);
-            assert_eq!(
-                m.solve_with(&opts(engine)).unwrap_err(),
-                SolveError::Infeasible,
-                "{engine:?}"
-            );
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 1.0);
+        m.add_constraint(2.0 * x, Cmp::Ge, 3.0);
+        m.set_objective(Sense::Maximize, 1.0 * x);
+        assert_eq!(
+            m.solve_with(&opts(Engine::Lu)).unwrap_err(),
+            SolveError::Infeasible
+        );
 
-            let mut m = Model::new();
-            let x = m.add_var(0.0, f64::INFINITY);
-            let y = m.add_var(0.0, f64::INFINITY);
-            m.add_constraint(x - y, Cmp::Le, 1.0);
-            m.set_objective(Sense::Maximize, x + y);
-            assert_eq!(
-                m.solve_with(&opts(engine)).unwrap_err(),
-                SolveError::Unbounded,
-                "{engine:?}"
-            );
-        }
+        let mut m = Model::new();
+        let x = m.add_var(0.0, f64::INFINITY);
+        let y = m.add_var(0.0, f64::INFINITY);
+        m.add_constraint(x - y, Cmp::Le, 1.0);
+        m.set_objective(Sense::Maximize, x + y);
+        assert_eq!(
+            m.solve_with(&opts(Engine::Lu)).unwrap_err(),
+            SolveError::Unbounded
+        );
     }
 
     /// A crossed `≤`/`≥` pair (`rhs_le < rhs_ge`) is trivially infeasible;
     /// folding must leave it alone so phase 1 reports the infeasibility like
-    /// every other engine (a folded slack with `hi < lo` would be rejected
-    /// for the wrong reason).
+    /// the dense engine (a folded slack with `hi < lo` would be rejected for
+    /// the wrong reason).
     #[test]
     fn crossed_range_pair_stays_infeasible() {
-        for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+        for engine in [Engine::Lu, Engine::Dense] {
             let mut m = Model::new();
             let x = m.add_var(-5.0, 5.0);
             let y = m.add_var(-5.0, 5.0);
@@ -2468,16 +2173,13 @@ mod tests {
     }
 
     /// Range folding is an internal reformulation: the LU engine must reach
-    /// the same optimum as the unfolding engines on interval-row models,
-    /// with a working basis that shows the fold actually fired.
+    /// the same optimum as the unfolded dense engine on interval-row models.
     #[test]
     fn range_folding_matches_unfolded_engines() {
         for seed in [0x11u64, 0x22, 0x33] {
             let (m, _) = range_band_lp(24, 4, seed);
             let dense = m.solve_with(&opts(Engine::Dense)).expect("dense solves");
-            let eta = m.solve_with(&opts(Engine::Eta)).expect("eta solves");
             let lu = m.solve_with(&opts(Engine::Lu)).expect("lu solves");
-            assert_close(eta.objective, dense.objective);
             assert_close(lu.objective, dense.objective);
             for (a, b) in lu.values().iter().zip(dense.values()) {
                 assert!(
@@ -2488,43 +2190,20 @@ mod tests {
         }
     }
 
-    /// LU and eta engines must agree exactly on plain band problems too —
-    /// same optimum, same returned point.
+    /// The LU engine and the dense oracle must agree on plain band problems
+    /// too — same optimum, same returned point.
     #[test]
-    fn lu_and_eta_engines_agree_on_band_problems() {
+    fn lu_and_dense_engines_agree_on_band_problems() {
         for seed in [1u64, 0xBEEF, 0xD00D] {
             let (m, _) = band_lp(50, 5, seed);
-            let eta = m.solve_with(&opts(Engine::Eta)).expect("eta solves");
+            let dense = m.solve_with(&opts(Engine::Dense)).expect("dense solves");
             let lu = m.solve_with(&opts(Engine::Lu)).expect("lu solves");
-            assert_close(lu.objective, eta.objective);
-            for (a, b) in lu.values().iter().zip(eta.values()) {
+            assert_close(lu.objective, dense.objective);
+            for (a, b) in lu.values().iter().zip(dense.values()) {
                 assert!(
                     (a - b).abs() < 1e-6,
                     "seed {seed}: values diverged {a} vs {b}"
                 );
-            }
-        }
-    }
-
-    /// Devex pricing steers the pivot path, never the optimum.
-    #[test]
-    fn devex_and_dantzig_reach_same_optimum() {
-        for engine in SPARSE_ENGINES {
-            for seed in [7u64, 0xACE] {
-                let (m, _) = band_lp(40, 5, seed);
-                let devex = m
-                    .solve_with(&SolveOptions {
-                        pricing: Pricing::Devex,
-                        ..opts(engine)
-                    })
-                    .expect("devex solves");
-                let dantzig = m
-                    .solve_with(&SolveOptions {
-                        pricing: Pricing::Dantzig,
-                        ..opts(engine)
-                    })
-                    .expect("dantzig solves");
-                assert_close(devex.objective, dantzig.objective);
             }
         }
     }
@@ -2534,17 +2213,15 @@ mod tests {
     /// the bounded-variable method must notice and report zero pivots.
     #[test]
     fn bound_flips_alone_reach_the_optimum() {
-        for engine in SPARSE_ENGINES {
-            let mut m = Model::new();
-            let vars: Vec<_> = (0..12).map(|_| m.add_var(-1.0, 1.0)).collect();
-            let e = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
-            m.add_constraint(e, Cmp::Le, 1000.0);
-            let obj = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
-            m.set_objective(Sense::Maximize, obj);
-            let sol = m.solve_with(&opts(engine)).expect("solves");
-            assert_close(sol.objective, 12.0);
-            assert_eq!(sol.stats.pivots, 0, "{engine:?}: {:?}", sol.stats);
-        }
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..12).map(|_| m.add_var(-1.0, 1.0)).collect();
+        let e = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
+        m.add_constraint(e, Cmp::Le, 1000.0);
+        let obj = LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0)), 0.0);
+        m.set_objective(Sense::Maximize, obj);
+        let sol = m.solve_with(&opts(Engine::Lu)).expect("solves");
+        assert_close(sol.objective, 12.0);
+        assert_eq!(sol.stats.pivots, 0, "{:?}", sol.stats);
     }
 
     /// The refactorization-equivalence property: rebuilding the
@@ -2553,34 +2230,29 @@ mod tests {
     /// representation change, never a semantic one.
     #[test]
     fn refactorization_is_equivalence_preserving() {
-        for engine in SPARSE_ENGINES {
-            let (m, _) = band_lp(40, 5, 0xE7A);
-            let lazy = m.solve_with(&opts(engine)).expect("lazy solves");
-            let eager = m
-                .solve_with(&SolveOptions {
-                    refactor_interval: 1,
-                    ..opts(engine)
-                })
-                .expect("eager solves");
-            assert_close(eager.objective, lazy.objective);
-            assert!(
-                eager.stats.refactorizations > 0,
-                "{engine:?}: interval 1 never refactorized: {:?}",
-                eager.stats
-            );
-            assert!(
-                lazy.stats.refactorizations < eager.stats.refactorizations,
-                "{engine:?}: lazy path refactorized as often as eager: {:?} vs {:?}",
-                lazy.stats,
-                eager.stats
-            );
-            // Values agree too, not just objectives.
-            for (a, b) in eager.values().iter().zip(lazy.values()) {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{engine:?}: values diverged: {a} vs {b}"
-                );
-            }
+        let (m, _) = band_lp(40, 5, 0xE7A);
+        let lazy = m.solve_with(&opts(Engine::Lu)).expect("lazy solves");
+        let eager = m
+            .solve_with(&SolveOptions {
+                refactor_interval: 1,
+                ..opts(Engine::Lu)
+            })
+            .expect("eager solves");
+        assert_close(eager.objective, lazy.objective);
+        assert!(
+            eager.stats.refactorizations > 0,
+            "interval 1 never refactorized: {:?}",
+            eager.stats
+        );
+        assert!(
+            lazy.stats.refactorizations < eager.stats.refactorizations,
+            "lazy path refactorized as often as eager: {:?} vs {:?}",
+            lazy.stats,
+            eager.stats
+        );
+        // Values agree too, not just objectives.
+        for (a, b) in eager.values().iter().zip(lazy.values()) {
+            assert!((a - b).abs() < 1e-6, "values diverged: {a} vs {b}");
         }
     }
 
@@ -2601,31 +2273,25 @@ mod tests {
                 })
                 .collect()
         };
-        for engine in SPARSE_ENGINES {
-            let run = |interval: u64| -> Vec<f64> {
-                let (mut m, vars) = band_lp(30, 4, 0xBEE);
-                let o = SolveOptions {
-                    refactor_interval: interval,
-                    ..opts(engine)
-                };
-                let mut batch = BatchSolver::new(&mut m);
-                objectives
-                    .iter()
-                    .map(|(sense, cs)| {
-                        let e =
-                            LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
-                        batch.solve(*sense, e, &o).expect("solves").objective
-                    })
-                    .collect()
+        let run = |interval: u64| -> Vec<f64> {
+            let (mut m, vars) = band_lp(30, 4, 0xBEE);
+            let o = SolveOptions {
+                refactor_interval: interval,
+                ..opts(Engine::Lu)
             };
-            let lazy = run(0);
-            let eager = run(1);
-            for (a, b) in eager.iter().zip(&lazy) {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{engine:?}: sweep diverged: {a} vs {b}"
-                );
-            }
+            let mut batch = BatchSolver::new(&mut m);
+            objectives
+                .iter()
+                .map(|(sense, cs)| {
+                    let e = LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
+                    batch.solve(*sense, e, &o).expect("solves").objective
+                })
+                .collect()
+        };
+        let lazy = run(0);
+        let eager = run(1);
+        for (a, b) in eager.iter().zip(&lazy) {
+            assert!((a - b).abs() < 1e-6, "sweep diverged: {a} vs {b}");
         }
     }
 
@@ -2687,13 +2353,11 @@ mod tests {
     #[test]
     fn large_band_problem_solves_within_pivot_budget() {
         // A conv-window-sized skeleton: 220 rows, bandwidth 7. The dense
-        // engine pays O(m·ncols) per pivot here; the sparse engines must
+        // engine pays O(m·ncols) per pivot here; the sparse engine must
         // still agree with it exactly.
         let (m, _) = band_lp(220, 7, 0xC06);
         let dense = m.solve_with(&opts(Engine::Dense)).expect("dense solves");
-        for engine in SPARSE_ENGINES {
-            let sparse = m.solve_with(&opts(engine)).expect("sparse solves");
-            assert_close(sparse.objective, dense.objective);
-        }
+        let sparse = m.solve_with(&opts(Engine::Lu)).expect("sparse solves");
+        assert_close(sparse.objective, dense.objective);
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-crate proof that the solver's dual certificates actually certify:
-//! every emission path (cold dense, cold sparse, warm basis restore,
+//! every emission path (cold dense, cold sparse, basis-slot restore,
 //! resident batch sweep, unconstrained) produces a [`DualCertificate`] that
 //! `itne_certcheck` validates in exact arithmetic, and corrupted or
 //! over-tight claims are rejected.
@@ -73,7 +73,7 @@ fn textbook() -> Model {
 
 #[test]
 fn both_engines_emit_checkable_certificates() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let m = textbook();
         let sol = m.solve_with(&opts(engine)).unwrap();
         assert!(sol.is_certified(), "{engine:?} should certify");
@@ -134,21 +134,32 @@ fn corrupted_certificates_are_rejected() {
 
 #[test]
 fn warm_started_solves_carry_certificates() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
-        let m = textbook();
-        let (cold, basis) = m.solve_with_basis(&o, None).unwrap();
+        let skeleton = || {
+            let mut m = Model::new();
+            let x = m.add_var(0.0, 10.0);
+            let y = m.add_var(0.0, 10.0);
+            m.add_constraint(x + y, Cmp::Le, 6.0);
+            m.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
+            (m, x, y)
+        };
+        let mut slot = None;
+        let (mut m, x, y) = skeleton();
+        let cold = BatchSolver::new(&mut m)
+            .solve_slot(Sense::Maximize, 3.0 * x + 2.0 * y, &o, &mut slot)
+            .unwrap();
         assert!(cold.is_certified());
-        let basis = basis.expect("cold solve yields a snapshot");
+        assert!(slot.is_some(), "cold solve yields a snapshot");
 
-        // New objective over the same skeleton, warm-started from the basis.
-        let mut m2 = Model::new();
-        let x = m2.add_var(0.0, 10.0);
-        let y = m2.add_var(0.0, 10.0);
-        m2.add_constraint(x + y, Cmp::Le, 6.0);
-        m2.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
-        m2.set_objective(Sense::Maximize, 1.0 * x + 4.0 * y);
-        let (warm, _) = m2.solve_with_basis(&o, Some(&basis)).unwrap();
+        // New objective over a second copy of the skeleton, warm-started
+        // from the stored basis.
+        let (mut m2, x, y) = skeleton();
+        let mut batch = BatchSolver::new(&mut m2);
+        let warm = batch
+            .solve_slot(Sense::Maximize, 1.0 * x + 4.0 * y, &o, &mut slot)
+            .unwrap();
+        assert_eq!(batch.stats().seed_hits, 1, "{engine:?}: restore missed");
         assert!(warm.is_certified(), "{engine:?} warm solve should certify");
         assert!(certify(&m2, &warm, padded(&m2, &warm)));
         assert!(!certify(&m2, &warm, warm.objective - 0.1));
@@ -157,7 +168,7 @@ fn warm_started_solves_carry_certificates() {
 
 #[test]
 fn batch_resident_sweep_certificates_survive_warm_starts() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
         let mut m = Model::new();
         let x = m.add_var(0.0, 10.0);

@@ -4,8 +4,8 @@
 //!   feasible point we can find by sampling.
 //! * Branch-and-bound must agree with brute-force enumeration over all binary
 //!   assignments (each completed by an LP on the continuous remainder).
-//! * Warm-started batched sweeps ([`BatchSolver`]) and basis snapshot/restore
-//!   chains ([`Model::solve_with_basis`]) must agree with independent cold
+//! * Warm-started batched sweeps ([`BatchSolver`]) and basis-slot restore
+//!   chains ([`BatchSolver::solve_slot`]) must agree with independent cold
 //!   solves on every objective of randomly generated *feasible* skeletons —
 //!   including when a restore is rejected and falls back to a cold solve.
 
@@ -15,10 +15,10 @@ use itne_milp::{
 };
 use proptest::prelude::*;
 
-/// Every LP engine, differentially tested against each other below. The LU
+/// Both LP engines, differentially tested against each other below. The LU
 /// engine folds `≤/≥` range pairs into bounded slacks, so it exercises a
-/// genuinely different internal row space than the eta and dense arms.
-const ENGINES: [Engine; 3] = [Engine::Lu, Engine::Eta, Engine::Dense];
+/// genuinely different internal row space than the dense oracle.
+const ENGINES: [Engine; 2] = [Engine::Lu, Engine::Dense];
 
 fn engine_opts(engine: Engine) -> SolveOptions {
     SolveOptions {
@@ -183,8 +183,8 @@ struct FeasibleSweep {
     /// Append a scaled copy of row 0's hyperplane pinned at the witness
     /// point, as an equality. Linearly dependent rows routinely strand a
     /// frozen artificial in the final basis, which makes basis snapshots
-    /// unavailable (`solve_with_basis` returns no snapshot) and forces
-    /// restore chains through their cold-fallback path.
+    /// unavailable (`solve_slot` stores none) and forces restore chains
+    /// through their cold-fallback path.
     duplicate_row: bool,
 }
 
@@ -343,8 +343,13 @@ proptest! {
     fn min_never_exceeds_max_over_same_feasible_set(lp in random_lp()) {
         let (mut model, vars) = build(&lp);
         let e = LinExpr::from_terms(vars.iter().copied().zip(lp.obj.iter().copied()), 0.0);
-        if let Ok((lo, hi)) = model.solve_range(e, &itne_milp::SolveOptions::default()) {
-            prop_assert!(lo <= hi + 1e-9, "min {lo} > max {hi}");
+        let opts = SolveOptions::default();
+        let mut batch = BatchSolver::new(&mut model);
+        let lo = batch.solve_slot(Sense::Minimize, e.clone(), &opts, &mut None);
+        let hi = batch.solve_slot(Sense::Maximize, e, &opts, &mut None);
+        if let (Ok(lo), Ok(hi)) = (lo, hi) {
+            prop_assert!(lo.objective <= hi.objective + 1e-9,
+                "min {} > max {}", lo.objective, hi.objective);
         }
     }
 
@@ -372,7 +377,7 @@ proptest! {
         // Every engine, with warm nodes (dual simplex from the parent basis,
         // Farkas-pruned children) and with every node cold.
         let arms: Vec<(Engine, bool, Result<Solution, SolveError>)> =
-            [Engine::Lu, Engine::Eta, Engine::Dense]
+            ENGINES
                 .into_iter()
                 .flat_map(|engine| [true, false].map(|warm_start| (engine, warm_start)))
                 .map(|(engine, warm_start)| {
@@ -452,9 +457,9 @@ proptest! {
         prop_assert_eq!(st.warm_hits + st.warm_misses + st.cold_solves, st.solves);
     }
 
-    /// Differential property of the engine rewrite: the dense tableau, the
-    /// eta-file revised simplex, and the LU-factorized engine (with its
-    /// range-row folding) must agree on every random skeleton — the same
+    /// Differential property of the engine rewrite: the dense tableau and
+    /// the LU-factorized engine (with its range-row folding) must agree on
+    /// every random skeleton — the same
     /// verdict on solvability, *bitwise-identical* snapped certified bounds,
     /// and a dual certificate that validates the snapped claim in exact
     /// arithmetic on every arm.
@@ -531,59 +536,56 @@ proptest! {
         }
     }
 
-    /// Basis snapshot/restore across *separate* solves
-    /// (`Model::solve_with_basis`) also agrees with cold solves; when no
-    /// snapshot is available (e.g. a frozen artificial from the duplicated
-    /// row) the chain silently degrades to cold solves and must stay exact.
-    /// Every snapshot is also restored into a copy of the model whose
-    /// witness point, and so its RHS, has moved: the restored point may now
-    /// be primal infeasible, which the sparse engines repair with the dual
-    /// simplex, and the answer must still match a cold solve of the moved
-    /// model with a certificate that checks.
+    /// Basis-slot restores across *separate* sweeps
+    /// ([`BatchSolver::solve_slot`] on a fresh solver) also agree with cold
+    /// solves; when no snapshot is available (e.g. a frozen artificial from
+    /// the duplicated row) the chain silently degrades to cold solves and
+    /// must stay exact. Every stored slot is also restored into a copy of the
+    /// model whose witness point, and so its RHS, has moved: the restored
+    /// point may now be primal infeasible, which the sparse engine repairs
+    /// with the dual simplex, and the answer must still match a cold solve
+    /// of the moved model with a certificate that checks.
     #[test]
     fn basis_snapshot_chains_match_cold_solves(s in feasible_sweep()) {
         let (model, vars) = build_sweep_model(&s);
         let (moved, _) = build_sweep_model(&moved_witness(&s));
-        for engine in [Engine::Lu, Engine::Eta] {
-            let opts = engine_opts(engine);
-            let mut chain: Option<itne_milp::Basis> = None;
-            for (sense, cs) in &s.objectives {
-                let objective =
-                    LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
-                let mut m = model.clone();
-                m.set_objective(*sense, objective.clone());
-                let cold = m.solve_with(&opts);
-                match (m.solve_with_basis(&opts, chain.as_ref()), cold) {
-                    (Ok((warm, next)), Ok(c)) => {
-                        prop_assert!(
-                            (warm.objective - c.objective).abs() < 1e-6,
-                            "{engine:?}: restored {} vs cold {} ({sense:?} over {cs:?})",
-                            warm.objective, c.objective);
-                        chain = next;
-                    }
-                    (Err(_), Err(_)) => chain = None,
-                    (w, c) => prop_assert!(false,
-                        "{engine:?}: paths disagree on solvability: warm {:?} vs cold {:?}",
-                        w.map(|(sol, _)| sol.objective), c.map(|sol| sol.objective)),
-                }
+        let opts = SolveOptions::default();
+        let mut chain: Option<itne_milp::Basis> = None;
+        for (sense, cs) in &s.objectives {
+            let objective =
+                LinExpr::from_terms(vars.iter().copied().zip(cs.iter().copied()), 0.0);
+            let mut m = model.clone();
+            m.set_objective(*sense, objective.clone());
+            let cold = m.solve_with(&opts);
+            let warm = BatchSolver::new(&mut m).solve_slot(*sense, objective.clone(), &opts, &mut chain);
+            match (warm, cold) {
+                (Ok(warm), Ok(c)) => prop_assert!(
+                    (warm.objective - c.objective).abs() < 1e-6,
+                    "restored {} vs cold {} ({sense:?} over {cs:?})",
+                    warm.objective, c.objective),
+                (Err(_), Err(_)) => chain = None,
+                (w, c) => prop_assert!(false,
+                    "paths disagree on solvability: warm {:?} vs cold {:?}",
+                    w.map(|sol| sol.objective), c.map(|sol| sol.objective)),
+            }
 
-                let mut mv = moved.clone();
-                mv.set_objective(*sense, objective);
-                match (mv.solve_with_basis(&opts, chain.as_ref()), mv.solve_with(&opts)) {
-                    (Ok((warm, _)), Ok(c)) => {
-                        prop_assert!(
-                            (warm.objective - c.objective).abs() < 1e-6,
-                            "{engine:?}: restored into the moved model {} vs cold {} \
-                             ({sense:?} over {cs:?})",
-                            warm.objective, c.objective);
-                        prop_assert!(certificate_checks(&mv, &warm),
-                            "{engine:?}: certificate fails on the moved model");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (w, c) => prop_assert!(false,
-                        "{engine:?}: moved model: warm {:?} vs cold {:?}",
-                        w.map(|(sol, _)| sol.objective), c.map(|sol| sol.objective)),
+            let mut mv = moved.clone();
+            mv.set_objective(*sense, objective.clone());
+            let cold = mv.solve_with(&opts);
+            let warm = BatchSolver::new(&mut mv).solve_slot(*sense, objective, &opts, &mut chain.clone());
+            match (warm, cold) {
+                (Ok(warm), Ok(c)) => {
+                    prop_assert!(
+                        (warm.objective - c.objective).abs() < 1e-6,
+                        "restored into the moved model {} vs cold {} ({sense:?} over {cs:?})",
+                        warm.objective, c.objective);
+                    prop_assert!(certificate_checks(&mv, &warm),
+                        "certificate fails on the moved model");
                 }
+                (Err(_), Err(_)) => {}
+                (w, c) => prop_assert!(false,
+                    "moved model: warm {:?} vs cold {:?}",
+                    w.map(|sol| sol.objective), c.map(|sol| sol.objective)),
             }
         }
     }

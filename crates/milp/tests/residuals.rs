@@ -28,7 +28,7 @@ fn drifty() -> Model {
 
 #[test]
 fn cold_solves_report_measured_residual() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let m = drifty();
         let sol = m.solve_with(&opts(engine)).unwrap();
         let measured = m.violation(sol.values());
@@ -50,25 +50,33 @@ fn warm_started_solves_report_measured_residual() {
     // is artificial-free and snapshots: at the optimum z is pinned between
     // the row (which wants z ≤ 0.3 − 0.30000000000000004 < 0) and its lower
     // bound 0, so some tiny violation is unavoidable at any returned point.
-    let skeleton = |obj_sense: Sense, cz: f64| {
+    let skeleton = || {
         let mut m = Model::new();
         let x = m.add_var(1.0, 1.0);
         let y = m.add_var(1.0, 1.0);
         let z = m.add_var(0.0, 10.0);
         m.add_constraint(0.1 * x + 0.2 * y + z, Cmp::Le, 0.3);
         m.add_constraint(x + z, Cmp::Le, 6.0);
-        m.set_objective(obj_sense, cz * z + 1.0 * x);
-        m
+        (m, x, z)
     };
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
-        let m = skeleton(Sense::Maximize, 1.0);
-        let (cold, basis) = m.solve_with_basis(&o, None).unwrap();
+        let mut slot = None;
+        let (mut m, x, z) = skeleton();
+        let mut batch = BatchSolver::new(&mut m);
+        let cold = batch
+            .solve_slot(Sense::Maximize, 1.0 * z + 1.0 * x, &o, &mut slot)
+            .unwrap();
         assert_eq!(cold.stats.max_residual, m.violation(cold.values()));
-        let basis = basis.expect("cold solve yields a snapshot");
+        assert!(slot.is_some(), "{engine:?}: cold solve yields a snapshot");
 
-        let m2 = skeleton(Sense::Minimize, -2.0);
-        let (warm, _) = m2.solve_with_basis(&o, Some(&basis)).unwrap();
+        // A fresh sweep over a second copy of the skeleton restores the slot.
+        let (mut m2, x, z) = skeleton();
+        let mut batch = BatchSolver::new(&mut m2);
+        let warm = batch
+            .solve_slot(Sense::Minimize, -2.0 * z + 1.0 * x, &o, &mut slot)
+            .unwrap();
+        assert_eq!(batch.stats().seed_hits, 1, "{engine:?}: restore missed");
         let measured = m2.violation(warm.values());
         assert_eq!(
             warm.stats.max_residual, measured,
@@ -80,7 +88,7 @@ fn warm_started_solves_report_measured_residual() {
 
 #[test]
 fn batch_resident_solves_report_measured_residual() {
-    for engine in [Engine::Lu, Engine::Eta, Engine::Dense] {
+    for engine in [Engine::Lu, Engine::Dense] {
         let o = opts(engine);
         let mut m = Model::new();
         let x = m.add_var(1.0, 1.0);

@@ -56,8 +56,8 @@
 
 use itne_core::query::QueryStats;
 use itne_core::{
-    certify_global_resident, ibp_values, validate_network, CertifyError, CertifyOptions,
-    CertifyStats, Interval, ResidentState, ValuePreBounds,
+    certify_global_resident, ibp_values, validate_network, validate_query, CertifyError,
+    CertifyOptions, CertifyStats, Interval, ResidentState, ValuePreBounds,
 };
 use itne_nn::{AffineNetwork, Network};
 use std::collections::BTreeMap;
@@ -276,22 +276,6 @@ impl Session {
     }
 }
 
-/// Rejects the queries [`certify_global_resident`] rejects for a registered
-/// net (whose network and domain passed validation at registration), before
-/// the query touches any session.
-fn validate_query(q: &QueryRequest) -> Result<(), CertifyError> {
-    if q.delta.is_nan() || q.delta < 0.0 {
-        return Err(CertifyError::InvalidInput(format!(
-            "delta must be ≥ 0, got {}",
-            q.delta
-        )));
-    }
-    if q.window == 0 {
-        return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
-    }
-    Ok(())
-}
-
 /// Bounded in-flight gate: at most `cap` queries execute concurrently; the
 /// rest block (in arrival order of lock acquisition) until a slot frees.
 struct Gate {
@@ -456,7 +440,9 @@ impl CertEngine {
                 .ok_or_else(|| ServeError::UnknownNet(net_id.to_string()))?;
             Arc::clone(reg.by_key.get(&key).expect("registry id without entry"))
         };
-        validate_query(q)?;
+        // The network and domain passed validation at registration; the
+        // query's own parameters are checked before it touches any session.
+        validate_query(q.delta, q.window)?;
         let key: SessionKey = (entry.key, q.window, q.refine);
         let mut delta_seeded = false;
         let session = {
