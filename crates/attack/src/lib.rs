@@ -3,7 +3,7 @@
 //!
 //! The paper brackets its certified bounds from below (Table I's `ε̲`) by
 //! running projected gradient descent around every dataset sample and taking
-//! the worst observed output variation — the method of Ruan et al. [9]
+//! the worst observed output variation — the method of Ruan et al. \[9\]
 //! adapted to output variation. The case study additionally perturbs camera
 //! images in the loop with the fast gradient sign method (FGSM).
 //!

@@ -20,7 +20,7 @@
 //! checker therefore never trusts the solver: wrong-signed multipliers are
 //! clamped to zero (which only loosens `L`), the reduction `d` is recomputed
 //! from scratch, and all arithmetic is **exact**: a fast path in error-free
-//! floating-point expansions ([`expansion`]) handles the overwhelmingly
+//! floating-point expansions (`expansion`) handles the overwhelmingly
 //! common case where every intermediate stays in `f64` range, and the
 //! vendored [`dyadic::Dyadic`] exact rationals take over whenever the
 //! expansion path overflows or underflows out of its provably-exact window.

@@ -1,5 +1,5 @@
 //! Robust positively invariant (RPI) set computation for the closed loop —
-//! the safety-verification step the paper performs "similarly as in [20]".
+//! the safety-verification step the paper performs "similarly as in \[20\]".
 //!
 //! With estimation error `e = [Δd, 0]` bounded by `|Δd| ≤ β`, the closed
 //! loop is `x⁺ = A_cl·x + w`, where the lumped disturbance

@@ -17,9 +17,10 @@
 //! 4. [`invariant`] — robust positively invariant set computation giving the
 //!    largest estimation-error bound `β` the control loop tolerates inside
 //!    the safe set (the paper's `[-0.14, 0.14]`);
-//! 5. [`simulate`] — closed-loop simulation with FGSM perturbation in the
-//!    loop at increasing `δ`, reproducing the escalation the paper reports
-//!    (safe at 2/255, bound exceedances at 5/255, unsafe states at 10/255).
+//! 5. [`simulate`](mod@simulate) — closed-loop simulation with FGSM
+//!    perturbation in the loop at increasing `δ`, reproducing the escalation
+//!    the paper reports (safe at 2/255, bound exceedances at 5/255, unsafe
+//!    states at 10/255).
 //!
 //! ## Fidelity note (documented in DESIGN.md)
 //!

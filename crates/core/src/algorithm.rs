@@ -9,7 +9,7 @@
 //! yield `ε̄ = max(|Δx⁽ⁿ⁾.lo|, |Δx⁽ⁿ⁾.hi|)` per output.
 //!
 //! Parallelism runs on the deterministic work-stealing executor in
-//! [`crate::schedule`]: each neuron contributes an `LpRelaxY` sweep task
+//! `crate::schedule`: each neuron contributes an `LpRelaxY` sweep task
 //! that may spawn its `LpRelaxX` follow-up, idle workers steal units from
 //! busy ones (so one expensive conv-window neuron no longer idles the rest
 //! of the pool at the layer barrier), and results merge back by neuron
@@ -51,7 +51,7 @@ pub struct CertifyOptions {
     /// `closed_form_equals_lp` test).
     pub closed_form_x: bool,
     /// Worker threads for the per-neuron loop (1 = serial). Work runs on
-    /// the deterministic work-stealing executor ([`crate::schedule`]): each
+    /// the deterministic work-stealing executor (`crate::schedule`): each
     /// neuron's `LpRelaxY` sweep and `LpRelaxX` follow-up are separate task
     /// units, idle workers steal queued units from busy ones, and results
     /// merge back by neuron index — so bounds are bit-identical for every

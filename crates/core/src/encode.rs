@@ -18,8 +18,8 @@
 //!
 //! # One body, two sinks
 //!
-//! The encoder body is generic over a [`ModelSink`]: a [`FreshSink`] appends
-//! variables and rows to a new [`Model`], while a [`ReuseSink`] replays the
+//! The encoder body is generic over a `ModelSink`: a `FreshSink` appends
+//! variables and rows to a new [`Model`], while a `ReuseSink` replays the
 //! identical sequence of emissions *onto an existing model*, overwriting
 //! bounds, coefficients and right-hand sides in place and verifying at every
 //! step that the stored structure (variable types, row supports, comparison

@@ -7,8 +7,8 @@
 //! that fallback (both are sound, so the intersection is sound and tighter).
 //!
 //! Every LP optimum passes through one pipeline before it becomes a bound
-//! ([`certified_bound`]): pad outward by [`SOUND_SLACK`] plus a relative
-//! term, snap outward onto [`BOUND_GRID`], and — when certificate checking
+//! (`certified_bound`): pad outward by `SOUND_SLACK` plus a relative
+//! term, snap outward onto `BOUND_GRID`, and — when certificate checking
 //! is on — validate the *snapped* claim against the solve's
 //! [`itne_milp::DualCertificate`] in exact rational arithmetic
 //! (`itne_certcheck`). A bound whose certificate fails the check is

@@ -2,14 +2,14 @@
 //! certification queries skip work a one-shot run redoes every time.
 //!
 //! A [`ResidentState`] owns, per neuron and per pass (`LpRelaxY` /
-//! `LpRelaxX`), a [`SubCache`]: the encoded sub-network, the refined-neuron
+//! `LpRelaxX`), a `SubCache`: the encoded sub-network, the refined-neuron
 //! set it was built for, and one simplex [`Basis`] per directed objective
 //! from the previous query's sweep. Across queries the engine then
 //!
 //! 1. **re-parameterizes instead of re-encoding**: a new δ (or a small
 //!    weight update) changes relaxation coefficients and RHS values but
 //!    usually not the constraint *skeleton*; the cached encoding is replayed
-//!    in place ([`crate::encode::reencode_subnet`]) and only rebuilt from
+//!    in place (`crate::encode::reencode_subnet`) and only rebuilt from
 //!    scratch when the structure actually changed (counted in
 //!    [`QueryStats::encoding_cache_misses`]);
 //! 2. **warm-starts across queries**: each directed solve restores the basis
@@ -72,9 +72,9 @@ pub(crate) struct NeuronCache {
 /// was populated under; the serve layer keys its session map accordingly.
 /// Using it with *changed* options or a perturbed network is safe — every
 /// reuse is verified structurally and falls back to fresh work — it only
-/// costs cache misses. Cloning a predecessor network's state before the
-/// first query against an updated network is exactly the delta
-/// re-certification warm start.
+/// costs cache misses. Handing a predecessor network's state, moved or
+/// cloned, to the first query against an updated network is exactly the
+/// delta re-certification warm start.
 #[derive(Clone, Default)]
 pub struct ResidentState {
     layers: Vec<Vec<Option<Box<NeuronCache>>>>,

@@ -6,10 +6,11 @@
 //! so this crate generates deterministic synthetic stand-ins with the same
 //! shape:
 //!
-//! * [`auto_mpg`] — a 7-feature vehicle fuel-economy regression problem with
-//!   correlated features and a nonlinear ground truth;
-//! * [`digits`] — a 10-class procedural digit-image classification problem
-//!   (glyphs rendered with jitter, scale and noise);
+//! * [`auto_mpg`](mod@auto_mpg) — a 7-feature vehicle fuel-economy
+//!   regression problem with correlated features and a nonlinear ground
+//!   truth;
+//! * [`digits`](mod@digits) — a 10-class procedural digit-image
+//!   classification problem (glyphs rendered with jitter, scale and noise);
 //! * [`camera`] — a perspective renderer producing the lead-vehicle camera
 //!   images of the control case study, labelled with ground-truth distance.
 //!

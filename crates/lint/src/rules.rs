@@ -1,5 +1,5 @@
 //! The determinism/soundness rules. Each rule walks the preprocessed
-//! [`SourceFile`](crate::source::SourceFile) and emits diagnostics; the
+//! [`SourceFile`] and emits diagnostics; the
 //! driver filters those covered by a reasoned `lint:allow` directive.
 
 use crate::source::{SourceFile, TokKind, Token};

@@ -160,7 +160,7 @@ impl<'m> BatchSolver<'m> {
     ///
     /// With a live resident the restore reuses the compiled skeleton and
     /// working arrays and pays only a basis refactorization
-    /// ([`Resident::resolve_from`]); the sweep's first solve rebuilds the
+    /// (`Resident::resolve_from`); the sweep's first solve rebuilds the
     /// engine from the snapshot. A stored basis whose point is no longer
     /// primal feasible — the model's RHS or bounds moved since the slot was
     /// written — is repaired in place by the sparse engine's bounded dual

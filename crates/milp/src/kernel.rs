@@ -2,7 +2,7 @@
 //!
 //! The sparse engine spends almost all of its time in three loop shapes:
 //! scatter updates `v[idx[e]] -= val[e]·t` (eta application, the L/U
-//! triangular solves of [`crate::lu`]), gather reductions
+//! triangular solves of `crate::lu`), gather reductions
 //! `s -= Σ x[idx[e]]·val[e]` (BTRAN, the transposed solves, reduced-cost
 //! pricing), and the left-looking elimination of a refactorization. This
 //! module provides those loops chunked to a fixed width of [`LANES`] = 4
@@ -83,7 +83,7 @@ pub fn scatter_sub(v: &mut [f64], idx: &[usize], val: &[f64], t: f64) {
 }
 
 /// [`scatter_sub`] through an index map: `v[map[idx[e]]] -= val[e]·t`.
-/// The extra indirection is the `U`-solve of [`crate::lu`], whose stored
+/// The extra indirection is the `U`-solve of `crate::lu`, whose stored
 /// column indices are elimination positions that the Forrest–Tomlin
 /// permutation `u_row` maps back to basis rows.
 ///

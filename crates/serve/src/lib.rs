@@ -13,7 +13,8 @@
 //!    running the certifier, with [`QueryResponse::answer_cached`] set and
 //!    all work counters zero, and [`ServeStats::answer_hits`] counts it.
 //!    A session holds one answer; every other query replaces it. Delta
-//!    seeding (below) never copies it, since it belongs to the old weights;
+//!    seeding (below) never passes it on, since it belongs to the old
+//!    weights;
 //! 2. a **model registry** keyed by everything that shapes an answer — the
 //!    weights ([`itne_nn::AffineNetwork::weight_hash`]) *and* the input
 //!    domain — holding the lowered network, the domain, and the
@@ -32,10 +33,28 @@
 //!    by the bounded dual simplex rather than re-solved cold.
 //!
 //! Re-registering an id with updated weights (or a new domain) produces a
-//! new key whose entry links to its predecessor; the first query against
-//! the new entry clones the predecessor's session state, so **delta
+//! new key whose entry links to its predecessor, so **delta
 //! re-certification** after a fine-tuning step rebuilds only bounds/RHS and
-//! warm-starts every sweep from the previous model's bases.
+//! warm-starts every sweep from the previous model's bases. Resident state
+//! has a lifecycle, so a stream of weight versions keeps at most two of
+//! them resident per id:
+//!
+//! - a new entry's first query per `(window, refine)` seeds its session from
+//!   the predecessor's session of that shape. It *moves* the predecessor's
+//!   resident state out and drops that session when no id resolves to the
+//!   predecessor any more, and clones it only while some id still does;
+//! - every registration retires the entries no id resolves to that are not
+//!   the predecessor of an entry some id resolves to, with their sessions.
+//!   A query already running on a retired session finishes on it;
+//! - a re-registration whose outgoing entry holds no session links the new
+//!   entry to the outgoing entry's predecessor instead, so versions that
+//!   were never queried neither stay resident nor cut the seeding chain.
+//!
+//! [`ServeStats::live_entries`] and [`ServeStats::live_sessions`] report what
+//! is resident. Re-registering content an entry still holds resolves to that
+//! entry as it is, link included. A rollback to the previous version is one
+//! such case: its sessions went to its successor, which the rollback
+//! retires, so the rollback's queries start cold.
 //!
 //! Every answer is the certifier's ε̄ for the exact inputs of its query, and
 //! an answer hit returns exactly the bits its session returned before.
@@ -44,8 +63,9 @@
 //! the 2⁻³⁰ snap, usually bit for bit: this crate's tests assert it on
 //! their nets, serially and under concurrency. It is not guaranteed. A
 //! warm-started solve can end on a vertex that is optimal only to
-//! tolerance, and certbench's `serve_mix` stream finds resident answers one
-//! 2⁻³⁰ step from cold on its fifth fine-tuning window.
+//! tolerance. certbench's `serve_mix` stream finds resident answers one
+//! 2⁻³⁰ step from cold on its fifth fine-tuning window, and a 200-version
+//! stream in this crate's tests on 21 of its 400 answers.
 //!
 //! Queries run on the certifier's deterministic work-stealing pool; a
 //! bounded in-flight gate keeps concurrent clients from oversubscribing it.
@@ -60,7 +80,7 @@ use itne_core::{
     CertifyOptions, CertifyStats, Interval, ResidentState, ValuePreBounds,
 };
 use itne_nn::{AffineNetwork, Network};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Errors returned by [`CertEngine`] operations.
@@ -127,8 +147,10 @@ pub struct QueryResponse {
     /// The run's work counters, including the cache telemetry
     /// (`encoding_cache_hits/misses`, `cross_query_warm_hits`).
     pub stats: CertifyStats,
-    /// Whether this query's session was seeded by cloning a predecessor
-    /// net's session (the delta re-certification path).
+    /// Whether this query opened its session by seeding it from a
+    /// predecessor net's session (the delta re-certification path): it took
+    /// that session's resident state, or cloned it while some id still
+    /// resolves to the predecessor.
     pub delta_seeded: bool,
     /// Whether the answer came from the session's answer cache: the query
     /// repeated the session's last successful query exactly, so the
@@ -146,7 +168,8 @@ pub struct ServeStats {
     pub delta_registrations: u64,
     /// Queries answered, answer hits included.
     pub queries: u64,
-    /// Sessions seeded by cloning a predecessor net's session state.
+    /// Sessions seeded from a predecessor net's session state, taken or
+    /// (while some id still resolves to the predecessor) cloned.
     pub delta_seeded_sessions: u64,
     /// Queries answered from their session's last answer (cache layer 1).
     pub answer_hits: u64,
@@ -155,6 +178,11 @@ pub struct ServeStats {
     pub poisoned_sessions: u64,
     /// The certifier's work counters, merged over every query that ran it.
     pub query: QueryStats,
+    /// Registry entries resident when the snapshot was taken: those an id
+    /// resolves to and their predecessors (a gauge, not a lifetime count).
+    pub live_entries: u64,
+    /// Sessions resident when the snapshot was taken (a gauge).
+    pub live_sessions: u64,
 }
 
 /// One registered network: everything the registry computes once per
@@ -165,8 +193,10 @@ struct NetEntry {
     key: u64,
     /// δ-independent interval pre-bounds over `domain`.
     pre: ValuePreBounds,
-    /// The key this id previously resolved to, when re-registered with
-    /// updated weights or a new domain — the delta re-certification link.
+    /// The entry whose sessions seed this one's — the delta
+    /// re-certification link. Set when an id is re-registered with updated
+    /// weights or a new domain: the key the id resolved to, or, when that
+    /// entry holds no session, its own predecessor.
     predecessor: Option<u64>,
 }
 
@@ -239,6 +269,33 @@ impl Registry {
             }
         }
     }
+
+    /// Whether some id resolves to `key`.
+    fn resolves(&self, key: u64) -> bool {
+        self.by_id.values().any(|&k| k == key)
+    }
+
+    /// Retires every entry no id resolves to that is not the predecessor of
+    /// an entry some id resolves to, and drops the sessions of retired
+    /// entries.
+    fn retire(&mut self, sessions: &mut SessionMap) {
+        let by_key = &self.by_key;
+        let keep: BTreeSet<u64> = self
+            .by_id
+            .values()
+            .flat_map(|k| std::iter::once(*k).chain(by_key[k].predecessor))
+            .collect();
+        self.by_key.retain(|k, _| keep.contains(k));
+        sessions.retain(|(k, _, _), _| keep.contains(k));
+    }
+}
+
+/// Whether `sessions` holds a session of the entry under `key`.
+fn holds_session(sessions: &SessionMap, key: u64) -> bool {
+    sessions
+        .range((key, 0, 0)..=(key, usize::MAX, usize::MAX))
+        .next()
+        .is_some()
 }
 
 /// Sessions are keyed by everything that shapes cached encodings:
@@ -246,6 +303,8 @@ impl Registry {
 /// domain. δ and certificate checking deliberately stay out of the key —
 /// they never change the constraint skeleton.
 type SessionKey = (u64, usize, usize);
+
+type SessionMap = BTreeMap<SessionKey, Arc<Mutex<Session>>>;
 
 /// The ε̄ of a session's last successful query, stored under what the
 /// session key leaves out: δ's bit pattern and the certificate-checking
@@ -259,7 +318,7 @@ struct Answer {
 
 /// One session: the resident state its queries reuse (cache layers 3 and
 /// 4) and its last answer (layer 1). The answer sits beside the state,
-/// never inside it, so seeding a successor session copies only the state.
+/// never inside it, so seeding a successor session passes on only the state.
 #[derive(Default)]
 struct Session {
     state: ResidentState,
@@ -318,7 +377,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct CertEngine {
     threads: usize,
     registry: Mutex<Registry>,
-    sessions: Mutex<BTreeMap<SessionKey, Arc<Mutex<Session>>>>,
+    /// Locked after `registry` whenever both are held.
+    sessions: Mutex<SessionMap>,
     gate: Gate,
     stats: Mutex<ServeStats>,
 }
@@ -347,8 +407,14 @@ impl CertEngine {
     /// (weights, domain) pair: a second id with the same weights over a
     /// different domain gets an entry of its own. Re-registering an id with
     /// changed weights or a changed domain links the new entry to its
-    /// predecessor so the first query against it can clone the old session
-    /// (delta path); re-registering identical content is a no-op.
+    /// predecessor, the entry the id resolved to, or that entry's own
+    /// predecessor when it holds no session. The first query of each
+    /// `(window, refine)` against the new entry seeds its session from the
+    /// predecessor's (delta path): it takes the predecessor's state when no
+    /// id resolves to the predecessor any more, and clones it otherwise.
+    /// Every registration then retires the entries no id resolves to that
+    /// are not the predecessor of one some id resolves to, with their
+    /// sessions. Re-registering identical content is a no-op.
     ///
     /// # Errors
     ///
@@ -379,12 +445,24 @@ impl CertEngine {
         validate_network(&aff, domain)?;
         let mut reg = lock(&self.registry);
         let (key, known) = reg.locate(&aff, domain);
-        let predecessor = match reg.by_id.get(id) {
+        let outgoing = match reg.by_id.get(id) {
             Some(&old) if old == key => return Ok(key), // identical content: no-op
-            Some(&old) => Some(old),
-            None => None,
+            old => old.copied(),
         };
+        let mut sessions = lock(&self.sessions);
         if !known {
+            // A version that holds no session has nothing to seed from:
+            // link past it, so retiring it keeps the chain intact. A link
+            // names a resident entry, never a retired key.
+            let predecessor = outgoing
+                .and_then(|old| {
+                    if holds_session(&sessions, old) {
+                        Some(old)
+                    } else {
+                        reg.by_key[&old].predecessor
+                    }
+                })
+                .filter(|p| reg.by_key.contains_key(p));
             let dom_iv: Vec<Interval> = domain
                 .iter()
                 .map(|&(lo, hi)| Interval::new(lo, hi))
@@ -403,7 +481,8 @@ impl CertEngine {
             lock(&self.stats).registered_nets += 1;
         }
         reg.by_id.insert(id.to_string(), key);
-        if predecessor.is_some() {
+        reg.retire(&mut sessions);
+        if outgoing.is_some() {
             lock(&self.stats).delta_registrations += 1;
         }
         Ok(key)
@@ -432,43 +511,57 @@ impl CertEngine {
     /// query creates, seeds and changes no session.
     pub fn certify(&self, net_id: &str, q: &QueryRequest) -> Result<QueryResponse, ServeError> {
         let _slot = self.gate.acquire();
-        let entry = {
-            let reg = lock(&self.registry);
-            let key = *reg
-                .by_id
-                .get(net_id)
-                .ok_or_else(|| ServeError::UnknownNet(net_id.to_string()))?;
-            Arc::clone(reg.by_key.get(&key).expect("registry id without entry"))
-        };
+        // The id resolves, and the session is found or made, under one
+        // registry lock: a registration cannot retire the entry in between,
+        // so the map never gains a session of a retired entry.
+        let reg = lock(&self.registry);
+        let key = *reg
+            .by_id
+            .get(net_id)
+            .ok_or_else(|| ServeError::UnknownNet(net_id.to_string()))?;
+        let entry = Arc::clone(reg.by_key.get(&key).expect("registry id without entry"));
         // The network and domain passed validation at registration; the
         // query's own parameters are checked before it touches any session.
         validate_query(q.delta, q.window)?;
         let key: SessionKey = (entry.key, q.window, q.refine);
-        let mut delta_seeded = false;
-        let session = {
-            let mut sessions = lock(&self.sessions);
-            if let Some(s) = sessions.get(&key) {
-                Arc::clone(s)
+        let mut sessions = lock(&self.sessions);
+        let found = sessions.get(&key).map(Arc::clone);
+        let is_new = found.is_none();
+        // First query for this (net, window, refine): seed from the
+        // predecessor net's same-shaped session when one exists — its
+        // encodings re-parameterize and its bases warm-start against the
+        // updated weights (delta re-certification). The session of a
+        // predecessor no id resolves to leaves the map and hands over its
+        // state; a resolvable one's state is cloned.
+        let seed = entry.predecessor.filter(|_| is_new).and_then(|p| {
+            let from = (p, q.window, q.refine);
+            if reg.resolves(p) {
+                sessions.get(&from).map(|s| (Arc::clone(s), false))
             } else {
-                // First query for this (net, window, refine): seed from the
-                // predecessor net's same-shaped session when one exists —
-                // its encodings re-parameterize and its bases warm-start
-                // against the updated weights (delta re-certification). Its
-                // answer stays behind: it belongs to the old weights.
-                let seed = entry
-                    .predecessor
-                    .and_then(|p| sessions.get(&(p, q.window, q.refine)))
-                    .map(|s| self.lock_session(s).state.clone());
-                delta_seeded = seed.is_some();
-                let s = Arc::new(Mutex::new(Session {
-                    state: seed.unwrap_or_default(),
-                    answer: None,
-                }));
-                sessions.insert(key, Arc::clone(&s));
-                s
+                sessions.remove(&from).map(|s| (s, true))
             }
-        };
-        let mut session = self.lock_session(&session);
+        });
+        let session = found.unwrap_or_default();
+        // A new session enters the map already locked, so no other query
+        // runs on it unseeded. The seed is copied after both maps are
+        // released: its source may be busy with another query.
+        let new_guard = is_new.then(|| {
+            let guard = self.lock_session(&session);
+            sessions.insert(key, Arc::clone(&session));
+            guard
+        });
+        drop((sessions, reg));
+        let mut session = new_guard.unwrap_or_else(|| self.lock_session(&session));
+        let delta_seeded = seed.is_some();
+        if let Some((from, take)) = seed {
+            // Its answer stays behind: it belongs to the old weights.
+            let mut from = self.lock_session(&from);
+            session.state = if take {
+                std::mem::take(&mut from.state)
+            } else {
+                from.state.clone()
+            };
+        }
         let (epsilons, stats, answer_cached) = match session.answer_for(q) {
             Some(eps) => (eps.to_vec(), CertifyStats::default(), true),
             None => {
@@ -529,9 +622,15 @@ impl CertEngine {
         })
     }
 
-    /// A snapshot of the engine-lifetime counters.
+    /// A snapshot of the engine-lifetime counters and the live gauges.
     pub fn stats(&self) -> ServeStats {
-        *lock(&self.stats)
+        let reg = lock(&self.registry);
+        let sessions = lock(&self.sessions);
+        ServeStats {
+            live_entries: reg.by_key.len() as u64,
+            live_sessions: sessions.len() as u64,
+            ..*lock(&self.stats)
+        }
     }
 }
 
@@ -596,6 +695,32 @@ mod tests {
 
     fn bits(eps: &[f64]) -> Vec<u64> {
         eps.iter().map(|e| e.to_bits()).collect()
+    }
+
+    /// A query at `delta` and `window` that checks certificates when
+    /// `ITNE_CHECK_CERTS` says so.
+    fn env_query(delta: f64, window: usize) -> QueryRequest {
+        QueryRequest {
+            window,
+            check_certs: itne_core::query::default_check_certificates(),
+            ..QueryRequest::new(delta)
+        }
+    }
+
+    /// `engine`'s answer to `q` on `id`, asserted equal to a cold run on
+    /// `net` over `dom` bit for bit and free of certificate failures.
+    fn certify_as_cold(
+        engine: &CertEngine,
+        id: &str,
+        q: &QueryRequest,
+        net: &AffineNetwork,
+        dom: &[(f64, f64)],
+    ) -> QueryResponse {
+        let resp = engine.certify(id, q).unwrap();
+        let cold = certify_global_affine(net, dom, q.delta, &cold_opts(q, 1)).unwrap();
+        assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons), "{q:?}");
+        assert_eq!(resp.stats.query.cert_failures, 0);
+        resp
     }
 
     #[test]
@@ -957,6 +1082,190 @@ mod tests {
         // The poison is cleared: the repeat is an ordinary hit.
         assert!(engine.certify("m", &q).unwrap().answer_cached);
         assert_eq!(engine.stats().poisoned_sessions, 1);
+    }
+
+    /// A fine-tuning stream of 200 weight versions under one id: each
+    /// version's first query per window takes over its predecessor's
+    /// session, so no more than two versions are ever resident. Taking the
+    /// state moves exactly what a clone would copy, so every answer equals
+    /// that of one `ResidentState` carried through the stream, bit for bit.
+    /// Against cold runs the stream shows the known gap of the crate docs:
+    /// some answers sit one 2⁻³⁰ grid step from cold, none further.
+    #[test]
+    fn a_weight_version_stream_keeps_two_versions_resident() {
+        const GRID: f64 = 1.0 / (1u64 << 30) as f64;
+        let dom = [(-1.0, 1.0); 3];
+        let engine = CertEngine::new(1, 1);
+        let mut net = dense_net(0x11FE, 3, 4, 1);
+        let mut carried = [ResidentState::new(), ResidentState::new()];
+        let bounded = |engine: &CertEngine| {
+            let s = engine.stats();
+            assert!(s.live_entries <= 2 && s.live_sessions <= 4, "{s:?}");
+        };
+        for version in 0..200 {
+            if version > 0 {
+                net = perturbed(&net, 1e-3);
+            }
+            engine.register_affine("m", net.clone(), &dom).unwrap();
+            bounded(&engine);
+            let pre = ibp_values(&net, &[Interval::new(-1.0, 1.0); 3]);
+            for (window, state) in [1, 2].into_iter().zip(&mut carried) {
+                let q = env_query(1e-3, window);
+                let resp = engine.certify("m", &q).unwrap();
+                assert_eq!(resp.delta_seeded, version > 0, "version {version}, {q:?}");
+                assert_eq!(resp.stats.query.cert_failures, 0);
+                let opts = cold_opts(&q, 1);
+                let carried =
+                    certify_global_resident(&net, &dom, q.delta, &opts, Some(&pre), state).unwrap();
+                assert_eq!(
+                    bits(&resp.epsilons),
+                    bits(&carried.epsilons),
+                    "version {version}, {q:?}"
+                );
+                let cold = certify_global_affine(&net, &dom, q.delta, &opts).unwrap();
+                for (r, c) in resp.epsilons.iter().zip(&cold.epsilons) {
+                    assert!(
+                        (r - c).abs() <= GRID,
+                        "version {version}, {q:?}: {r} vs {c}"
+                    );
+                }
+                bounded(&engine);
+            }
+        }
+        let s = engine.stats();
+        assert_eq!((s.delta_registrations, s.delta_seeded_sessions), (199, 398));
+        assert_eq!((s.live_entries, s.live_sessions), (2, 2));
+    }
+
+    /// While a second id still resolves to the old weights, seeding clones
+    /// the old session instead of taking it: the old id keeps its warm
+    /// bases and its answer.
+    #[test]
+    fn a_version_another_id_resolves_to_is_cloned() {
+        let net = dense_net(0xC10E, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        let k1 = engine.register_affine("a", net.clone(), &dom).unwrap();
+        assert_eq!(engine.register_affine("b", net.clone(), &dom).unwrap(), k1);
+        let q = env_query(1e-3, 2);
+        certify_as_cold(&engine, "a", &q, &net, &dom);
+        let tuned = perturbed(&net, 1e-4);
+        engine.register_affine("a", tuned.clone(), &dom).unwrap();
+        assert!(certify_as_cold(&engine, "a", &q, &tuned, &dom).delta_seeded);
+        let s = engine.stats();
+        assert_eq!((s.live_entries, s.live_sessions), (2, 2));
+
+        // The old session still holds the answer `a` left in it.
+        assert!(engine.certify("b", &q).unwrap().answer_cached);
+        let q2 = env_query(2e-3, 2);
+        let old = certify_as_cold(&engine, "b", &q2, &net, &dom);
+        assert!(!old.delta_seeded && !old.answer_cached);
+        assert!(
+            old.stats.query.cross_query_warm_hits > 0,
+            "the old id lost its bases: {:?}",
+            old.stats.query
+        );
+        let repeat = engine.certify("b", &q2).unwrap();
+        assert!(repeat.answer_cached);
+        assert_eq!(bits(&repeat.epsilons), bits(&old.epsilons));
+        assert_eq!(engine.stats().delta_seeded_sessions, 1);
+    }
+
+    /// A version registered but never queried is linked past and retired:
+    /// the next version seeds from the last version that held a session.
+    #[test]
+    fn an_unqueried_version_does_not_cut_the_seeding_chain() {
+        let first = dense_net(0x5C1B, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        let k1 = engine.register_affine("m", first.clone(), &dom).unwrap();
+        let q = env_query(1e-3, 2);
+        certify_as_cold(&engine, "m", &q, &first, &dom);
+        let second = perturbed(&first, 1e-4);
+        let k2 = engine.register_affine("m", second.clone(), &dom).unwrap();
+        let third = perturbed(&second, 1e-4);
+        let k3 = engine.register_affine("m", third.clone(), &dom).unwrap();
+        {
+            let reg = lock(&engine.registry);
+            assert!(
+                !reg.by_key.contains_key(&k2),
+                "the unqueried version stayed"
+            );
+            assert_eq!(reg.by_key[&k3].predecessor, Some(k1));
+        }
+        let resp = certify_as_cold(&engine, "m", &q, &third, &dom);
+        assert!(resp.delta_seeded, "the third version was not seeded");
+        assert!(resp.stats.query.cross_query_warm_hits > 0);
+        let s = engine.stats();
+        assert_eq!((s.live_entries, s.live_sessions), (2, 1));
+    }
+
+    /// A seeding query waits for its predecessor's session outside the
+    /// session map: while another thread holds that session, a query on
+    /// another id still runs, and the seeding query completes seeded once
+    /// the session is released.
+    #[test]
+    fn a_seeding_query_waits_outside_the_session_map() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const PATIENCE: Duration = Duration::from_secs(30);
+        let net = dense_net(0x5EED, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let other_net = dense_net(0x07E, 3, 4, 1);
+        let other_dom = [(0.0, 1.0); 3];
+        let engine = &CertEngine::new(1, 2);
+        let k1 = engine.register_affine("m", net.clone(), &dom).unwrap();
+        engine
+            .register_affine("other", other_net.clone(), &other_dom)
+            .unwrap();
+        let q = env_query(1e-3, 2);
+        engine.certify("m", &q).unwrap();
+        let tuned = perturbed(&net, 1e-4);
+        let k2 = engine.register_affine("m", tuned.clone(), &dom).unwrap();
+        let held = Arc::clone(&lock(&engine.sessions)[&(k1, q.window, q.refine)]);
+        std::thread::scope(|scope| {
+            // Both senders drop if this body panics, so no thread is left
+            // waiting and the scope can join.
+            let (locked_tx, locked_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            scope.spawn(move || {
+                let _held = held.lock().unwrap();
+                locked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            locked_rx.recv().unwrap();
+            let seeding = scope.spawn(move || engine.certify("m", &q).unwrap());
+            // The seeding query opens its session, then waits for the held
+            // one. `try_lock`, so a map it kept fails the test, not hangs it.
+            let opened = || {
+                let sessions = engine.sessions.try_lock();
+                sessions.is_ok_and(|s| s.contains_key(&(k2, q.window, q.refine)))
+            };
+            let tick = Duration::from_millis(1);
+            for _ in 0..PATIENCE.as_millis() {
+                if opened() {
+                    break;
+                }
+                std::thread::sleep(tick);
+            }
+            assert!(opened(), "the seeding query kept the session map");
+            let (done_tx, done_rx) = mpsc::channel();
+            scope.spawn(move || {
+                let _ = done_tx.send(engine.certify("other", &q));
+            });
+            let other = done_rx
+                .recv_timeout(PATIENCE)
+                .expect("a query on another id waited for the seeding query")
+                .unwrap();
+            let cold =
+                certify_global_affine(&other_net, &other_dom, q.delta, &cold_opts(&q, 1)).unwrap();
+            assert_eq!(bits(&other.epsilons), bits(&cold.epsilons));
+            drop(release_tx);
+            let resp = seeding.join().unwrap();
+            assert!(resp.delta_seeded);
+            let cold = certify_global_affine(&tuned, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
+            assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
+        });
     }
 
     proptest::proptest! {
