@@ -45,16 +45,19 @@
 //!   predecessor any more, and clones it only while some id still does;
 //! - every registration retires the entries no id resolves to that are not
 //!   the predecessor of an entry some id resolves to, with their sessions.
-//!   A query already running on a retired session finishes on it;
-//! - a re-registration whose outgoing entry holds no session links the new
-//!   entry to the outgoing entry's predecessor instead, so versions that
-//!   were never queried neither stay resident nor cut the seeding chain.
+//!   A query already running on a retired session finishes on it.
 //!
 //! [`ServeStats::live_entries`] and [`ServeStats::live_sessions`] report what
-//! is resident. Re-registering content an entry still holds resolves to that
-//! entry as it is, link included. A rollback to the previous version is one
-//! such case: its sessions went to its successor, which the rollback
-//! retires, so the rollback's queries start cold.
+//! is resident. Two known cases start cold where keeping every version
+//! resident would have stayed warm; their answers are as correct as any:
+//!
+//! - re-registering content an entry still holds resolves to that entry as
+//!   it is, link included. A rollback to the previous version is one such
+//!   case: its sessions went to its successor, which the rollback retires;
+//! - forked ids: when two ids resolve to one entry and both move to new
+//!   versions before either queries, the first successor to query a shape
+//!   takes the shared predecessor's session, and the other starts that
+//!   shape cold.
 //!
 //! Every answer is the certifier's ε̄ for the exact inputs of its query, and
 //! an answer hit returns exactly the bits its session returned before.
@@ -195,8 +198,7 @@ struct NetEntry {
     pre: ValuePreBounds,
     /// The entry whose sessions seed this one's — the delta
     /// re-certification link. Set when an id is re-registered with updated
-    /// weights or a new domain: the key the id resolved to, or, when that
-    /// entry holds no session, its own predecessor.
+    /// weights or a new domain: the key the id resolved to.
     predecessor: Option<u64>,
 }
 
@@ -276,9 +278,10 @@ impl Registry {
     }
 
     /// Retires every entry no id resolves to that is not the predecessor of
-    /// an entry some id resolves to, and drops the sessions of retired
-    /// entries.
-    fn retire(&mut self, sessions: &mut SessionMap) {
+    /// an entry some id resolves to, and takes the sessions of retired
+    /// entries out of `sessions`. They are returned, not dropped, so the
+    /// caller can free their resident state after releasing its locks.
+    fn retire(&mut self, sessions: &mut SessionMap) -> SessionMap {
         let by_key = &self.by_key;
         let keep: BTreeSet<u64> = self
             .by_id
@@ -286,16 +289,12 @@ impl Registry {
             .flat_map(|k| std::iter::once(*k).chain(by_key[k].predecessor))
             .collect();
         self.by_key.retain(|k, _| keep.contains(k));
-        sessions.retain(|(k, _, _), _| keep.contains(k));
+        let (kept, retired) = std::mem::take(sessions)
+            .into_iter()
+            .partition(|((k, _, _), _)| keep.contains(k));
+        *sessions = kept;
+        retired
     }
-}
-
-/// Whether `sessions` holds a session of the entry under `key`.
-fn holds_session(sessions: &SessionMap, key: u64) -> bool {
-    sessions
-        .range((key, 0, 0)..=(key, usize::MAX, usize::MAX))
-        .next()
-        .is_some()
 }
 
 /// Sessions are keyed by everything that shapes cached encodings:
@@ -407,8 +406,7 @@ impl CertEngine {
     /// (weights, domain) pair: a second id with the same weights over a
     /// different domain gets an entry of its own. Re-registering an id with
     /// changed weights or a changed domain links the new entry to its
-    /// predecessor, the entry the id resolved to, or that entry's own
-    /// predecessor when it holds no session. The first query of each
+    /// predecessor, the entry the id resolved to. The first query of each
     /// `(window, refine)` against the new entry seeds its session from the
     /// predecessor's (delta path): it takes the predecessor's state when no
     /// id resolves to the predecessor any more, and clones it otherwise.
@@ -445,24 +443,12 @@ impl CertEngine {
         validate_network(&aff, domain)?;
         let mut reg = lock(&self.registry);
         let (key, known) = reg.locate(&aff, domain);
-        let outgoing = match reg.by_id.get(id) {
+        let predecessor = match reg.by_id.get(id) {
             Some(&old) if old == key => return Ok(key), // identical content: no-op
-            old => old.copied(),
+            Some(&old) => Some(old),
+            None => None,
         };
-        let mut sessions = lock(&self.sessions);
         if !known {
-            // A version that holds no session has nothing to seed from:
-            // link past it, so retiring it keeps the chain intact. A link
-            // names a resident entry, never a retired key.
-            let predecessor = outgoing
-                .and_then(|old| {
-                    if holds_session(&sessions, old) {
-                        Some(old)
-                    } else {
-                        reg.by_key[&old].predecessor
-                    }
-                })
-                .filter(|p| reg.by_key.contains_key(p));
             let dom_iv: Vec<Interval> = domain
                 .iter()
                 .map(|&(lo, hi)| Interval::new(lo, hi))
@@ -481,8 +467,13 @@ impl CertEngine {
             lock(&self.stats).registered_nets += 1;
         }
         reg.by_id.insert(id.to_string(), key);
-        reg.retire(&mut sessions);
-        if outgoing.is_some() {
+        let mut sessions = lock(&self.sessions);
+        let retired = reg.retire(&mut sessions);
+        // A retired session can hold megabytes of resident state: free it
+        // after both maps are released, so no query's lookup waits on it.
+        drop((sessions, reg));
+        drop(retired);
+        if predecessor.is_some() {
             lock(&self.stats).delta_registrations += 1;
         }
         Ok(key)
@@ -1169,35 +1160,6 @@ mod tests {
         assert!(repeat.answer_cached);
         assert_eq!(bits(&repeat.epsilons), bits(&old.epsilons));
         assert_eq!(engine.stats().delta_seeded_sessions, 1);
-    }
-
-    /// A version registered but never queried is linked past and retired:
-    /// the next version seeds from the last version that held a session.
-    #[test]
-    fn an_unqueried_version_does_not_cut_the_seeding_chain() {
-        let first = dense_net(0x5C1B, 4, 6, 2);
-        let dom = [(-1.0, 1.0); 4];
-        let engine = CertEngine::new(1, 1);
-        let k1 = engine.register_affine("m", first.clone(), &dom).unwrap();
-        let q = env_query(1e-3, 2);
-        certify_as_cold(&engine, "m", &q, &first, &dom);
-        let second = perturbed(&first, 1e-4);
-        let k2 = engine.register_affine("m", second.clone(), &dom).unwrap();
-        let third = perturbed(&second, 1e-4);
-        let k3 = engine.register_affine("m", third.clone(), &dom).unwrap();
-        {
-            let reg = lock(&engine.registry);
-            assert!(
-                !reg.by_key.contains_key(&k2),
-                "the unqueried version stayed"
-            );
-            assert_eq!(reg.by_key[&k3].predecessor, Some(k1));
-        }
-        let resp = certify_as_cold(&engine, "m", &q, &third, &dom);
-        assert!(resp.delta_seeded, "the third version was not seeded");
-        assert!(resp.stats.query.cross_query_warm_hits > 0);
-        let s = engine.stats();
-        assert_eq!((s.live_entries, s.live_sessions), (2, 1));
     }
 
     /// A seeding query waits for its predecessor's session outside the
