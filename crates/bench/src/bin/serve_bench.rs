@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p itne_bench --bin serve_bench \
-//!     [-- --json <path>] [-- --threads <n>]
+//!     [-- --json <path>] [-- --threads <n>] [-- --expect <snapshot.json>]
 //! ```
 //!
 //! The workload is 1 net × 16 δ values × 3 windows (48 queries). The cold
@@ -16,14 +16,19 @@
 //! This binary *asserts* the engine's contract rather than just reporting
 //! it: ε̄ bits byte-identical to the cold path on every query, zero
 //! certificate failures (set `ITNE_CHECK_CERTS=1` to validate every bound in
-//! exact arithmetic), and ≥ 3× resident speedup.
+//! exact arithmetic), and ≥ 3× resident speedup. With `--expect`, every work
+//! counter and flag of the report must also equal the snapshot's (the
+//! committed one is `BENCH_serve.json`); the arm times, the speedup, the
+//! thread count and the `*_time_ns` timing splits vary by run and are left
+//! out. The counters do not depend on the thread count.
 
 use itne_bench::nets::auto_mpg_net;
-use itne_bench::table::{json_flag, save_json, save_json_at, Table};
+use itne_bench::table::{json_flag, path_flag, save_json, save_json_at, Table};
 use itne_core::query::QueryStats;
 use itne_core::{certify_global, CertifyOptions};
 use itne_serve::{CertEngine, QueryRequest};
-use serde::Serialize;
+use serde::{Serialize, Value};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Queries per window; 3 windows → 48 queries total.
@@ -62,6 +67,7 @@ fn main() {
         .filter(|&t| (1..=64).contains(&t))
         .unwrap_or_else(|| CertifyOptions::default().threads);
     let check = CertifyOptions::default().check_certificates;
+    let expect = path_flag(&args, "--expect");
 
     let bench = auto_mpg_net(5, 48);
     let deltas: Vec<f64> = (1..=DELTAS).map(|i| 2.5e-4 * i as f64).collect();
@@ -177,4 +183,63 @@ fn main() {
         "resident speedup {:.2}× below the 3× floor (cold {t_cold:.3}s, resident {t_resident:.3}s)",
         report.speedup
     );
+    if let Some(path) = expect {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        let snapshot: Value = serde_json::from_str(&text)
+            .unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
+        let drift = differences(&report.to_value(), &snapshot);
+        for d in &drift {
+            eprintln!("-- {d}");
+        }
+        assert!(
+            drift.is_empty(),
+            "{} counters differ from {}",
+            drift.len(),
+            path.display()
+        );
+    }
+}
+
+/// One line per field that `run` and `snapshot` pin differently: every
+/// field but the ones that vary by run (see the module docs).
+fn differences(run: &Value, snapshot: &Value) -> Vec<String> {
+    let (mut got, mut want) = (BTreeMap::new(), BTreeMap::new());
+    pinned(run, "", &mut got);
+    pinned(snapshot, "", &mut want);
+    let fields: BTreeSet<&String> = got.keys().chain(want.keys()).collect();
+    fields
+        .into_iter()
+        .filter(|f| got.get(*f) != want.get(*f))
+        .map(|f| {
+            let show = |v: Option<&Value>| v.map_or("missing".to_string(), |v| format!("{v:?}"));
+            format!(
+                "{f}: snapshot {}, this run {}",
+                show(want.get(f)),
+                show(got.get(f))
+            )
+        })
+        .collect()
+}
+
+/// Flattens `v`'s pinned fields into `out` under dotted paths.
+fn pinned(v: &Value, path: &str, out: &mut BTreeMap<String, Value>) {
+    let Some(fields) = v.as_object() else {
+        out.insert(path.to_string(), v.clone());
+        return;
+    };
+    for (k, f) in fields {
+        let varies = matches!(
+            k.as_str(),
+            "threads" | "t_cold_s" | "t_resident_s" | "speedup"
+        ) || k.ends_with("_time_ns");
+        if !varies {
+            let path = if path.is_empty() {
+                k.clone()
+            } else {
+                format!("{path}.{k}")
+            };
+            pinned(f, &path, out);
+        }
+    }
 }

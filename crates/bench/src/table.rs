@@ -117,8 +117,13 @@ pub fn save_json_at<T: Serialize>(path: &std::path::Path, value: &T) {
 
 /// Parses a `--json <path>` flag from a raw argument list.
 pub fn json_flag(args: &[String]) -> Option<std::path::PathBuf> {
+    path_flag(args, "--json")
+}
+
+/// Parses a `<flag> <path>` pair from a raw argument list.
+pub fn path_flag(args: &[String], flag: &str) -> Option<std::path::PathBuf> {
     args.iter()
-        .position(|a| a == "--json")
+        .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from)
 }

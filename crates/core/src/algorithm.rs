@@ -346,7 +346,7 @@ pub fn propagate(
     delta: f64,
     opts: &CertifyOptions,
 ) -> (TwinBounds, CertifyStats) {
-    propagate_cached(aff, domain, delta, opts, None, None)
+    propagate_cached(aff, domain, delta, opts, None, None, None)
 }
 
 /// [`propagate`] with optional resident cache state. There is one path: a
@@ -356,7 +356,10 @@ pub fn propagate(
 /// reuses per-neuron encodings and basis snapshots across calls and stores
 /// the updated state back, which is the engine behind
 /// [`crate::resident::certify_global_resident`]. Without it, each neuron's
-/// cache is dropped as soon as its task chain finishes.
+/// cache is dropped as soon as its task chain finishes. `copied` is an
+/// earlier answer's bounds and how many leading layers of it this run
+/// shares ([`crate::resident::shared_layers`]): those layers are copied over
+/// their IBP seeds, and Algorithm 1 runs from the next layer.
 pub(crate) fn propagate_cached(
     aff: &AffineNetwork,
     domain: &[Interval],
@@ -364,6 +367,7 @@ pub(crate) fn propagate_cached(
     opts: &CertifyOptions,
     pre: Option<&ValuePreBounds>,
     mut resident: Option<&mut ResidentState>,
+    copied: Option<(&TwinBounds, usize)>,
 ) -> (TwinBounds, CertifyStats) {
     // IBP seeds every range soundly (Algorithm 1 lines 1-2 plus the
     // pre-pass that makes the relaxation ranges and big-M constants valid).
@@ -374,11 +378,20 @@ pub(crate) fn propagate_cached(
     if opts.encoding == EncodingKind::Btne {
         bounds.decouple_distances();
     }
+    let first = copied.map_or(0, |(earlier, layers)| {
+        for li in 0..layers {
+            bounds.y[li].clone_from(&earlier.y[li]);
+            bounds.dy[li].clone_from(&earlier.dy[li]);
+            bounds.x[li].clone_from(&earlier.x[li]);
+            bounds.dx[li].clone_from(&earlier.dx[li]);
+        }
+        layers
+    });
     let caching = resident.is_some();
     let mut stats = CertifyStats::default();
     let solver = opts.solver_options();
 
-    for li in 0..aff.layers.len() {
+    for li in first..aff.layers.len() {
         let width = aff.layers[li].width();
         let caches: Vec<Option<Box<NeuronCache>>> = match resident.as_deref_mut() {
             Some(r) => r.take_layer(li, width),

@@ -72,4 +72,4 @@ pub use error::CertifyError;
 pub use exact::{exact_global, exact_global_affine, sampled_lower_bound};
 pub use ibp::{ibp_values, ValuePreBounds};
 pub use interval::Interval;
-pub use resident::{certify_global_resident, ResidentState};
+pub use resident::{certify_global_resident, shared_layers, ResidentState};

@@ -146,15 +146,40 @@ pub(crate) fn prepare_subcache<'c>(
     slot.as_mut().expect("slot was just filled")
 }
 
+/// How many leading layers of a network `depth` layers deep two runs of
+/// Algorithm 1 share when they differ only in their windows. Layer `i`
+/// decomposes over `min(W, i + 1)` layers, so windows `W ≠ W′` pose the same
+/// sub-problems, and certify the same ranges, on their first `min(W, W′)`
+/// layers; two windows that both reach the depth ask the same query and
+/// share every layer.
+pub fn shared_layers(depth: usize, window: usize, other: usize) -> usize {
+    if window.min(depth) == other.min(depth) {
+        depth
+    } else {
+        window.min(other)
+    }
+}
+
 /// [`crate::algorithm::certify_global_affine`] against resident state:
 /// identical inputs produce bit-identical [`GlobalReport`]s, but repeated
 /// queries reuse `state`'s encodings and bases (and `pre`, when given, skips
 /// the δ-independent half of the IBP seed — it must come from
 /// [`crate::ibp::ibp_values`] over the same network and domain).
 ///
+/// `earlier`, when given, is an earlier answer's [`GlobalReport::bounds`]
+/// and the window that answer used. It must come from a run over the same
+/// network, domain and δ with the same options apart from the window
+/// (refinement and certificate checking included). The run copies the
+/// [`shared_layers`] leading layers from it, IBP-seeds the rest as always
+/// and runs Algorithm 1 from the next layer, so its counters cover only the
+/// layers it ran. Started from a cold run's answer, it equals a cold run
+/// bit for bit.
+///
 /// # Errors
 ///
-/// See [`crate::algorithm::certify_global`].
+/// See [`crate::algorithm::certify_global`];
+/// [`CertifyError::InvalidInput`] also when `earlier`'s window is 0 or its
+/// shared layers are not shaped like the network's.
 pub fn certify_global_resident(
     aff: &AffineNetwork,
     domain: &[(f64, f64)],
@@ -162,8 +187,31 @@ pub fn certify_global_resident(
     opts: &CertifyOptions,
     pre: Option<&ValuePreBounds>,
     state: &mut ResidentState,
+    earlier: Option<(&TwinBounds, usize)>,
 ) -> Result<GlobalReport, CertifyError> {
     validate(aff, domain, delta, opts)?;
+    let copied = match earlier {
+        Some((bounds, window)) => {
+            let layers = shared_layers(aff.layers.len(), opts.window, window);
+            let fits = |v: &Vec<Vec<Interval>>| {
+                v.len() >= layers
+                    && v.iter()
+                        .zip(&aff.layers)
+                        .take(layers)
+                        .all(|(b, l)| b.len() == l.width())
+            };
+            let shaped = [&bounds.y, &bounds.dy, &bounds.x, &bounds.dx]
+                .into_iter()
+                .all(fits);
+            if window == 0 || !shaped {
+                return Err(CertifyError::InvalidInput(
+                    "the earlier answer does not fit this network".into(),
+                ));
+            }
+            Some((bounds, layers))
+        }
+        None => None,
+    };
     let domain: Vec<Interval> = domain
         .iter()
         .map(|&(lo, hi)| Interval::new(lo, hi))
@@ -171,7 +219,7 @@ pub fn certify_global_resident(
     #[allow(clippy::disallowed_methods)]
     // lint:allow(wall-clock): telemetry only — wall time never feeds certified bounds
     let t0 = std::time::Instant::now();
-    let (bounds, mut stats) = propagate_cached(aff, &domain, delta, opts, pre, Some(state));
+    let (bounds, mut stats) = propagate_cached(aff, &domain, delta, opts, pre, Some(state), copied);
     // lint:allow(wall-clock): telemetry only — wall time never feeds certified bounds
     stats.wall = t0.elapsed();
     Ok(GlobalReport {
@@ -246,8 +294,9 @@ mod tests {
         let mut state = ResidentState::new();
         for (i, delta) in [0.001, 0.002, 0.001, 0.0005].into_iter().enumerate() {
             let cold = certify_global_affine(&net, &domain, delta, &opts).unwrap();
-            let res = certify_global_resident(&net, &domain, delta, &opts, Some(&pre), &mut state)
-                .unwrap();
+            let res =
+                certify_global_resident(&net, &domain, delta, &opts, Some(&pre), &mut state, None)
+                    .unwrap();
             assert_eq!(bits(&cold), bits(&res), "ε̄ bits diverged at query {i}");
             assert_eq!(res.stats.query.cert_failures, 0);
             if i == 0 {
@@ -268,7 +317,8 @@ mod tests {
         // Revisiting an earlier δ must also still match its cold run.
         let cold = certify_global_affine(&net, &domain, 0.002, &opts).unwrap();
         let res =
-            certify_global_resident(&net, &domain, 0.002, &opts, Some(&pre), &mut state).unwrap();
+            certify_global_resident(&net, &domain, 0.002, &opts, Some(&pre), &mut state, None)
+                .unwrap();
         assert_eq!(bits(&cold), bits(&res));
     }
 
@@ -289,7 +339,7 @@ mod tests {
         // Build up resident state on the original net.
         let pre = ibp_values(&net, &dom_iv);
         let mut state = ResidentState::new();
-        certify_global_resident(&net, &domain, 0.001, &opts, Some(&pre), &mut state).unwrap();
+        certify_global_resident(&net, &domain, 0.001, &opts, Some(&pre), &mut state, None).unwrap();
 
         // Fine-tuning step: perturb every weight by 1e-4 (≤ 1e-3).
         let tuned = perturbed(&net, 1e-4);
@@ -306,6 +356,7 @@ mod tests {
             &opts,
             Some(&tuned_pre),
             &mut delta_state,
+            None,
         )
         .unwrap();
 
@@ -328,6 +379,79 @@ mod tests {
         );
     }
 
+    /// A W = 3 run that starts from a W = 2 answer copies the two layers
+    /// both windows share: it equals a cold W = 3 run bit for bit and runs no
+    /// sub-problem on the copied layers. Every window at or past the depth
+    /// asks the W = depth query, so such a run copies every layer.
+    #[test]
+    fn a_run_starts_from_the_layers_another_window_certified() {
+        let net = dense_net(0x5A4ED);
+        let domain = [(-1.0, 1.0); 4];
+        let at = |window| CertifyOptions {
+            window,
+            threads: 1,
+            ..Default::default()
+        };
+        let cold = |window| certify_global_affine(&net, &domain, 1e-3, &at(window)).unwrap();
+        let from = |window, earlier: &GlobalReport, earlier_window| {
+            let mut state = ResidentState::new();
+            let earlier = Some((&earlier.bounds, earlier_window));
+            certify_global_resident(&net, &domain, 1e-3, &at(window), None, &mut state, earlier)
+                .unwrap()
+        };
+        assert_eq!(shared_layers(3, 3, 2), 2);
+        let (w2, w3) = (cold(2), cold(3));
+        let started = from(3, &w2, 2);
+        assert_eq!(started.bounds, w3.bounds);
+        assert_eq!(bits(&started), bits(&w3));
+        assert_eq!(started.stats.query.cert_failures, 0);
+        // One LpRelaxY sweep per output of the affine last layer, and no
+        // other sub-problem.
+        assert_eq!(started.stats.subproblems, net.layers[2].width() as u64);
+        assert!(started.stats.query.solves > 0);
+        assert!(started.stats.query.solves < w3.stats.query.solves);
+
+        assert_eq!(shared_layers(3, 5, 3), 3);
+        assert_eq!(cold(5).bounds, w3.bounds);
+        let repeat = from(5, &w3, 3);
+        assert_eq!(repeat.bounds, w3.bounds);
+        assert_eq!(
+            (repeat.stats.subproblems, repeat.stats.query.solves),
+            (0, 0)
+        );
+    }
+
+    /// An earlier answer shaped for another network is refused, as is a
+    /// window of 0.
+    #[test]
+    fn an_earlier_answer_of_another_shape_is_rejected() {
+        let net = dense_net(0x5A4ED);
+        let domain = [(-1.0, 1.0); 4];
+        let opts = CertifyOptions {
+            window: 3,
+            threads: 1,
+            ..Default::default()
+        };
+        let other = certify_global_affine(&fig1_affine(), &[(-1.0, 1.0); 2], 1e-3, &opts)
+            .unwrap()
+            .bounds;
+        let own = certify_global_affine(&net, &domain, 1e-3, &opts)
+            .unwrap()
+            .bounds;
+        for earlier in [(&other, 2), (&own, 0)] {
+            let got = certify_global_resident(
+                &net,
+                &domain,
+                1e-3,
+                &opts,
+                None,
+                &mut ResidentState::new(),
+                Some(earlier),
+            );
+            assert!(matches!(got, Err(CertifyError::InvalidInput(_))));
+        }
+    }
+
     /// Resident certification is thread-count invariant like the one-shot
     /// path: 4 workers produce the serial bits, with caches intact.
     #[test]
@@ -341,9 +465,9 @@ mod tests {
             };
             let mut state = ResidentState::new();
             let first =
-                certify_global_resident(&net, &domain, 0.1, &opts, None, &mut state).unwrap();
+                certify_global_resident(&net, &domain, 0.1, &opts, None, &mut state, None).unwrap();
             let second =
-                certify_global_resident(&net, &domain, 0.1, &opts, None, &mut state).unwrap();
+                certify_global_resident(&net, &domain, 0.1, &opts, None, &mut state, None).unwrap();
             let cold = certify_global_affine(&net, &domain, 0.1, &opts).unwrap();
             assert_eq!(bits(&cold), bits(&first), "threads = {threads}");
             assert_eq!(bits(&cold), bits(&second), "threads = {threads}");

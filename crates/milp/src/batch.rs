@@ -164,12 +164,15 @@ impl<'m> BatchSolver<'m> {
     /// engine from the snapshot. A stored basis whose point is no longer
     /// primal feasible — the model's RHS or bounds moved since the slot was
     /// written — is repaired in place by the sparse engine's bounded dual
-    /// simplex and still counts as a seed hit. A restore that cannot
-    /// complete (shape mismatch, singular basis, a repair that finds no
-    /// entering column or hits the pivot cap, a failed residual check, or
-    /// any stale point on the dense engine) is a warm miss and falls back to
-    /// a cold solve, so the slot is advisory and never affects results, only
-    /// the work counters.
+    /// simplex and still counts as a seed hit. A slot shaped for another
+    /// model (a row came or went since it was written) is not restored into
+    /// a live resident: the solve chains from the previous one instead, a
+    /// warm hit but not a seed hit, so only a sweep's first solve can run
+    /// cold on it. A restore that cannot complete (shape mismatch, singular
+    /// basis, a repair that finds no entering column or hits the pivot cap,
+    /// a failed residual check, or any stale point on the dense engine) is a
+    /// warm miss and falls back to a cold solve, so the slot is advisory and
+    /// never affects results, only the work counters.
     ///
     /// # Errors
     ///
@@ -210,9 +213,12 @@ impl<'m> BatchSolver<'m> {
             let attempt = match (slot.as_ref(), self.resident.as_mut()) {
                 // Slot restore against the live engine: skeleton and working
                 // arrays are reused, only the basis is refactorized.
-                (Some(warm), Some(resident)) => Some(resident.resolve_from(self.model, opts, warm)),
-                // Empty slot: chain from the previous solve of this sweep.
-                (None, Some(resident)) => Some(resident.resolve(self.model, opts)),
+                (Some(warm), Some(resident)) if resident.fits(warm) => {
+                    Some((true, resident.resolve_from(self.model, opts, warm)))
+                }
+                // Empty slot, or one shaped for another model: chain from
+                // the previous solve of this sweep.
+                (_, Some(resident)) => Some((false, resident.resolve(self.model, opts))),
                 // First solve of the sweep: rebuild the engine once from the
                 // stored snapshot; later slot solves rebase it.
                 (Some(warm), None) => {
@@ -235,16 +241,16 @@ impl<'m> BatchSolver<'m> {
                 (None, None) => None,
             };
             match attempt {
-                Some(Ok(ResolveOutcome::Solved(sol))) => {
+                Some((seeded, Ok(ResolveOutcome::Solved(sol)))) => {
                     self.stats.warm_hits += 1;
-                    self.stats.seed_hits += u64::from(slot.is_some());
+                    self.stats.seed_hits += u64::from(seeded);
                     self.stats.pivots += sol.stats.pivots;
                     self.stats.pivots_saved +=
                         self.last_cold_pivots.saturating_sub(sol.stats.pivots);
                     self.store_slot(slot);
                     return Ok(sol);
                 }
-                Some(Ok(ResolveOutcome::Rejected { wasted_pivots })) => {
+                Some((_, Ok(ResolveOutcome::Rejected { wasted_pivots }))) => {
                     // The failed attempt may have left the engine
                     // inconsistent; a full rebuild from the same snapshot
                     // would reject for the same reason, so go straight to a
@@ -253,7 +259,7 @@ impl<'m> BatchSolver<'m> {
                     self.stats.pivots += wasted_pivots;
                     self.resident = None;
                 }
-                Some(Err(e)) => {
+                Some((_, Err(e))) => {
                     self.resident = None;
                     return Err(e);
                 }
@@ -560,5 +566,67 @@ mod tests {
         assert_eq!(stats.warm_misses, 0, "{stats:?}");
         assert_eq!(stats.seed_hits, 2, "{stats:?}");
         assert_eq!(stats.cold_solves, 0, "{stats:?}");
+    }
+
+    /// Slots stored before the model lost a row no longer fit it. The
+    /// sweep's first solve tries its slot, misses and runs cold; every later
+    /// solve chains from the live engine instead of trying its slot, so the
+    /// sweep runs one cold solve, and its values equal a cold sweep's. The
+    /// slots it writes fit again.
+    #[test]
+    fn misfit_slots_chain_from_the_live_engine() {
+        let opts = SolveOptions::default();
+        let (mut m, x, y) = skeleton();
+        let objectives = [
+            (Sense::Maximize, 3.0 * x + 2.0 * y),
+            (Sense::Minimize, 1.0 * x - 1.0 * y),
+            (Sense::Maximize, 1.0 * y),
+            (Sense::Minimize, 1.0 * x + 1.0 * y),
+        ];
+        let mut slots: Vec<Option<Basis>> = vec![None; objectives.len()];
+        let mut batch = BatchSolver::new(&mut m);
+        for ((sense, e), slot) in objectives.iter().zip(&mut slots) {
+            batch.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+        }
+        // The same skeleton without its last row.
+        let mut fewer = Model::new();
+        let (x2, y2) = (fewer.add_var(0.0, 10.0), fewer.add_var(0.0, 10.0));
+        assert_eq!((x2, y2), (x, y));
+        fewer.add_constraint(x + y, Cmp::Le, 6.0);
+        fewer.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
+        let cold: Vec<f64> = objectives
+            .iter()
+            .map(|(sense, e)| {
+                let mut fresh = fewer.clone();
+                fresh.set_objective(*sense, e.clone());
+                fresh.solve_with(&opts).unwrap().objective
+            })
+            .collect();
+
+        for sweep in 0..2 {
+            let mut batch = BatchSolver::new(&mut fewer);
+            for (((sense, e), slot), want) in objectives.iter().zip(&mut slots).zip(&cold) {
+                let got = batch.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+                assert!((got.objective - want).abs() < 1e-9, "{got:?} vs {want}");
+            }
+            let stats = batch.stats();
+            let n = objectives.len() as u64;
+            let want = if sweep == 0 {
+                // One miss on the first slot, then chains.
+                (1, 1, n - 1, 0)
+            } else {
+                (0, 0, n, n)
+            };
+            assert_eq!(
+                (
+                    stats.cold_solves,
+                    stats.warm_misses,
+                    stats.warm_hits,
+                    stats.seed_hits
+                ),
+                want,
+                "sweep {sweep}: {stats:?}"
+            );
+        }
     }
 }

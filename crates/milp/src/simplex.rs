@@ -132,6 +132,16 @@ impl Resident {
         }
     }
 
+    /// Whether `warm` is shaped for this resident: a snapshot of the same
+    /// model shape. A slot stored before the model gained or lost a row is
+    /// not.
+    pub(crate) fn fits(&self, warm: &Basis) -> bool {
+        match self {
+            Resident::Dense(r) => warm.n == r.n && warm.m == r.t.nrows,
+            Resident::Sparse(r) => r.fits(warm),
+        }
+    }
+
     /// [`Resident::resolve`], but restoring `warm` as the starting basis
     /// instead of continuing from the current one — the slot-restore path of
     /// a resident sweep. The sparse engine reuses the live core (skeleton and

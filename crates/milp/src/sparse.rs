@@ -1337,23 +1337,30 @@ impl Core {
         self.lu_fill = self.inverse.lu.nnz() as u64;
     }
 
+    /// Whether `warm` is shaped for this core: the same structural and
+    /// internal row counts, a state for every structural and slack column,
+    /// and a basic column heading each row.
+    fn fits(&self, warm: &Basis) -> bool {
+        let nm = self.n + self.m;
+        warm.n == self.n
+            && warm.m == self.m
+            && warm.state.len() == nm
+            && warm.rows.len() == self.m
+            && warm
+                .rows
+                .iter()
+                .all(|&b| b < nm && warm.state[b] == ColState::Basic)
+    }
+
     /// Installs `warm`'s column states and basis heading (the caller
     /// refactorizes). A snapshot never records artificial columns, so any
     /// this core's cold solve introduced are parked non-basic and frozen at
     /// 0. Returns `false` when the snapshot's shape does not fit this core.
     fn load_basis(&mut self, warm: &Basis) -> bool {
-        let nm = self.n + self.m;
-        if warm.n != self.n
-            || warm.m != self.m
-            || warm.state.len() != nm
-            || warm.rows.len() != self.m
-            || warm
-                .rows
-                .iter()
-                .any(|&b| b >= nm || warm.state[b] != ColState::Basic)
-        {
+        if !self.fits(warm) {
             return false;
         }
+        let nm = self.n + self.m;
         self.state[..nm].copy_from_slice(&warm.state);
         for j in nm..self.ncols {
             self.state[j] = ColState::AtLower;
@@ -1807,6 +1814,11 @@ impl SparseResident {
     /// when an artificial column is still basic).
     pub(crate) fn snapshot(&self) -> Option<Basis> {
         self.core.snapshot()
+    }
+
+    /// Whether `warm` is shaped for the live core ([`Core::fits`]).
+    pub(crate) fn fits(&self, warm: &Basis) -> bool {
+        self.core.fits(warm)
     }
 
     /// Restores `warm` into the live core — reusing the compiled skeleton

@@ -6,15 +6,24 @@
 //! A [`CertEngine`] holds four cache layers, each invalidated by its own
 //! key. A query tries layer 1 first; a hit there skips the other three:
 //!
-//! 1. an **answer cache**: each session keeps the ε̄ of its last successful
-//!    query together with that query's δ bit pattern and certificate-checking
-//!    flag. A query whose session (see layer 3) holds an answer for the same
-//!    δ bits and flag is an exact repeat: it returns that answer without
-//!    running the certifier, with [`QueryResponse::answer_cached`] set and
-//!    all work counters zero, and [`ServeStats::answer_hits`] counts it.
-//!    A session holds one answer; every other query replaces it. Delta
-//!    seeding (below) never passes it on, since it belongs to the old
-//!    weights;
+//! 1. an **answer store shared across windows**, keyed like the sessions
+//!    (see layer 3): per key, the full bounds of its last successful query
+//!    together with that query's δ bit pattern and certificate-checking
+//!    flag. A query whose key holds an answer for the same δ bits and flag
+//!    is an exact repeat: it returns that answer without running the
+//!    certifier, with [`QueryResponse::answer_cached`] set and all work
+//!    counters zero, and [`ServeStats::answer_hits`] counts it. Any other
+//!    query starts from the answer of another window of the same entry and
+//!    refine at the same δ bits and flag that shares the most layers with
+//!    it: Algorithm 1 decomposes layer `i` over `min(W, i + 1)` layers, so
+//!    two windows certify the same ranges on their first `min(W, W′)`
+//!    layers ([`itne_core::shared_layers`]). The query copies those layers
+//!    and certifies only the rest ([`QueryResponse::shared_layers`],
+//!    [`ServeStats::shared_starts`]); reading another window's answer locks
+//!    no other session. A key holds one answer; every other query on it
+//!    replaces it. An answer leaves the store with its session (retirement,
+//!    seeding by move, a poisoned lock), and delta seeding (below) never
+//!    passes one on, since answers belong to their weights;
 //! 2. a **model registry** keyed by everything that shapes an answer — the
 //!    weights ([`itne_nn::AffineNetwork::weight_hash`]) *and* the input
 //!    domain — holding the lowered network, the domain, and the
@@ -23,9 +32,10 @@
 //!    confirmed by comparing the full content bit for bit before an entry
 //!    is shared;
 //! 3. per-session **encoding caches** inside [`ResidentState`], keyed by
-//!    `(net_key, window, refine)`: repeated δ-values over the same window
-//!    re-parameterize the cached constraint skeletons in place instead of
-//!    re-encoding (δ only perturbs bounds/RHS);
+//!    `(net_key, min(window, depth), refine)` (every window at or past the
+//!    network's depth asks the same query): repeated δ-values over the same
+//!    window re-parameterize the cached constraint skeletons in place
+//!    instead of re-encoding (δ only perturbs bounds/RHS);
 //! 4. a **basis store** in the same state: every directed solve's final
 //!    simplex basis persists per `(encoding, objective)` across requests,
 //!    extending within-sweep warm starts to cross-query warm starts. A
@@ -60,9 +70,10 @@
 //!   shape cold.
 //!
 //! Every answer is the certifier's ε̄ for the exact inputs of its query, and
-//! an answer hit returns exactly the bits its session returned before.
-//! Layers 2–4 change at most the pivot path, so a computed answer equals a
-//! cold [`itne_core::certify_global`] run to solver tolerance and, after
+//! an answer hit returns exactly the bits its key returned before. Shared
+//! layers are the ranges the same query would certify on them, and layers
+//! 2–4 change at most the pivot path, so a computed answer equals a cold
+//! [`itne_core::certify_global`] run to solver tolerance and, after
 //! the 2⁻³⁰ snap, usually bit for bit: this crate's tests assert it on
 //! their nets, serially and under concurrency. It is not guaranteed. A
 //! warm-started solve can end on a vertex that is optimal only to
@@ -73,16 +84,19 @@
 //! Queries run on the certifier's deterministic work-stealing pool; a
 //! bounded in-flight gate keeps concurrent clients from oversubscribing it.
 //! A query that panics leaves its session's lock poisoned; the next query on
-//! that session restarts it empty ([`ServeStats::poisoned_sessions`]).
+//! that session restarts it empty and drops its stored answer
+//! ([`ServeStats::poisoned_sessions`]).
 
 #![forbid(unsafe_code)]
 
 use itne_core::query::QueryStats;
 use itne_core::{
-    certify_global_resident, ibp_values, validate_network, validate_query, CertifyError,
-    CertifyOptions, CertifyStats, Interval, ResidentState, ValuePreBounds,
+    certify_global_resident, ibp_values, shared_layers, validate_network, validate_query,
+    CertifyError, CertifyOptions, CertifyStats, Interval, ResidentState, TwinBounds,
+    ValuePreBounds,
 };
 use itne_nn::{AffineNetwork, Network};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -148,17 +162,25 @@ pub struct QueryResponse {
     /// Certified `ε̄` per network output.
     pub epsilons: Vec<f64>,
     /// The run's work counters, including the cache telemetry
-    /// (`encoding_cache_hits/misses`, `cross_query_warm_hits`).
+    /// (`encoding_cache_hits/misses`, `cross_query_warm_hits`). They cover
+    /// only the layers the query certified itself, not its
+    /// [`QueryResponse::shared_layers`].
     pub stats: CertifyStats,
     /// Whether this query opened its session by seeding it from a
     /// predecessor net's session (the delta re-certification path): it took
     /// that session's resident state, or cloned it while some id still
     /// resolves to the predecessor.
     pub delta_seeded: bool,
-    /// Whether the answer came from the session's answer cache: the query
-    /// repeated the session's last successful query exactly, so the
-    /// certifier did not run and every work counter in `stats` is zero.
+    /// Whether the answer came from the answer store: the query repeated
+    /// its session's last successful query exactly, so the certifier did not
+    /// run and every work counter in `stats` is zero.
     pub answer_cached: bool,
+    /// How many leading layers the query copied from another window's
+    /// stored answer at the same δ bits and checking flag instead of
+    /// certifying them ([`itne_core::shared_layers`]); the counters in
+    /// `stats` cover only the layers it ran. 0 when it started from no
+    /// answer, and for an answer hit.
+    pub shared_layers: usize,
 }
 
 /// Engine-lifetime counters, aggregated over every query.
@@ -174,8 +196,13 @@ pub struct ServeStats {
     /// Sessions seeded from a predecessor net's session state, taken or
     /// (while some id still resolves to the predecessor) cloned.
     pub delta_seeded_sessions: u64,
-    /// Queries answered from their session's last answer (cache layer 1).
+    /// Queries answered from their key's stored answer: exact repeats
+    /// (cache layer 1).
     pub answer_hits: u64,
+    /// Queries that started from the layers another window's stored answer
+    /// had already certified (cache layer 1): those with a nonzero
+    /// [`QueryResponse::shared_layers`].
+    pub shared_starts: u64,
     /// Sessions restarted empty because a query panicked while holding
     /// their lock.
     pub poisoned_sessions: u64,
@@ -278,10 +305,10 @@ impl Registry {
     }
 
     /// Retires every entry no id resolves to that is not the predecessor of
-    /// an entry some id resolves to, and takes the sessions of retired
-    /// entries out of `sessions`. They are returned, not dropped, so the
-    /// caller can free their resident state after releasing its locks.
-    fn retire(&mut self, sessions: &mut SessionMap) -> SessionMap {
+    /// an entry some id resolves to, and takes the sessions and answers of
+    /// retired entries out of `sessions`. They are returned, not dropped, so
+    /// the caller can free their resident state after releasing its locks.
+    fn retire(&mut self, sessions: &mut Sessions) -> Sessions {
         let by_key = &self.by_key;
         let keep: BTreeSet<u64> = self
             .by_id
@@ -289,48 +316,106 @@ impl Registry {
             .flat_map(|k| std::iter::once(*k).chain(by_key[k].predecessor))
             .collect();
         self.by_key.retain(|k, _| keep.contains(k));
-        let (kept, retired) = std::mem::take(sessions)
-            .into_iter()
-            .partition(|((k, _, _), _)| keep.contains(k));
-        *sessions = kept;
-        retired
+        let retired = |(net, _, _): &SessionKey| !keep.contains(net);
+        Sessions {
+            open: sessions.open.extract_if(.., |k, _| retired(k)).collect(),
+            answers: sessions.answers.extract_if(.., |k, _| retired(k)).collect(),
+        }
     }
 }
 
-/// Sessions are keyed by everything that shapes cached encodings:
-/// `(net_key, window, refine)`, where the registry key covers weights and
-/// domain. δ and certificate checking deliberately stay out of the key —
-/// they never change the constraint skeleton.
+/// Sessions and stored answers are keyed by everything that shapes cached
+/// encodings: `(net_key, window, refine)`, where the registry key covers
+/// weights and domain and the window is clamped to the network's depth
+/// (every window at or past the depth asks the same query). δ and
+/// certificate checking deliberately stay out of the key — they never
+/// change the constraint skeleton.
 type SessionKey = (u64, usize, usize);
 
-type SessionMap = BTreeMap<SessionKey, Arc<Mutex<Session>>>;
-
-/// The ε̄ of a session's last successful query, stored under what the
-/// session key leaves out: δ's bit pattern and the certificate-checking
-/// flag (a failed check falls back to the IBP range, so the flag can change
-/// the answer).
-struct Answer {
-    delta_bits: u64,
-    check_certs: bool,
-    epsilons: Vec<f64>,
+/// The session key of `q` against `entry`.
+fn session_key(entry: &NetEntry, q: &QueryRequest) -> SessionKey {
+    (entry.key, q.window.min(entry.aff.layers.len()), q.refine)
 }
 
 /// One session: the resident state its queries reuse (cache layers 3 and
-/// 4) and its last answer (layer 1). The answer sits beside the state,
-/// never inside it, so seeding a successor session passes on only the state.
-#[derive(Default)]
-struct Session {
-    state: ResidentState,
-    answer: Option<Answer>,
+/// 4). Its answers live in the engine's answer store, so seeding a
+/// successor session passes on only the state.
+type Session = Arc<Mutex<ResidentState>>;
+
+/// The answer of a key's last successful query: its full bounds, stored
+/// under what the key leaves out, δ's bit pattern and the
+/// certificate-checking flag (a failed check falls back to the IBP range,
+/// so the flag can change the answer).
+struct Answer {
+    delta_bits: u64,
+    check_certs: bool,
+    bounds: TwinBounds,
 }
 
-impl Session {
-    /// The stored ε̄ when `q` repeats the session's last successful query.
-    fn answer_for(&self, q: &QueryRequest) -> Option<&[f64]> {
-        self.answer
-            .as_ref()
-            .filter(|a| a.delta_bits == q.delta.to_bits() && a.check_certs == q.check_certs)
-            .map(|a| a.epsilons.as_slice())
+impl Answer {
+    /// Whether this answer was computed at `q`'s δ bits and checking flag.
+    fn answers(&self, q: &QueryRequest) -> bool {
+        self.delta_bits == q.delta.to_bits() && self.check_certs == q.check_certs
+    }
+}
+
+/// The open sessions and the answer store (cache layer 1), under one lock
+/// and with the same keys: an answer is stored only while its session is
+/// open and leaves with it.
+#[derive(Default)]
+struct Sessions {
+    open: BTreeMap<SessionKey, Session>,
+    answers: BTreeMap<SessionKey, Arc<Answer>>,
+}
+
+impl Sessions {
+    /// Takes the session under `key` out, together with its answer.
+    fn remove(&mut self, key: &SessionKey) -> Option<Session> {
+        self.answers.remove(key);
+        self.open.remove(key)
+    }
+
+    /// `key`'s stored ε̄ when `q` repeats its last answer, unless a query
+    /// died holding the session: the restart of a poisoned session drops
+    /// its answer ([`CertEngine::lock_session`]).
+    fn repeat(&self, key: &SessionKey, q: &QueryRequest) -> Option<Vec<f64>> {
+        let session = self.open.get(key)?;
+        self.answers
+            .get(key)
+            .filter(|a| a.answers(q) && !session.is_poisoned())
+            .map(|a| a.bounds.epsilons())
+    }
+
+    /// The stored answer `q` can start from, with the window that computed
+    /// it: among the answers of `key`'s net and refine at `q`'s δ bits and
+    /// checking flag, the one that shares the most layers with `key`'s
+    /// window ([`shared_layers`]; the smaller window on a tie). Its window
+    /// equals `key`'s exactly when `q` repeats that key's last answer.
+    fn start_for(
+        &self,
+        key: SessionKey,
+        q: &QueryRequest,
+        depth: usize,
+    ) -> Option<(usize, Arc<Answer>)> {
+        let (net, window, refine) = key;
+        self.answers
+            .range((net, 0, 0)..=(net, usize::MAX, usize::MAX))
+            .filter(|&(&(_, _, r), a)| r == refine && a.answers(q))
+            .max_by_key(|&(&(_, w, _), _)| (shared_layers(depth, window, w), Reverse(w)))
+            .map(|(&(_, w, _), a)| (w, Arc::clone(a)))
+    }
+
+    /// Whether `session` is the one open under `key`: it has not left the
+    /// map (retired, or taken by a successor) since it was looked up.
+    fn is_open(&self, key: &SessionKey, session: &Session) -> bool {
+        self.open.get(key).is_some_and(|s| Arc::ptr_eq(s, session))
+    }
+
+    /// Stores `answer` as `key`'s while `session` is still open under it.
+    fn store(&mut self, key: SessionKey, session: &Session, answer: Answer) {
+        if self.is_open(&key, session) {
+            self.answers.insert(key, Arc::new(answer));
+        }
     }
 }
 
@@ -376,8 +461,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct CertEngine {
     threads: usize,
     registry: Mutex<Registry>,
-    /// Locked after `registry` whenever both are held.
-    sessions: Mutex<SessionMap>,
+    /// Locked after `registry` whenever both are held, and after a
+    /// session's own lock: a session is locked under this one only while it
+    /// is new and no other query can reach it.
+    sessions: Mutex<Sessions>,
     gate: Gate,
     stats: Mutex<ServeStats>,
 }
@@ -390,7 +477,7 @@ impl CertEngine {
         CertEngine {
             threads: threads.max(1),
             registry: Mutex::new(Registry::default()),
-            sessions: Mutex::new(BTreeMap::new()),
+            sessions: Mutex::new(Sessions::default()),
             gate: Gate {
                 n: Mutex::new(0),
                 cv: Condvar::new(),
@@ -486,14 +573,17 @@ impl CertEngine {
 
     /// Certifies `(δ, ε̄)`-global robustness of the net registered under
     /// `net_id`, reusing every applicable cache layer. Queries against the
-    /// same `(net, window, refine)` session serialize on its state;
-    /// different nets (and different windows of one net) run concurrently
-    /// up to the engine's in-flight bound. An exact repeat of the session's
-    /// last successful query returns that query's ε̄ bits unchanged. Any
-    /// other query runs the certifier: its ε̄ is certified for its inputs
-    /// and equals a cold [`itne_core::certify_global`] run with the same
-    /// options to solver tolerance, usually bit for bit (see the crate
-    /// docs for when it is one 2⁻³⁰ step away).
+    /// same `(net, min(window, depth), refine)` session serialize on its
+    /// state; different nets (and different windows of one net) run
+    /// concurrently up to the engine's in-flight bound. An exact repeat of
+    /// the session's last successful query returns that query's ε̄ bits
+    /// unchanged, without waiting for the session. Any other query runs
+    /// the certifier, starting from the
+    /// layers another window's stored answer at the same δ bits and
+    /// checking flag already certified, when one does: its ε̄ is certified
+    /// for its inputs and equals a cold [`itne_core::certify_global`] run
+    /// with the same options to solver tolerance, usually bit for bit (see
+    /// the crate docs for when it is one 2⁻³⁰ step away).
     ///
     /// # Errors
     ///
@@ -514,48 +604,71 @@ impl CertEngine {
         // The network and domain passed validation at registration; the
         // query's own parameters are checked before it touches any session.
         validate_query(q.delta, q.window)?;
-        let key: SessionKey = (entry.key, q.window, q.refine);
+        let depth = entry.aff.layers.len();
+        let key = session_key(&entry, q);
         let mut sessions = lock(&self.sessions);
-        let found = sessions.get(&key).map(Arc::clone);
+        // An exact repeat is answered on the spot, without its session's
+        // lock: a stored answer is immutable and belongs to these inputs.
+        if let Some(epsilons) = sessions.repeat(&key, q) {
+            drop((sessions, reg));
+            return Ok(self.counted(QueryResponse {
+                net_hash: entry.key,
+                epsilons,
+                stats: CertifyStats::default(),
+                delta_seeded: false,
+                answer_cached: true,
+                shared_layers: 0,
+            }));
+        }
+        let found = sessions.open.get(&key).map(Arc::clone);
         let is_new = found.is_none();
         // First query for this (net, window, refine): seed from the
         // predecessor net's same-shaped session when one exists — its
         // encodings re-parameterize and its bases warm-start against the
         // updated weights (delta re-certification). The session of a
-        // predecessor no id resolves to leaves the map and hands over its
-        // state; a resolvable one's state is cloned.
+        // predecessor no id resolves to leaves the map, answer included, and
+        // hands over its state; a resolvable one's state is cloned.
         let seed = entry.predecessor.filter(|_| is_new).and_then(|p| {
-            let from = (p, q.window, q.refine);
+            let from = session_key(&reg.by_key[&p], q);
             if reg.resolves(p) {
-                sessions.get(&from).map(|s| (Arc::clone(s), false))
+                sessions
+                    .open
+                    .get(&from)
+                    .map(|s| (from, Arc::clone(s), false))
             } else {
-                sessions.remove(&from).map(|s| (s, true))
+                sessions.remove(&from).map(|s| (from, s, true))
             }
         });
         let session = found.unwrap_or_default();
         // A new session enters the map already locked, so no other query
-        // runs on it unseeded. The seed is copied after both maps are
-        // released: its source may be busy with another query.
+        // runs on it unseeded; no other query can reach it yet, so locking
+        // it never waits. The seed is copied after both maps are released:
+        // its source may be busy with another query.
         let new_guard = is_new.then(|| {
-            let guard = self.lock_session(&session);
-            sessions.insert(key, Arc::clone(&session));
+            let guard = lock(&session);
+            sessions.open.insert(key, Arc::clone(&session));
             guard
         });
         drop((sessions, reg));
-        let mut session = new_guard.unwrap_or_else(|| self.lock_session(&session));
+        let mut state = new_guard.unwrap_or_else(|| self.lock_session(key, &session));
         let delta_seeded = seed.is_some();
-        if let Some((from, take)) = seed {
-            // Its answer stays behind: it belongs to the old weights.
-            let mut from = self.lock_session(&from);
-            session.state = if take {
-                std::mem::take(&mut from.state)
+        if let Some((from_key, from, take)) = seed {
+            let mut from = self.lock_session(from_key, &from);
+            *state = if take {
+                std::mem::take(&mut *from)
             } else {
-                from.state.clone()
+                from.clone()
             };
         }
-        let (epsilons, stats, answer_cached) = match session.answer_for(q) {
-            Some(eps) => (eps.to_vec(), CertifyStats::default(), true),
-            None => {
+        // The store is read again under this session's lock, so a repeat of
+        // a query that was still running on the session takes its answer.
+        // Reading another window's answer locks no other session.
+        let start = lock(&self.sessions).start_for(key, q, depth);
+        let (epsilons, stats, answer_cached, shared) = match start {
+            Some((window, answer)) if window == key.1 => {
+                (answer.bounds.epsilons(), CertifyStats::default(), true, 0)
+            }
+            start => {
                 let mut opts = CertifyOptions {
                     window: q.window,
                     refine: q.refine,
@@ -567,47 +680,67 @@ impl CertEngine {
                 // nanoseconds in the stats): audit-only clock reads inside
                 // the solver that never feed certified bounds.
                 opts.solver.telemetry = Some(itne_core::deadline::telemetry_clock());
+                let earlier = start.as_ref().map(|(w, a)| (&a.bounds, *w));
                 let report = certify_global_resident(
                     &entry.aff,
                     &entry.domain,
                     q.delta,
                     &opts,
                     Some(&entry.pre),
-                    &mut session.state,
+                    &mut state,
+                    earlier,
                 )?;
-                session.answer = Some(Answer {
+                let shared = earlier.map_or(0, |(_, w)| shared_layers(depth, key.1, w));
+                let answer = Answer {
                     delta_bits: q.delta.to_bits(),
                     check_certs: q.check_certs,
-                    epsilons: report.epsilons.clone(),
-                });
-                (report.epsilons, report.stats, false)
+                    bounds: report.bounds,
+                };
+                lock(&self.sessions).store(key, &session, answer);
+                (report.epsilons, report.stats, false, shared)
             }
         };
-        drop(session);
-        {
-            let mut totals = lock(&self.stats);
-            totals.queries += 1;
-            totals.answer_hits += u64::from(answer_cached);
-            totals.delta_seeded_sessions += u64::from(delta_seeded);
-            totals.query.absorb(stats.query);
-        }
-        Ok(QueryResponse {
+        drop(state);
+        Ok(self.counted(QueryResponse {
             net_hash: entry.key,
             epsilons,
             stats,
             delta_seeded,
             answer_cached,
-        })
+            shared_layers: shared,
+        }))
     }
 
-    /// Locks a session. A poisoned lock means a query panicked while
-    /// holding it and may have left the state partly taken, so the session
-    /// restarts empty, with no answer, and the event is counted.
-    fn lock_session<'a>(&self, session: &'a Mutex<Session>) -> MutexGuard<'a, Session> {
+    /// Adds a finished query to the engine totals and hands its response on.
+    fn counted(&self, resp: QueryResponse) -> QueryResponse {
+        let mut totals = lock(&self.stats);
+        totals.queries += 1;
+        totals.answer_hits += u64::from(resp.answer_cached);
+        totals.delta_seeded_sessions += u64::from(resp.delta_seeded);
+        totals.shared_starts += u64::from(resp.shared_layers > 0);
+        totals.query.absorb(resp.stats.query);
+        drop(totals);
+        resp
+    }
+
+    /// Locks the session under `key`. A poisoned lock means a query panicked
+    /// while holding it and may have left the state partly taken, so the
+    /// session restarts empty, its stored answer is dropped, and the event
+    /// is counted. Never called while the session map is held.
+    fn lock_session<'a>(
+        &self,
+        key: SessionKey,
+        session: &'a Session,
+    ) -> MutexGuard<'a, ResidentState> {
         session.lock().unwrap_or_else(|poisoned| {
             let mut guard = poisoned.into_inner();
-            *guard = Session::default();
+            *guard = ResidentState::default();
             session.clear_poison();
+            let mut sessions = lock(&self.sessions);
+            if sessions.is_open(&key, session) {
+                sessions.answers.remove(&key);
+            }
+            drop(sessions);
             lock(&self.stats).poisoned_sessions += 1;
             guard
         })
@@ -619,7 +752,7 @@ impl CertEngine {
         let sessions = lock(&self.sessions);
         ServeStats {
             live_entries: reg.by_key.len() as u64,
-            live_sessions: sessions.len() as u64,
+            live_sessions: sessions.open.len() as u64,
             ..*lock(&self.stats)
         }
     }
@@ -843,7 +976,9 @@ mod tests {
 
     /// The CI smoke workload: 8 concurrent queries across 2 registered
     /// nets, golden against the cold path, `cert_failures == 0` with
-    /// certificate checking forced on.
+    /// certificate checking forced on. Each net gets a W = 1 and a W = 2
+    /// query at the same δ, so whichever answers first can race to seed the
+    /// other's first layer.
     #[test]
     fn serve_smoke_concurrent_golden() {
         let net_a = dense_net(0xA, 4, 6, 2);
@@ -858,7 +993,7 @@ mod tests {
             .map(|i| {
                 let q = QueryRequest {
                     delta: 0.001 * (1 + i % 3) as f64,
-                    window: if i % 4 == 3 { 1 } else { 2 },
+                    window: if i % 4 < 2 { 2 } else { 1 },
                     refine: 0,
                     check_certs: true,
                 };
@@ -959,6 +1094,71 @@ mod tests {
         );
     }
 
+    /// Cache layer 1 across windows: on a 3-layer net, W = 1, 2, 3 at one δ
+    /// each start from the layers the smaller windows' answers certified and
+    /// still equal cold. W = 5 asks W = 3's query: an answer hit that opens
+    /// no session.
+    #[test]
+    fn windows_start_from_the_layers_they_share() {
+        let net = dense_net(0x5A4ED, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        engine.register_affine("m", net.clone(), &dom).unwrap();
+        for window in 1..=3 {
+            let resp = certify_as_cold(&engine, "m", &env_query(1e-3, window), &net, &dom);
+            assert!(!resp.answer_cached);
+            assert_eq!(resp.shared_layers, window - 1, "W = {window}");
+        }
+        let s = engine.stats();
+        assert_eq!((s.shared_starts, s.live_sessions), (2, 3));
+        let deep = certify_as_cold(&engine, "m", &env_query(1e-3, 5), &net, &dom);
+        assert!(deep.answer_cached && deep.shared_layers == 0);
+        assert_eq!(deep.stats.query.solves, 0);
+        let s = engine.stats();
+        assert_eq!((s.answer_hits, s.live_sessions), (1, 3));
+    }
+
+    /// A query starts only from an answer to the same inputs: a different
+    /// δ, a flipped checking flag, a different refine or a re-registered
+    /// version shares nothing, and each of those answers equals cold.
+    #[test]
+    fn nothing_is_shared_across_inputs() {
+        let net = dense_net(0x5BA7E, 4, 6, 2);
+        let dom = [(-1.0, 1.0); 4];
+        let engine = CertEngine::new(1, 1);
+        engine.register_affine("m", net.clone(), &dom).unwrap();
+        let q = QueryRequest {
+            check_certs: true,
+            ..QueryRequest::new(1e-3)
+        };
+        certify_as_cold(&engine, "m", &q, &net, &dom);
+        let deep = QueryRequest { window: 3, ..q };
+        let others = [
+            QueryRequest {
+                delta: 2e-3,
+                ..deep
+            },
+            QueryRequest {
+                check_certs: false,
+                ..deep
+            },
+            QueryRequest { refine: 1, ..deep },
+        ];
+        for other in others {
+            let resp = certify_as_cold(&engine, "m", &other, &net, &dom);
+            assert_eq!(resp.shared_layers, 0, "{other:?}");
+        }
+        let tuned = perturbed(&net, 1e-4);
+        engine.register_affine("m", tuned.clone(), &dom).unwrap();
+        let resp = certify_as_cold(&engine, "m", &deep, &tuned, &dom);
+        assert!(resp.delta_seeded && !resp.answer_cached);
+        assert_eq!(resp.shared_layers, 0, "shared the old version's layers");
+        assert_eq!(engine.stats().shared_starts, 0);
+        // The same inputs on the new version do share.
+        let resp = certify_as_cold(&engine, "m", &q, &tuned, &dom);
+        assert_eq!(resp.shared_layers, 2);
+    }
+
     /// Cache layer 1: an exact repeat is answered from the session's last
     /// answer with no certifier work. The same δ with the check flag
     /// flipped, or a δ one ulp away, is not a repeat, and each computed
@@ -1035,7 +1235,7 @@ mod tests {
             ));
         }
         assert_eq!(
-            lock(&engine.sessions).len(),
+            lock(&engine.sessions).open.len(),
             1,
             "a rejected query made a session"
         );
@@ -1054,15 +1254,30 @@ mod tests {
         let key = engine.register_affine("m", net.clone(), &dom).unwrap();
         let q = QueryRequest::new(0.001);
         engine.certify("m", &q).unwrap();
-        let session = Arc::clone(&lock(&engine.sessions)[&(key, q.window, q.refine)]);
+        let key = (key, q.window, q.refine);
+        let session = Arc::clone(&lock(&engine.sessions).open[&key]);
         // Leave a wrong answer behind and die holding the lock, as a query
         // that panicked mid-update would.
-        let died = std::thread::spawn(move || {
-            let mut s = session.lock().unwrap();
-            s.answer.as_mut().expect("stored answer").epsilons = vec![0.0; 2];
-            panic!("query died holding its session");
-        })
-        .join();
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = session.lock().unwrap();
+                    let mut sessions = lock(&engine.sessions);
+                    let stored = Arc::clone(&sessions.answers[&key]);
+                    let mut bounds = stored.bounds.clone();
+                    bounds
+                        .dx
+                        .last_mut()
+                        .expect("layers")
+                        .fill(Interval::point(0.0));
+                    sessions
+                        .answers
+                        .insert(key, Arc::new(Answer { bounds, ..*stored }));
+                    drop(sessions);
+                    panic!("query died holding its session");
+                })
+                .join()
+        });
         assert!(died.is_err());
 
         let resp = engine.certify("m", &q).unwrap();
@@ -1079,7 +1294,9 @@ mod tests {
     /// version's first query per window takes over its predecessor's
     /// session, so no more than two versions are ever resident. Taking the
     /// state moves exactly what a clone would copy, so every answer equals
-    /// that of one `ResidentState` carried through the stream, bit for bit.
+    /// that of one `ResidentState` carried through the stream, bit for bit
+    /// (the W = 2 run starting, as the engine's does, from the W = 1
+    /// answer's first layer).
     /// Against cold runs the stream shows the known gap of the crate docs:
     /// some answers sit one 2⁻³⁰ grid step from cold, none further.
     #[test]
@@ -1100,19 +1317,24 @@ mod tests {
             engine.register_affine("m", net.clone(), &dom).unwrap();
             bounded(&engine);
             let pre = ibp_values(&net, &[Interval::new(-1.0, 1.0); 3]);
+            let mut earlier: Option<TwinBounds> = None;
             for (window, state) in [1, 2].into_iter().zip(&mut carried) {
                 let q = env_query(1e-3, window);
                 let resp = engine.certify("m", &q).unwrap();
                 assert_eq!(resp.delta_seeded, version > 0, "version {version}, {q:?}");
+                assert_eq!(resp.shared_layers, window - 1, "version {version}, {q:?}");
                 assert_eq!(resp.stats.query.cert_failures, 0);
                 let opts = cold_opts(&q, 1);
+                let start = earlier.as_ref().map(|b| (b, 1));
                 let carried =
-                    certify_global_resident(&net, &dom, q.delta, &opts, Some(&pre), state).unwrap();
+                    certify_global_resident(&net, &dom, q.delta, &opts, Some(&pre), state, start)
+                        .unwrap();
                 assert_eq!(
                     bits(&resp.epsilons),
                     bits(&carried.epsilons),
                     "version {version}, {q:?}"
                 );
+                earlier = Some(carried.bounds);
                 let cold = certify_global_affine(&net, &dom, q.delta, &opts).unwrap();
                 for (r, c) in resp.epsilons.iter().zip(&cold.epsilons) {
                     assert!(
@@ -1184,7 +1406,7 @@ mod tests {
         engine.certify("m", &q).unwrap();
         let tuned = perturbed(&net, 1e-4);
         let k2 = engine.register_affine("m", tuned.clone(), &dom).unwrap();
-        let held = Arc::clone(&lock(&engine.sessions)[&(k1, q.window, q.refine)]);
+        let held = Arc::clone(&lock(&engine.sessions).open[&(k1, q.window, q.refine)]);
         std::thread::scope(|scope| {
             // Both senders drop if this body panics, so no thread is left
             // waiting and the scope can join.
@@ -1201,7 +1423,7 @@ mod tests {
             // one. `try_lock`, so a map it kept fails the test, not hangs it.
             let opened = || {
                 let sessions = engine.sessions.try_lock();
-                sessions.is_ok_and(|s| s.contains_key(&(k2, q.window, q.refine)))
+                sessions.is_ok_and(|s| s.open.contains_key(&(k2, q.window, q.refine)))
             };
             let tick = Duration::from_millis(1);
             for _ in 0..PATIENCE.as_millis() {
