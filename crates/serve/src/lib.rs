@@ -81,10 +81,18 @@
 //! 2⁻³⁰ step from cold on its fifth fine-tuning window, and a 200-version
 //! stream in this crate's tests on 21 of its 400 answers.
 //!
+//! A serial request sequence always returns the same bits. Concurrent
+//! clients need not: which other-window answers are stored when a query
+//! starts, and so which layers it copies, depends on which queries finish
+//! first, and a copied layer can sit one 2⁻³⁰ step from the one the query
+//! would certify itself. The same concurrent requests can then return ε̄
+//! one step apart from run to run; each answer is sound.
+//!
 //! Queries run on the certifier's deterministic work-stealing pool; a
 //! bounded in-flight gate keeps concurrent clients from oversubscribing it.
-//! A query that panics leaves its session's lock poisoned; the next query on
-//! that session restarts it empty and drops its stored answer
+//! A query that panics leaves its session's lock poisoned. From then on no
+//! query reads that session's stored answer, and the next query on the
+//! session restarts it empty and drops the answer
 //! ([`ServeStats::poisoned_sessions`]).
 
 #![forbid(unsafe_code)]
@@ -305,9 +313,10 @@ impl Registry {
     }
 
     /// Retires every entry no id resolves to that is not the predecessor of
-    /// an entry some id resolves to, and takes the sessions and answers of
-    /// retired entries out of `sessions`. They are returned, not dropped, so
-    /// the caller can free their resident state after releasing its locks.
+    /// an entry some id resolves to, and takes the sessions of retired
+    /// entries, answers included, out of `sessions`. They are returned, not
+    /// dropped, so the caller can free their resident state after releasing
+    /// its locks.
     fn retire(&mut self, sessions: &mut Sessions) -> Sessions {
         let by_key = &self.by_key;
         let keep: BTreeSet<u64> = self
@@ -316,11 +325,9 @@ impl Registry {
             .flat_map(|k| std::iter::once(*k).chain(by_key[k].predecessor))
             .collect();
         self.by_key.retain(|k, _| keep.contains(k));
-        let retired = |(net, _, _): &SessionKey| !keep.contains(net);
-        Sessions {
-            open: sessions.open.extract_if(.., |k, _| retired(k)).collect(),
-            answers: sessions.answers.extract_if(.., |k, _| retired(k)).collect(),
-        }
+        sessions
+            .extract_if(.., |(net, _, _), _| !keep.contains(net))
+            .collect()
     }
 }
 
@@ -337,9 +344,8 @@ fn session_key(entry: &NetEntry, q: &QueryRequest) -> SessionKey {
     (entry.key, q.window.min(entry.aff.layers.len()), q.refine)
 }
 
-/// One session: the resident state its queries reuse (cache layers 3 and
-/// 4). Its answers live in the engine's answer store, so seeding a
-/// successor session passes on only the state.
+/// One session's resident state (cache layers 3 and 4). Seeding a
+/// successor session passes on only this, never the session's answer.
 type Session = Arc<Mutex<ResidentState>>;
 
 /// The answer of a key's last successful query: its full bounds, stored
@@ -359,64 +365,56 @@ impl Answer {
     }
 }
 
-/// The open sessions and the answer store (cache layer 1), under one lock
-/// and with the same keys: an answer is stored only while its session is
-/// open and leaves with it.
-#[derive(Default)]
-struct Sessions {
-    open: BTreeMap<SessionKey, Session>,
-    answers: BTreeMap<SessionKey, Arc<Answer>>,
+/// An open session with its entry in the answer store (cache layer 1). The
+/// answer sits outside the session's lock, so reading it never waits on a
+/// running query, and it leaves the map with its session.
+struct Open {
+    state: Session,
+    answer: Option<Arc<Answer>>,
 }
 
-impl Sessions {
-    /// Takes the session under `key` out, together with its answer.
-    fn remove(&mut self, key: &SessionKey) -> Option<Session> {
-        self.answers.remove(key);
-        self.open.remove(key)
+impl Open {
+    /// The stored answer, unless a query died holding the session: the
+    /// restart of a poisoned session drops it ([`CertEngine::lock_session`]).
+    fn answer(&self) -> Option<&Arc<Answer>> {
+        self.answer.as_ref().filter(|_| !self.state.is_poisoned())
     }
+}
 
-    /// `key`'s stored ε̄ when `q` repeats its last answer, unless a query
-    /// died holding the session: the restart of a poisoned session drops
-    /// its answer ([`CertEngine::lock_session`]).
-    fn repeat(&self, key: &SessionKey, q: &QueryRequest) -> Option<Vec<f64>> {
-        let session = self.open.get(key)?;
-        self.answers
-            .get(key)
-            .filter(|a| a.answers(q) && !session.is_poisoned())
-            .map(|a| a.bounds.epsilons())
-    }
+/// The open sessions and their answers.
+type Sessions = BTreeMap<SessionKey, Open>;
 
-    /// The stored answer `q` can start from, with the window that computed
-    /// it: among the answers of `key`'s net and refine at `q`'s δ bits and
-    /// checking flag, the one that shares the most layers with `key`'s
-    /// window ([`shared_layers`]; the smaller window on a tie). Its window
-    /// equals `key`'s exactly when `q` repeats that key's last answer.
-    fn start_for(
-        &self,
-        key: SessionKey,
-        q: &QueryRequest,
-        depth: usize,
-    ) -> Option<(usize, Arc<Answer>)> {
-        let (net, window, refine) = key;
-        self.answers
-            .range((net, 0, 0)..=(net, usize::MAX, usize::MAX))
-            .filter(|&(&(_, _, r), a)| r == refine && a.answers(q))
-            .max_by_key(|&(&(_, w, _), _)| (shared_layers(depth, window, w), Reverse(w)))
-            .map(|(&(_, w, _), a)| (w, Arc::clone(a)))
-    }
+/// The stored answer `q` can start from, with the window that computed it:
+/// among the answers of `key`'s net and refine at `q`'s δ bits and checking
+/// flag, the one that shares the most layers with `key`'s window
+/// ([`shared_layers`]; the smaller window on a tie). Its window equals
+/// `key`'s exactly when `q` repeats that key's last answer.
+fn start_for(
+    sessions: &Sessions,
+    key: SessionKey,
+    q: &QueryRequest,
+    depth: usize,
+) -> Option<(usize, Arc<Answer>)> {
+    let (net, window, refine) = key;
+    sessions
+        .range((net, 0, 0)..=(net, usize::MAX, usize::MAX))
+        .filter_map(|(&(_, w, r), open)| Some((w, r, open.answer()?)))
+        .filter(|&(_, r, a)| r == refine && a.answers(q))
+        .max_by_key(|&(w, _, _)| (shared_layers(depth, window, w), Reverse(w)))
+        .map(|(w, _, a)| (w, Arc::clone(a)))
+}
 
-    /// Whether `session` is the one open under `key`: it has not left the
-    /// map (retired, or taken by a successor) since it was looked up.
-    fn is_open(&self, key: &SessionKey, session: &Session) -> bool {
-        self.open.get(key).is_some_and(|s| Arc::ptr_eq(s, session))
-    }
-
-    /// Stores `answer` as `key`'s while `session` is still open under it.
-    fn store(&mut self, key: SessionKey, session: &Session, answer: Answer) {
-        if self.is_open(&key, session) {
-            self.answers.insert(key, Arc::new(answer));
-        }
-    }
+/// The entry open under `key` if it still holds `session`: the session has
+/// not left the map (retired, or taken by a successor) since it was looked
+/// up.
+fn still_open<'a>(
+    sessions: &'a mut Sessions,
+    key: &SessionKey,
+    session: &Session,
+) -> Option<&'a mut Open> {
+    sessions
+        .get_mut(key)
+        .filter(|open| Arc::ptr_eq(&open.state, session))
 }
 
 /// Bounded in-flight gate: at most `cap` queries execute concurrently; the
@@ -578,12 +576,15 @@ impl CertEngine {
     /// concurrently up to the engine's in-flight bound. An exact repeat of
     /// the session's last successful query returns that query's ε̄ bits
     /// unchanged, without waiting for the session. Any other query runs
-    /// the certifier, starting from the
-    /// layers another window's stored answer at the same δ bits and
-    /// checking flag already certified, when one does: its ε̄ is certified
-    /// for its inputs and equals a cold [`itne_core::certify_global`] run
-    /// with the same options to solver tolerance, usually bit for bit (see
-    /// the crate docs for when it is one 2⁻³⁰ step away).
+    /// the certifier, starting from the layers another window's stored
+    /// answer at the same δ bits and checking flag already certified, when
+    /// one does: its ε̄ is certified for its inputs and equals a cold
+    /// [`itne_core::certify_global`] run with the same options to solver
+    /// tolerance, usually bit for bit (see the crate docs for when it is one
+    /// 2⁻³⁰ step away). Which answers are stored when a query starts depends
+    /// on the order concurrent queries finish, so with concurrent clients
+    /// the same requests can return ε̄ one such step apart from run to run;
+    /// a serial request sequence always returns the same bits.
     ///
     /// # Errors
     ///
@@ -607,9 +608,11 @@ impl CertEngine {
         let depth = entry.aff.layers.len();
         let key = session_key(&entry, q);
         let mut sessions = lock(&self.sessions);
+        let open = sessions.get(&key);
         // An exact repeat is answered on the spot, without its session's
         // lock: a stored answer is immutable and belongs to these inputs.
-        if let Some(epsilons) = sessions.repeat(&key, q) {
+        if let Some(answer) = open.and_then(Open::answer).filter(|a| a.answers(q)) {
+            let epsilons = answer.bounds.epsilons();
             drop((sessions, reg));
             return Ok(self.counted(QueryResponse {
                 net_hash: entry.key,
@@ -620,23 +623,24 @@ impl CertEngine {
                 shared_layers: 0,
             }));
         }
-        let found = sessions.open.get(&key).map(Arc::clone);
+        let found = open.map(|o| Arc::clone(&o.state));
         let is_new = found.is_none();
         // First query for this (net, window, refine): seed from the
         // predecessor net's same-shaped session when one exists — its
         // encodings re-parameterize and its bases warm-start against the
         // updated weights (delta re-certification). The session of a
         // predecessor no id resolves to leaves the map, answer included, and
-        // hands over its state; a resolvable one's state is cloned.
+        // hands over its state; a resolvable one's state is cloned. A
+        // predecessor can itself be retired: a rollback resolves to an
+        // entry as it is, link included.
         let seed = entry.predecessor.filter(|_| is_new).and_then(|p| {
-            let from = session_key(&reg.by_key[&p], q);
+            let from = session_key(reg.by_key.get(&p)?, q);
             if reg.resolves(p) {
                 sessions
-                    .open
                     .get(&from)
-                    .map(|s| (from, Arc::clone(s), false))
+                    .map(|o| (from, Arc::clone(&o.state), false))
             } else {
-                sessions.remove(&from).map(|s| (from, s, true))
+                sessions.remove(&from).map(|o| (from, o.state, true))
             }
         });
         let session = found.unwrap_or_default();
@@ -646,7 +650,13 @@ impl CertEngine {
         // its source may be busy with another query.
         let new_guard = is_new.then(|| {
             let guard = lock(&session);
-            sessions.open.insert(key, Arc::clone(&session));
+            sessions.insert(
+                key,
+                Open {
+                    state: Arc::clone(&session),
+                    answer: None,
+                },
+            );
             guard
         });
         drop((sessions, reg));
@@ -663,7 +673,7 @@ impl CertEngine {
         // The store is read again under this session's lock, so a repeat of
         // a query that was still running on the session takes its answer.
         // Reading another window's answer locks no other session.
-        let start = lock(&self.sessions).start_for(key, q, depth);
+        let start = start_for(&lock(&self.sessions), key, q, depth);
         let (epsilons, stats, answer_cached, shared) = match start {
             Some((window, answer)) if window == key.1 => {
                 (answer.bounds.epsilons(), CertifyStats::default(), true, 0)
@@ -696,7 +706,10 @@ impl CertEngine {
                     check_certs: q.check_certs,
                     bounds: report.bounds,
                 };
-                lock(&self.sessions).store(key, &session, answer);
+                // Stored only while the session is still open under its key.
+                if let Some(open) = still_open(&mut lock(&self.sessions), &key, &session) {
+                    open.answer = Some(Arc::new(answer));
+                }
                 (report.epsilons, report.stats, false, shared)
             }
         };
@@ -726,7 +739,9 @@ impl CertEngine {
     /// Locks the session under `key`. A poisoned lock means a query panicked
     /// while holding it and may have left the state partly taken, so the
     /// session restarts empty, its stored answer is dropped, and the event
-    /// is counted. Never called while the session map is held.
+    /// is counted. The answer goes before the poison is cleared, so no
+    /// reader sees it in between. Never called while the session map is
+    /// held.
     fn lock_session<'a>(
         &self,
         key: SessionKey,
@@ -735,12 +750,10 @@ impl CertEngine {
         session.lock().unwrap_or_else(|poisoned| {
             let mut guard = poisoned.into_inner();
             *guard = ResidentState::default();
-            session.clear_poison();
-            let mut sessions = lock(&self.sessions);
-            if sessions.is_open(&key, session) {
-                sessions.answers.remove(&key);
+            if let Some(open) = still_open(&mut lock(&self.sessions), &key, session) {
+                open.answer = None;
             }
-            drop(sessions);
+            session.clear_poison();
             lock(&self.stats).poisoned_sessions += 1;
             guard
         })
@@ -752,7 +765,7 @@ impl CertEngine {
         let sessions = lock(&self.sessions);
         ServeStats {
             live_entries: reg.by_key.len() as u64,
-            live_sessions: sessions.open.len() as u64,
+            live_sessions: sessions.len() as u64,
             ..*lock(&self.stats)
         }
     }
@@ -976,9 +989,10 @@ mod tests {
 
     /// The CI smoke workload: 8 concurrent queries across 2 registered
     /// nets, golden against the cold path, `cert_failures == 0` with
-    /// certificate checking forced on. Each net gets a W = 1 and a W = 2
-    /// query at the same δ, so whichever answers first can race to seed the
-    /// other's first layer.
+    /// certificate checking forced on. Net `a` gets an exact repeat that
+    /// races its twin on one session (queries 0 and 6); net `b` gets a
+    /// W = 2 and a W = 1 query at the same δ (queries 1 and 7), so whichever
+    /// answers first can give the other its first layer.
     #[test]
     fn serve_smoke_concurrent_golden() {
         let net_a = dense_net(0xA, 4, 6, 2);
@@ -993,7 +1007,7 @@ mod tests {
             .map(|i| {
                 let q = QueryRequest {
                     delta: 0.001 * (1 + i % 3) as f64,
-                    window: if i % 4 < 2 { 2 } else { 1 },
+                    window: if i % 4 == 3 { 1 } else { 2 },
                     refine: 0,
                     check_certs: true,
                 };
@@ -1235,7 +1249,7 @@ mod tests {
             ));
         }
         assert_eq!(
-            lock(&engine.sessions).open.len(),
+            lock(&engine.sessions).len(),
             1,
             "a rejected query made a session"
         );
@@ -1245,7 +1259,8 @@ mod tests {
     }
 
     /// A query that panics while holding its session's lock poisons it; the
-    /// next query on that session restarts it empty, with no answer.
+    /// next query on that session restarts it empty, with no answer, and no
+    /// other window starts from that answer in the meantime.
     #[test]
     fn a_poisoned_session_restarts_empty() {
         let net = dense_net(0x9015, 4, 6, 2);
@@ -1255,7 +1270,7 @@ mod tests {
         let q = QueryRequest::new(0.001);
         engine.certify("m", &q).unwrap();
         let key = (key, q.window, q.refine);
-        let session = Arc::clone(&lock(&engine.sessions).open[&key]);
+        let session = Arc::clone(&lock(&engine.sessions)[&key].state);
         // Leave a wrong answer behind and die holding the lock, as a query
         // that panicked mid-update would.
         let died = std::thread::scope(|scope| {
@@ -1263,16 +1278,13 @@ mod tests {
                 .spawn(|| {
                     let _held = session.lock().unwrap();
                     let mut sessions = lock(&engine.sessions);
-                    let stored = Arc::clone(&sessions.answers[&key]);
+                    let open = sessions.get_mut(&key).expect("open session");
+                    let stored = Arc::clone(open.answer.as_ref().expect("stored answer"));
                     let mut bounds = stored.bounds.clone();
-                    bounds
-                        .dx
-                        .last_mut()
-                        .expect("layers")
-                        .fill(Interval::point(0.0));
-                    sessions
-                        .answers
-                        .insert(key, Arc::new(Answer { bounds, ..*stored }));
+                    for layer in &mut bounds.dx {
+                        layer.fill(Interval::point(0.0));
+                    }
+                    open.answer = Some(Arc::new(Answer { bounds, ..*stored }));
                     drop(sessions);
                     panic!("query died holding its session");
                 })
@@ -1280,6 +1292,9 @@ mod tests {
         });
         assert!(died.is_err());
 
+        let deep = QueryRequest { window: 3, ..q };
+        let resp = certify_as_cold(&engine, "m", &deep, &net, &dom);
+        assert_eq!(resp.shared_layers, 0, "started from the poisoned answer");
         let resp = engine.certify("m", &q).unwrap();
         assert!(!resp.answer_cached, "served the poisoned session's answer");
         let cold = certify_global_affine(&net, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
@@ -1384,6 +1399,35 @@ mod tests {
         assert_eq!(engine.stats().delta_seeded_sessions, 1);
     }
 
+    /// A rollback starts cold when the version it returns to links to a
+    /// retired predecessor: after versions 0, 1 and 2, re-registering
+    /// version 1 resolves to its entry as it is, still linked to the retired
+    /// version 0, and its sessions went to version 2, which the rollback
+    /// retires. Its first queries seed nothing and equal cold.
+    #[test]
+    fn a_rollback_to_a_version_whose_predecessor_retired_starts_cold() {
+        let dom = [(-1.0, 1.0); 4];
+        let v0 = dense_net(0x2011, 4, 6, 2);
+        let v1 = perturbed(&v0, 1e-4);
+        let v2 = perturbed(&v1, 1e-4);
+        let engine = CertEngine::new(1, 1);
+        for net in [&v0, &v1, &v2] {
+            engine.register_affine("m", net.clone(), &dom).unwrap();
+            certify_as_cold(&engine, "m", &env_query(1e-3, 1), net, &dom);
+        }
+        engine.register_affine("m", v1.clone(), &dom).unwrap();
+        for window in [1, 2] {
+            let resp = certify_as_cold(&engine, "m", &env_query(1e-3, window), &v1, &dom);
+            assert!(!resp.delta_seeded && !resp.answer_cached, "W = {window}");
+            assert_eq!(resp.shared_layers, window - 1, "W = {window}");
+        }
+        let s = engine.stats();
+        assert_eq!(
+            (s.delta_seeded_sessions, s.live_entries, s.live_sessions),
+            (2, 1, 2)
+        );
+    }
+
     /// A seeding query waits for its predecessor's session outside the
     /// session map: while another thread holds that session, a query on
     /// another id still runs, and the seeding query completes seeded once
@@ -1406,7 +1450,7 @@ mod tests {
         engine.certify("m", &q).unwrap();
         let tuned = perturbed(&net, 1e-4);
         let k2 = engine.register_affine("m", tuned.clone(), &dom).unwrap();
-        let held = Arc::clone(&lock(&engine.sessions).open[&(k1, q.window, q.refine)]);
+        let held = Arc::clone(&lock(&engine.sessions)[&(k1, q.window, q.refine)].state);
         std::thread::scope(|scope| {
             // Both senders drop if this body panics, so no thread is left
             // waiting and the scope can join.
@@ -1423,7 +1467,7 @@ mod tests {
             // one. `try_lock`, so a map it kept fails the test, not hangs it.
             let opened = || {
                 let sessions = engine.sessions.try_lock();
-                sessions.is_ok_and(|s| s.open.contains_key(&(k2, q.window, q.refine)))
+                sessions.is_ok_and(|s| s.contains_key(&(k2, q.window, q.refine)))
             };
             let tick = Duration::from_millis(1);
             for _ in 0..PATIENCE.as_millis() {
