@@ -284,15 +284,45 @@ pub(crate) fn validate(
 ///
 /// [`CertifyError::InvalidInput`] naming the first problem found.
 pub fn validate_query(delta: f64, window: usize) -> Result<(), CertifyError> {
+    validate_delta(delta)?;
+    if window == 0 {
+        return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
+    }
+    Ok(())
+}
+
+/// The δ half of [`validate_query`], for the entry points that take no
+/// window: `delta` is a number `≥ 0`.
+pub(crate) fn validate_delta(delta: f64) -> Result<(), CertifyError> {
     if delta.is_nan() || delta < 0.0 {
         return Err(CertifyError::InvalidInput(format!(
             "delta must be ≥ 0, got {delta}"
         )));
     }
-    if window == 0 {
-        return Err(CertifyError::InvalidInput("window must be ≥ 1".into()));
-    }
     Ok(())
+}
+
+/// Checks a local query's network and sample before anything is built from
+/// them: the sample `x0` matches the network's input and is finite, and
+/// the network passes [`validate_network`] over `domain`, or over the
+/// sample's own zero-width box when there is no domain.
+pub(crate) fn validate_local(
+    aff: &AffineNetwork,
+    x0: &[f64],
+    domain: Option<&[(f64, f64)]>,
+) -> Result<(), CertifyError> {
+    if x0.len() != aff.input_dim {
+        return Err(CertifyError::InvalidInput(format!(
+            "sample has {} dims, network input is {}",
+            x0.len(),
+            aff.input_dim
+        )));
+    }
+    if x0.iter().any(|v| !v.is_finite()) {
+        return Err(CertifyError::InvalidInput("sample must be finite".into()));
+    }
+    let point: Vec<(f64, f64)> = x0.iter().map(|&v| (v, v)).collect();
+    validate_network(aff, domain.unwrap_or(&point))
 }
 
 /// Checks a network and its input domain before anything is built from
@@ -946,6 +976,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The other public entry points reject what `certify_global_affine`
+    /// rejects, with the same typed error, instead of answering for it: a
+    /// NaN weight, an inverted domain, an infinite domain bound, a NaN or
+    /// negative δ, and, for the local ones, a non-finite sample (and, for
+    /// `certify_local`, a window of 0).
+    #[test]
+    fn every_entry_point_rejects_malformed_inputs() {
+        use crate::local::certify_local;
+        use crate::oneshot::{oneshot_global, oneshot_local};
+        use crate::split::{split_global_affine, SplitOptions};
+        use itne_nn::NetworkBuilder;
+        fn invalid<T: std::fmt::Debug>(got: Result<T, CertifyError>, what: &str) {
+            assert!(
+                matches!(got, Err(CertifyError::InvalidInput(_))),
+                "{what}: {got:?}"
+            );
+        }
+        let solver = SolveOptions::default();
+        let opts = CertifyOptions::default();
+        let good = fig1_affine();
+        let mut nan_weight = fig1_affine();
+        nan_weight.layers[0].rows[0].terms[0].1 = f64::NAN;
+        let inverted = [(1.0, -1.0), (-1.0, 1.0)];
+        let unbounded = [(f64::NEG_INFINITY, 1.0), (-1.0, 1.0)];
+        let global = |aff: &AffineNetwork, dom: &[(f64, f64)], delta: f64, what: &str| {
+            invalid(certify_global_affine(aff, dom, delta, &opts), what);
+            let split = split_global_affine(aff, dom, delta, &SplitOptions::default());
+            invalid(split, what);
+            let kind = EncodingKind::Itne;
+            let oneshot = oneshot_global(aff, dom, delta, kind, Relaxation::Lpr, 0, &solver);
+            invalid(oneshot, what);
+        };
+        global(&nan_weight, &DOM, 0.1, "NaN weight");
+        global(&good, &inverted, 0.1, "inverted domain");
+        global(&good, &unbounded, 0.1, "infinite domain bound");
+        global(&good, &DOM, f64::NAN, "NaN δ");
+        global(&good, &DOM, -0.1, "negative δ");
+
+        let nan_net = NetworkBuilder::input(2)
+            .dense(&[&[f64::NAN, 0.5], &[-0.5, 1.0]], &[0.0, 0.0], true)
+            .and_then(|b| b.dense(&[&[1.0, -1.0]], &[0.0], true))
+            .expect("static shapes are valid")
+            .build();
+        let net = fig1_network();
+        let origin = [0.0, 0.0];
+        let nan_sample = [f64::NAN, 0.0];
+        let local = |net: &Network,
+                     aff: &AffineNetwork,
+                     x0: &[f64],
+                     delta: f64,
+                     dom: Option<&[(f64, f64)]>,
+                     what: &str| {
+            invalid(certify_local(net, x0, delta, dom, &opts), what);
+            let oneshot = oneshot_local(aff, x0, delta, dom, Relaxation::Lpr, 0, &solver);
+            invalid(oneshot, what);
+        };
+        local(&nan_net, &nan_weight, &origin, 0.1, None, "NaN weight");
+        for (dom, what) in [(inverted, "inverted domain"), (unbounded, "infinite bound")] {
+            local(&net, &good, &origin, 0.1, Some(&dom), what);
+        }
+        local(&net, &good, &origin, f64::NAN, None, "NaN δ");
+        local(&net, &good, &origin, -0.1, None, "negative δ");
+        local(&net, &good, &nan_sample, 0.1, None, "NaN sample");
+        let what = "NaN sample in a domain";
+        local(&net, &good, &nan_sample, 0.1, Some(&DOM), what);
+        let no_window = CertifyOptions { window: 0, ..opts };
+        let got = certify_local(&net, &origin, 0.1, None, &no_window);
+        invalid(got, "window 0");
     }
 
     /// An expired global deadline degrades to (sound) IBP ranges.

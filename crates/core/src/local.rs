@@ -6,7 +6,7 @@
 //! the paper's Fig. 4, included here both as that reproduction and as the
 //! building block the paper generalizes away from.
 
-use crate::algorithm::{propagate, CertifyOptions, CertifyStats};
+use crate::algorithm::{propagate, validate_local, validate_query, CertifyOptions, CertifyStats};
 use crate::bounds::TwinBounds;
 use crate::encode::EncodingKind;
 use crate::error::CertifyError;
@@ -51,7 +51,11 @@ impl LocalReport {
 ///
 /// # Errors
 ///
-/// See [`CertifyError`].
+/// [`CertifyError::Lower`] if the network cannot be lowered;
+/// [`CertifyError::InvalidInput`] when the sample does not match the
+/// network's input or is not finite, the network or domain fails
+/// [`crate::validate_network`], `delta` or the window fails
+/// [`crate::validate_query`], or the perturbation box misses the domain.
 pub fn certify_local(
     net: &Network,
     x0: &[f64],
@@ -60,28 +64,13 @@ pub fn certify_local(
     opts: &CertifyOptions,
 ) -> Result<LocalReport, CertifyError> {
     let aff = AffineNetwork::from_network(net)?;
-    if x0.len() != aff.input_dim {
-        return Err(CertifyError::InvalidInput(format!(
-            "sample has {} dims, network input is {}",
-            x0.len(),
-            aff.input_dim
-        )));
-    }
-    if delta.is_nan() || delta < 0.0 {
-        return Err(CertifyError::InvalidInput(format!(
-            "delta must be ≥ 0, got {delta}"
-        )));
-    }
+    validate_local(&aff, x0, domain)?;
+    validate_query(delta, opts.window)?;
     let mut box_: Vec<Interval> = x0
         .iter()
         .map(|&v| Interval::new(v - delta, v + delta))
         .collect();
     if let Some(dom) = domain {
-        if dom.len() != x0.len() {
-            return Err(CertifyError::InvalidInput(
-                "domain/sample dimension mismatch".into(),
-            ));
-        }
         for (b, &(lo, hi)) in box_.iter_mut().zip(dom) {
             *b = b
                 .intersect(Interval::new(lo, hi), 0.0)

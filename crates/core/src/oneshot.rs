@@ -7,6 +7,7 @@
 //! usually tighter because it re-derives ranges as it walks; this module
 //! exists to reproduce Fig. 4 faithfully and as the simplest exact encoder.
 
+use crate::algorithm::{validate_delta, validate_local, validate_network};
 use crate::bounds::TwinBounds;
 use crate::encode::{encode_subnet, EncodeOptions, EncodingKind, Relaxation, TargetKind};
 use crate::error::CertifyError;
@@ -42,7 +43,8 @@ impl OneshotReport {
 ///
 /// # Errors
 ///
-/// See [`CertifyError`].
+/// [`CertifyError::InvalidInput`] when the network or domain fails
+/// [`crate::validate_network`] or `delta` is NaN or negative.
 pub fn oneshot_global(
     aff: &AffineNetwork,
     domain: &[(f64, f64)],
@@ -52,11 +54,8 @@ pub fn oneshot_global(
     refine: usize,
     solver: &SolveOptions,
 ) -> Result<OneshotReport, CertifyError> {
-    if domain.len() != aff.input_dim {
-        return Err(CertifyError::InvalidInput(
-            "domain/input dimension mismatch".into(),
-        ));
-    }
+    validate_network(aff, domain)?;
+    validate_delta(delta)?;
     let dom: Vec<Interval> = domain.iter().map(|&(l, h)| Interval::new(l, h)).collect();
     let mut bounds = ibp_twin(aff, &dom, delta);
     if kind == EncodingKind::Btne {
@@ -73,7 +72,10 @@ pub fn oneshot_global(
 ///
 /// # Errors
 ///
-/// See [`CertifyError`].
+/// [`CertifyError::InvalidInput`] when the sample does not match the
+/// network's input or is not finite, the network or domain fails
+/// [`crate::validate_network`], `delta` is NaN or negative, or the
+/// perturbation box misses the domain.
 pub fn oneshot_local(
     aff: &AffineNetwork,
     x0: &[f64],
@@ -83,11 +85,8 @@ pub fn oneshot_local(
     refine: usize,
     solver: &SolveOptions,
 ) -> Result<OneshotReport, CertifyError> {
-    if x0.len() != aff.input_dim {
-        return Err(CertifyError::InvalidInput(
-            "sample/input dimension mismatch".into(),
-        ));
-    }
+    validate_local(aff, x0, domain)?;
+    validate_delta(delta)?;
     let mut box_: Vec<Interval> = x0
         .iter()
         .map(|&v| Interval::new(v - delta, v + delta))

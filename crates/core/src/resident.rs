@@ -18,11 +18,10 @@
 //!    still optimal and takes no pivots. When a new δ or a fine-tuning step
 //!    moved the RHS, the restored point may be primal infeasible; the
 //!    bounded dual simplex repairs it in a few pivots instead of
-//!    re-solving cold. Because a [`ResidentState`] can be cloned from a
-//!    predecessor network's session, this extends to **delta
-//!    re-certification** after a fine-tuning step. Only a singular or
-//!    misshapen basis, a repair that fails or hits the pivot cap, or a
-//!    failed residual check re-solves cold
+//!    re-solving cold. Because a [`ResidentState`] can go on to a network's
+//!    next weight version, this extends to **delta re-certification** after
+//!    a fine-tuning step. Only a singular or misshapen basis, a repair that
+//!    fails or hits the pivot cap, or a failed residual check re-solves cold
 //!    ([`QueryStats::warm_misses`]).
 //!
 //! Both reuse layers are pure optimizations: replay verifies the skeleton
@@ -69,11 +68,11 @@ pub(crate) struct NeuronCache {
 /// All cached per-neuron state of one resident certification session.
 ///
 /// A state is implicitly keyed by the `(network, domain, options)` triple it
-/// was populated under; the serve layer keys its session map accordingly.
-/// Using it with *changed* options or a perturbed network is safe — every
-/// reuse is verified structurally and falls back to fresh work — it only
-/// costs cache misses. Handing a predecessor network's state, moved or
-/// cloned, to the first query against an updated network is exactly the
+/// was populated under; the serve layer keeps one per registered id and
+/// `(window, refine)` shape. Using it with *changed* options or a perturbed
+/// network is safe — every reuse is verified structurally and falls back to
+/// fresh work — it only costs cache misses. Running the next query against
+/// an updated network on the state the previous weights left is exactly the
 /// delta re-certification warm start.
 #[derive(Clone, Default)]
 pub struct ResidentState {

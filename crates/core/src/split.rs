@@ -11,6 +11,7 @@
 //! Independent from the MILP baseline (`exact_global`), which makes it a
 //! genuine cross-check: both must agree to solver tolerance.
 
+use crate::algorithm::{validate_delta, validate_network};
 use crate::error::CertifyError;
 use crate::ibp::ibp_twin;
 use crate::interval::Interval;
@@ -59,7 +60,9 @@ impl Default for SplitOptions {
 ///
 /// # Errors
 ///
-/// See [`CertifyError`].
+/// [`CertifyError::Lower`] if the network cannot be lowered;
+/// [`CertifyError::InvalidInput`] when the network or domain fails
+/// [`crate::validate_network`] or `delta` is NaN or negative.
 pub fn split_global(
     net: &Network,
     domain: &[(f64, f64)],
@@ -74,21 +77,15 @@ pub fn split_global(
 ///
 /// # Errors
 ///
-/// See [`CertifyError`].
+/// See [`split_global`].
 pub fn split_global_affine(
     aff: &AffineNetwork,
     domain: &[(f64, f64)],
     delta: f64,
     opts: &SplitOptions,
 ) -> Result<SplitReport, CertifyError> {
-    if domain.len() != aff.input_dim {
-        return Err(CertifyError::InvalidInput(
-            "domain/input dimension mismatch".into(),
-        ));
-    }
-    if delta.is_nan() || delta < 0.0 {
-        return Err(CertifyError::InvalidInput("delta must be ≥ 0".into()));
-    }
+    validate_network(aff, domain)?;
+    validate_delta(delta)?;
     let dom: Vec<Interval> = domain.iter().map(|&(l, h)| Interval::new(l, h)).collect();
     let seed = ibp_twin(aff, &dom, delta);
     // Marginal pre-activation ranges; both copies share them initially.

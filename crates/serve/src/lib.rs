@@ -6,35 +6,31 @@
 //! A [`CertEngine`] holds four cache layers, each invalidated by its own
 //! key. A query tries layer 1 first; a hit there skips the other three:
 //!
-//! 1. an **answer store shared across windows**, keyed like the sessions
-//!    (see layer 3): per key, the full bounds of its last successful query
-//!    together with that query's δ bit pattern and certificate-checking
-//!    flag. A query whose key holds an answer for the same δ bits and flag
-//!    is an exact repeat: it returns that answer without running the
-//!    certifier, with [`QueryResponse::answer_cached`] set and all work
-//!    counters zero, and [`ServeStats::answer_hits`] counts it. Any other
-//!    query starts from the answer of another window of the same entry and
-//!    refine at the same δ bits and flag that shares the most layers with
-//!    it: Algorithm 1 decomposes layer `i` over `min(W, i + 1)` layers, so
-//!    two windows certify the same ranges on their first `min(W, W′)`
-//!    layers ([`itne_core::shared_layers`]). The query copies those layers
-//!    and certifies only the rest ([`QueryResponse::shared_layers`],
+//! 1. an **answer store shared across windows**: each session (see layer 3)
+//!    keeps the full bounds of its last successful query together with that
+//!    query's δ bit pattern, its certificate-checking flag and the serial of
+//!    the entry it ran on (layer 2). A query whose session holds an answer
+//!    for its entry, δ bits and flag is an exact repeat: it returns that
+//!    answer without running the certifier, with
+//!    [`QueryResponse::answer_cached`] set and all work counters zero, and
+//!    [`ServeStats::answer_hits`] counts it. Any other query starts from the
+//!    answer of another window of its id on the same entry and refine at the
+//!    same δ bits and flag that shares the most layers with it: Algorithm 1
+//!    decomposes layer `i` over `min(W, i + 1)` layers, so two windows
+//!    certify the same ranges on their first `min(W, W′)` layers
+//!    ([`itne_core::shared_layers`]). The query copies those layers and
+//!    certifies only the rest ([`QueryResponse::shared_layers`],
 //!    [`ServeStats::shared_starts`]); reading another window's answer locks
-//!    no other session. A key holds one answer; every other query on it
-//!    replaces it. An answer leaves the store with its session (retirement,
-//!    seeding by move, a poisoned lock), and delta seeding (below) never
-//!    passes one on, since answers belong to their weights;
-//! 2. a **model registry** keyed by everything that shapes an answer — the
-//!    weights ([`itne_nn::AffineNetwork::weight_hash`]) *and* the input
-//!    domain — holding the lowered network, the domain, and the
-//!    δ-independent interval pre-bounds ([`itne_core::ibp_values`]),
-//!    computed once at registration. The key is a hash, so a key hit is
-//!    confirmed by comparing the full content bit for bit before an entry
-//!    is shared;
-//! 3. per-session **encoding caches** inside [`ResidentState`], keyed by
-//!    `(net_key, min(window, depth), refine)` (every window at or past the
-//!    network's depth asks the same query): repeated δ-values over the same
-//!    window re-parameterize the cached constraint skeletons in place
+//!    no other session. A session holds one answer; every other query on it
+//!    replaces it;
+//! 2. a **registry** of ids, each holding its current entry: the lowered
+//!    network, the domain and the δ-independent interval pre-bounds
+//!    ([`itne_core::ibp_values`]), computed once per registration of new
+//!    content, under a serial number unique within the engine;
+//! 3. per-session **encoding caches** inside [`ResidentState`]. An id keys
+//!    its sessions by `(min(window, depth), refine)` (every window at or past
+//!    the network's depth asks the same query): repeated δ-values over the
+//!    same window re-parameterize the cached constraint skeletons in place
 //!    instead of re-encoding (δ only perturbs bounds/RHS);
 //! 4. a **basis store** in the same state: every directed solve's final
 //!    simplex basis persists per `(encoding, objective)` across requests,
@@ -42,38 +38,25 @@
 //!    basis a new δ or a weight update left primal infeasible is repaired
 //!    by the bounded dual simplex rather than re-solved cold.
 //!
-//! Re-registering an id with updated weights (or a new domain) produces a
-//! new key whose entry links to its predecessor, so **delta
-//! re-certification** after a fine-tuning step rebuilds only bounds/RHS and
-//! warm-starts every sweep from the previous model's bases. Resident state
-//! has a lifecycle, so a stream of weight versions keeps at most two of
-//! them resident per id:
-//!
-//! - a new entry's first query per `(window, refine)` seeds its session from
-//!   the predecessor's session of that shape. It *moves* the predecessor's
-//!   resident state out and drops that session when no id resolves to the
-//!   predecessor any more, and clones it only while some id still does;
-//! - every registration retires the entries no id resolves to that are not
-//!   the predecessor of an entry some id resolves to, with their sessions.
-//!   A query already running on a retired session finishes on it.
-//!
-//! [`ServeStats::live_entries`] and [`ServeStats::live_sessions`] report what
-//! is resident. Two known cases start cold where keeping every version
-//! resident would have stayed warm; their answers are as correct as any:
-//!
-//! - re-registering content an entry still holds resolves to that entry as
-//!   it is, link included. A rollback to the previous version is one such
-//!   case: its sessions went to its successor, which the rollback retires;
-//! - forked ids: when two ids resolve to one entry and both move to new
-//!   versions before either queries, the first successor to query a shape
-//!   takes the shared predecessor's session, and the other starts that
-//!   shape cold.
+//! Resident state belongs to the id it serves. Re-registering an id with
+//! new weights or a new domain swaps in a new entry and keeps the id's
+//! sessions, so the next query of each shape is the **delta
+//! re-certification** path: it re-parameterizes the encodings the previous
+//! content left and warm-starts every sweep from their bases
+//! ([`QueryResponse::delta_seeded`]). Answers belong to their entry and are
+//! never read for another, including one a query stores late for the entry
+//! it resolved before the re-registration. So a rollback, a version
+//! registered and never queried, and each of two ids that forked from one
+//! content stay warm, and an id keeps one entry and at most one session per
+//! shape resident ([`ServeStats::live_entries`],
+//! [`ServeStats::live_sessions`]). Two ids never share state, even on
+//! identical content. Re-registering the content an id holds is a no-op.
 //!
 //! Every answer is the certifier's ε̄ for the exact inputs of its query, and
-//! an answer hit returns exactly the bits its key returned before. Shared
-//! layers are the ranges the same query would certify on them, and layers
-//! 2–4 change at most the pivot path, so a computed answer equals a cold
-//! [`itne_core::certify_global`] run to solver tolerance and, after
+//! an answer hit returns exactly the bits its session returned before.
+//! Shared layers are the ranges the same query would certify on them, and
+//! layers 2–4 change at most the pivot path, so a computed answer equals a
+//! cold [`itne_core::certify_global`] run to solver tolerance and, after
 //! the 2⁻³⁰ snap, usually bit for bit: this crate's tests assert it on
 //! their nets, serially and under concurrency. It is not guaranteed. A
 //! warm-started solve can end on a vertex that is optimal only to
@@ -90,10 +73,12 @@
 //!
 //! Queries run on the certifier's deterministic work-stealing pool; a
 //! bounded in-flight gate keeps concurrent clients from oversubscribing it.
-//! A query that panics leaves its session's lock poisoned. From then on no
-//! query reads that session's stored answer, and the next query on the
-//! session restarts it empty and drops the answer
-//! ([`ServeStats::poisoned_sessions`]).
+//! Locks are taken in one order: the gate, then the registry, which no
+//! query holds while it waits for a session; then a session's lock, then
+//! the registry again, briefly, to read or store answers. A query that
+//! panics leaves its session's lock poisoned. From then on no query reads
+//! that session's stored answer, and the next query on the session restarts
+//! it empty and drops the answer ([`ServeStats::poisoned_sessions`]).
 
 #![forbid(unsafe_code)]
 
@@ -105,7 +90,7 @@ use itne_core::{
 };
 use itne_nn::{AffineNetwork, Network};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Errors returned by [`CertEngine`] operations.
@@ -164,8 +149,8 @@ impl QueryRequest {
 /// The result of one engine query.
 #[derive(Clone, Debug)]
 pub struct QueryResponse {
-    /// Registry key of the entry that answered (weights and domain; see
-    /// [`CertEngine::register_affine`]).
+    /// Content hash of the entry that answered, over its weights and domain
+    /// ([`CertEngine::net_hash`]).
     pub net_hash: u64,
     /// Certified `ε̄` per network output.
     pub epsilons: Vec<f64>,
@@ -174,10 +159,9 @@ pub struct QueryResponse {
     /// only the layers the query certified itself, not its
     /// [`QueryResponse::shared_layers`].
     pub stats: CertifyStats,
-    /// Whether this query opened its session by seeding it from a
-    /// predecessor net's session (the delta re-certification path): it took
-    /// that session's resident state, or cloned it while some id still
-    /// resolves to the predecessor.
+    /// Whether the query ran its session's resident state on this entry for
+    /// the first time, after it last ran on another entry of the id: the
+    /// delta re-certification path after a re-registration.
     pub delta_seeded: bool,
     /// Whether the answer came from the answer store: the query repeated
     /// its session's last successful query exactly, so the certifier did not
@@ -194,17 +178,17 @@ pub struct QueryResponse {
 /// Engine-lifetime counters, aggregated over every query.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Distinct (weights, domain) entries registered.
+    /// Entries built: one per registration that gave an id new content
+    /// (weights or domain).
     pub registered_nets: u64,
-    /// Re-registrations of an existing id with new weights or a new domain
-    /// (each links a predecessor for the delta path).
+    /// Re-registrations of an existing id with new weights or a new domain.
     pub delta_registrations: u64,
     /// Queries answered, answer hits included.
     pub queries: u64,
-    /// Sessions seeded from a predecessor net's session state, taken or
-    /// (while some id still resolves to the predecessor) cloned.
+    /// Queries that continued a session whose state last ran on another
+    /// entry of its id: those with [`QueryResponse::delta_seeded`].
     pub delta_seeded_sessions: u64,
-    /// Queries answered from their key's stored answer: exact repeats
+    /// Queries answered from their session's stored answer: exact repeats
     /// (cache layer 1).
     pub answer_hits: u64,
     /// Queries that started from the layers another window's stored answer
@@ -216,30 +200,29 @@ pub struct ServeStats {
     pub poisoned_sessions: u64,
     /// The certifier's work counters, merged over every query that ran it.
     pub query: QueryStats,
-    /// Registry entries resident when the snapshot was taken: those an id
-    /// resolves to and their predecessors (a gauge, not a lifetime count).
+    /// Entries resident when the snapshot was taken: one per registered id
+    /// (a gauge, not a lifetime count).
     pub live_entries: u64,
-    /// Sessions resident when the snapshot was taken (a gauge).
+    /// Sessions resident when the snapshot was taken: at most one per id
+    /// and shape (a gauge).
     pub live_sessions: u64,
 }
 
-/// One registered network: everything the registry computes once per
-/// distinct (weights, domain) pair (cache layer 2).
+/// What one registration of new content computes (cache layer 2).
 struct NetEntry {
     aff: AffineNetwork,
     domain: Vec<(f64, f64)>,
-    key: u64,
+    /// The content hash the engine reports ([`entry_hash`]).
+    hash: u64,
+    /// Unique within the engine: an answer records the serial it ran on.
+    serial: u64,
     /// δ-independent interval pre-bounds over `domain`.
     pre: ValuePreBounds,
-    /// The entry whose sessions seed this one's — the delta
-    /// re-certification link. Set when an id is re-registered with updated
-    /// weights or a new domain: the key the id resolved to.
-    predecessor: Option<u64>,
 }
 
 impl NetEntry {
     /// Whether this entry holds exactly `aff` over `domain`, compared bit
-    /// for bit — the same view the key hash takes, so `±0.0` differ.
+    /// for bit — the same view the content hash takes, so `±0.0` differ.
     fn holds(&self, aff: &AffineNetwork, domain: &[(f64, f64)]) -> bool {
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
         self.domain.len() == domain.len()
@@ -265,9 +248,9 @@ impl NetEntry {
     }
 }
 
-/// The registry key hash of `aff` over `domain`: FNV-1a over the weight
-/// hash and the domain's bit patterns. Not collision-resistant, so a hit is
-/// only ever trusted after [`NetEntry::holds`] confirms it.
+/// The content hash of `aff` over `domain`: FNV-1a over the weight hash
+/// and the domain's bit patterns. Not collision-resistant, so the engine
+/// only reports it and tells content apart with [`NetEntry::holds`].
 fn entry_hash(aff: &AffineNetwork, domain: &[(f64, f64)]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -285,89 +268,48 @@ fn entry_hash(aff: &AffineNetwork, domain: &[(f64, f64)]) -> u64 {
     h
 }
 
-#[derive(Default)]
-struct Registry {
-    by_id: BTreeMap<String, u64>,
-    by_key: BTreeMap<u64, Arc<NetEntry>>,
-}
-
-impl Registry {
-    /// The key `aff` over `domain` lives under, and whether an entry already
-    /// holds it. Starts at [`entry_hash`] and, on a hash collision with
-    /// different content, probes the following keys in order, so distinct
-    /// content always gets a distinct key.
-    fn locate(&self, aff: &AffineNetwork, domain: &[(f64, f64)]) -> (u64, bool) {
-        let mut key = entry_hash(aff, domain);
-        loop {
-            match self.by_key.get(&key) {
-                Some(e) if e.holds(aff, domain) => return (key, true),
-                Some(_) => key = key.wrapping_add(1),
-                None => return (key, false),
-            }
-        }
-    }
-
-    /// Whether some id resolves to `key`.
-    fn resolves(&self, key: u64) -> bool {
-        self.by_id.values().any(|&k| k == key)
-    }
-
-    /// Retires every entry no id resolves to that is not the predecessor of
-    /// an entry some id resolves to, and takes the sessions of retired
-    /// entries, answers included, out of `sessions`. They are returned, not
-    /// dropped, so the caller can free their resident state after releasing
-    /// its locks.
-    fn retire(&mut self, sessions: &mut Sessions) -> Sessions {
-        let by_key = &self.by_key;
-        let keep: BTreeSet<u64> = self
-            .by_id
-            .values()
-            .flat_map(|k| std::iter::once(*k).chain(by_key[k].predecessor))
-            .collect();
-        self.by_key.retain(|k, _| keep.contains(k));
-        sessions
-            .extract_if(.., |(net, _, _), _| !keep.contains(net))
-            .collect()
-    }
-}
-
-/// Sessions and stored answers are keyed by everything that shapes cached
-/// encodings: `(net_key, window, refine)`, where the registry key covers
-/// weights and domain and the window is clamped to the network's depth
+/// A session's key within its id, everything that shapes cached encodings:
+/// `(window, refine)`, with the window clamped to the network's depth
 /// (every window at or past the depth asks the same query). δ and
 /// certificate checking deliberately stay out of the key — they never
 /// change the constraint skeleton.
-type SessionKey = (u64, usize, usize);
+type Shape = (usize, usize);
 
-/// The session key of `q` against `entry`.
-fn session_key(entry: &NetEntry, q: &QueryRequest) -> SessionKey {
-    (entry.key, q.window.min(entry.aff.layers.len()), q.refine)
+/// One session's resident state (cache layers 3 and 4) and the serial of
+/// the entry it last ran on.
+#[derive(Default)]
+struct State {
+    ran_on: Option<u64>,
+    resident: ResidentState,
 }
 
-/// One session's resident state (cache layers 3 and 4). Seeding a
-/// successor session passes on only this, never the session's answer.
-type Session = Arc<Mutex<ResidentState>>;
+type Session = Arc<Mutex<State>>;
 
-/// The answer of a key's last successful query: its full bounds, stored
-/// under what the key leaves out, δ's bit pattern and the
-/// certificate-checking flag (a failed check falls back to the IBP range,
-/// so the flag can change the answer).
+/// The answer of a session's last successful query: its full bounds,
+/// stored under what the session key leaves out, the entry's serial, δ's
+/// bit pattern and the certificate-checking flag (a failed check falls back
+/// to the IBP range, so the flag can change the answer).
 struct Answer {
+    serial: u64,
     delta_bits: u64,
     check_certs: bool,
     bounds: TwinBounds,
 }
 
 impl Answer {
-    /// Whether this answer was computed at `q`'s δ bits and checking flag.
-    fn answers(&self, q: &QueryRequest) -> bool {
-        self.delta_bits == q.delta.to_bits() && self.check_certs == q.check_certs
+    /// Whether this answer was computed on `entry` at `q`'s δ bits and
+    /// checking flag.
+    fn answers(&self, entry: &NetEntry, q: &QueryRequest) -> bool {
+        self.serial == entry.serial
+            && self.delta_bits == q.delta.to_bits()
+            && self.check_certs == q.check_certs
     }
 }
 
 /// An open session with its entry in the answer store (cache layer 1). The
 /// answer sits outside the session's lock, so reading it never waits on a
-/// running query, and it leaves the map with its session.
+/// running query.
+#[derive(Default)]
 struct Open {
     state: Session,
     answer: Option<Arc<Answer>>,
@@ -381,40 +323,49 @@ impl Open {
     }
 }
 
-/// The open sessions and their answers.
-type Sessions = BTreeMap<SessionKey, Open>;
+type Sessions = BTreeMap<Shape, Open>;
 
-/// The stored answer `q` can start from, with the window that computed it:
-/// among the answers of `key`'s net and refine at `q`'s δ bits and checking
-/// flag, the one that shares the most layers with `key`'s window
-/// ([`shared_layers`]; the smaller window on a tie). Its window equals
-/// `key`'s exactly when `q` repeats that key's last answer.
-fn start_for(
-    sessions: &Sessions,
-    key: SessionKey,
-    q: &QueryRequest,
-    depth: usize,
-) -> Option<(usize, Arc<Answer>)> {
-    let (net, window, refine) = key;
-    sessions
-        .range((net, 0, 0)..=(net, usize::MAX, usize::MAX))
-        .filter_map(|(&(_, w, r), open)| Some((w, r, open.answer()?)))
-        .filter(|&(_, r, a)| r == refine && a.answers(q))
-        .max_by_key(|&(w, _, _)| (shared_layers(depth, window, w), Reverse(w)))
-        .map(|(w, _, a)| (w, Arc::clone(a)))
+/// A registered id: its current entry, and its sessions, which outlive
+/// re-registrations.
+struct Served {
+    entry: Arc<NetEntry>,
+    sessions: Sessions,
 }
 
-/// The entry open under `key` if it still holds `session`: the session has
-/// not left the map (retired, or taken by a successor) since it was looked
-/// up.
-fn still_open<'a>(
-    sessions: &'a mut Sessions,
-    key: &SessionKey,
-    session: &Session,
-) -> Option<&'a mut Open> {
+#[derive(Default)]
+struct Registry {
+    ids: BTreeMap<String, Served>,
+    /// Entries built so far, which is also the next entry's serial.
+    built: u64,
+}
+
+impl Registry {
+    /// `id`'s session of `shape`. Ids and sessions are never removed, so
+    /// it is there once a query has resolved them.
+    fn open(&mut self, id: &str, shape: Shape) -> Option<&mut Open> {
+        self.ids.get_mut(id)?.sessions.get_mut(&shape)
+    }
+}
+
+/// The stored answer `q` on `entry` can start from, with the window that
+/// computed it: among the answers in `sessions` on `entry` at `q`'s refine,
+/// δ bits and checking flag, the one that shares the most layers with
+/// `shape`'s window ([`shared_layers`]; the smaller window on a tie). Its
+/// window equals `shape`'s exactly when `q` repeats that session's last
+/// answer.
+fn start_for(
+    sessions: &Sessions,
+    shape: Shape,
+    q: &QueryRequest,
+    entry: &NetEntry,
+) -> Option<(usize, Arc<Answer>)> {
+    let depth = entry.aff.layers.len();
     sessions
-        .get_mut(key)
-        .filter(|open| Arc::ptr_eq(&open.state, session))
+        .iter()
+        .filter_map(|(&(w, r), open)| Some((w, r, open.answer()?)))
+        .filter(|&(_, r, a)| r == shape.1 && a.answers(entry, q))
+        .max_by_key(|&(w, _, _)| (shared_layers(depth, shape.0, w), Reverse(w)))
+        .map(|(w, _, a)| (w, Arc::clone(a)))
 }
 
 /// Bounded in-flight gate: at most `cap` queries execute concurrently; the
@@ -445,24 +396,20 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-/// Poison-tolerant lock for the registry, the session map, the gate and the
-/// telemetry: no panic can leave any of them half-updated, so they keep
-/// serving after a panicking client thread. Sessions can be left
-/// half-updated and go through [`CertEngine::lock_session`] instead.
+/// Poison-tolerant lock for the registry, the gate and the telemetry: no
+/// panic can leave any of them half-updated, so they keep serving after a
+/// panicking client thread. Sessions can be left half-updated and go
+/// through [`CertEngine::lock_session`] instead.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The resident certification engine. See the crate docs for the cache
-/// architecture; all methods take `&self`, so one engine can be shared
-/// across client threads (`&CertEngine` is `Send + Sync`).
+/// architecture and the lock order; all methods take `&self`, so one engine
+/// can be shared across client threads (`&CertEngine` is `Send + Sync`).
 pub struct CertEngine {
     threads: usize,
     registry: Mutex<Registry>,
-    /// Locked after `registry` whenever both are held, and after a
-    /// session's own lock: a session is locked under this one only while it
-    /// is new and no other query can reach it.
-    sessions: Mutex<Sessions>,
     gate: Gate,
     stats: Mutex<ServeStats>,
 }
@@ -475,7 +422,6 @@ impl CertEngine {
         CertEngine {
             threads: threads.max(1),
             registry: Mutex::new(Registry::default()),
-            sessions: Mutex::new(Sessions::default()),
             gate: Gate {
                 n: Mutex::new(0),
                 cv: Condvar::new(),
@@ -486,18 +432,14 @@ impl CertEngine {
     }
 
     /// Registers (or re-registers) `net` over `domain` under `id` and
-    /// returns the entry's registry key. Lowering, validation, and the
-    /// δ-independent interval pre-bounds happen here, once per distinct
-    /// (weights, domain) pair: a second id with the same weights over a
-    /// different domain gets an entry of its own. Re-registering an id with
-    /// changed weights or a changed domain links the new entry to its
-    /// predecessor, the entry the id resolved to. The first query of each
-    /// `(window, refine)` against the new entry seeds its session from the
-    /// predecessor's (delta path): it takes the predecessor's state when no
-    /// id resolves to the predecessor any more, and clones it otherwise.
-    /// Every registration then retires the entries no id resolves to that
-    /// are not the predecessor of one some id resolves to, with their
-    /// sessions. Re-registering identical content is a no-op.
+    /// returns the entry's content hash ([`CertEngine::net_hash`]).
+    /// Lowering, validation, and the δ-independent interval pre-bounds
+    /// happen here, once per registration of new content; every id gets an
+    /// entry of its own, even on content another id holds. Re-registering an
+    /// id with changed weights or a changed domain swaps in a new entry and
+    /// keeps the id's sessions: the first query of each `(window, refine)`
+    /// after it continues from the state the previous content left (delta
+    /// path). Re-registering the content the id holds is a no-op.
     ///
     /// # Errors
     ///
@@ -527,57 +469,51 @@ impl CertEngine {
     ) -> Result<u64, ServeError> {
         validate_network(&aff, domain)?;
         let mut reg = lock(&self.registry);
-        let (key, known) = reg.locate(&aff, domain);
-        let predecessor = match reg.by_id.get(id) {
-            Some(&old) if old == key => return Ok(key), // identical content: no-op
-            Some(&old) => Some(old),
-            None => None,
-        };
-        if !known {
-            let dom_iv: Vec<Interval> = domain
-                .iter()
-                .map(|&(lo, hi)| Interval::new(lo, hi))
-                .collect();
-            let pre = ibp_values(&aff, &dom_iv);
-            reg.by_key.insert(
-                key,
-                Arc::new(NetEntry {
-                    aff,
-                    domain: domain.to_vec(),
-                    key,
-                    pre,
-                    predecessor,
-                }),
-            );
-            lock(&self.stats).registered_nets += 1;
+        if let Some(served) = reg.ids.get(id).filter(|s| s.entry.holds(&aff, domain)) {
+            return Ok(served.entry.hash);
         }
-        reg.by_id.insert(id.to_string(), key);
-        let mut sessions = lock(&self.sessions);
-        let retired = reg.retire(&mut sessions);
-        // A retired session can hold megabytes of resident state: free it
-        // after both maps are released, so no query's lookup waits on it.
-        drop((sessions, reg));
-        drop(retired);
-        if predecessor.is_some() {
-            lock(&self.stats).delta_registrations += 1;
-        }
-        Ok(key)
+        let dom_iv: Vec<Interval> = domain
+            .iter()
+            .map(|&(lo, hi)| Interval::new(lo, hi))
+            .collect();
+        let entry = Arc::new(NetEntry {
+            hash: entry_hash(&aff, domain),
+            serial: reg.built,
+            pre: ibp_values(&aff, &dom_iv),
+            aff,
+            domain: domain.to_vec(),
+        });
+        reg.built += 1;
+        let hash = entry.hash;
+        // The new entry takes over the id's sessions.
+        let old = reg.ids.remove(id);
+        let update = old.is_some();
+        let sessions = old.map(|s| s.sessions).unwrap_or_default();
+        reg.ids.insert(id.to_string(), Served { entry, sessions });
+        drop(reg);
+        lock(&self.stats).delta_registrations += u64::from(update);
+        Ok(hash)
     }
 
-    /// The registry key `id` currently resolves to.
+    /// The content hash of the entry `id` currently holds: FNV-1a over the
+    /// weight hash ([`itne_nn::AffineNetwork::weight_hash`]) and the
+    /// domain's bit patterns, so identical content hashes alike under any
+    /// id. It is not collision-resistant and only reported: the engine
+    /// compares content bit for bit.
     pub fn net_hash(&self, id: &str) -> Option<u64> {
-        lock(&self.registry).by_id.get(id).copied()
+        lock(&self.registry).ids.get(id).map(|s| s.entry.hash)
     }
 
     /// Certifies `(δ, ε̄)`-global robustness of the net registered under
     /// `net_id`, reusing every applicable cache layer. Queries against the
-    /// same `(net, min(window, depth), refine)` session serialize on its
-    /// state; different nets (and different windows of one net) run
+    /// same `(id, min(window, depth), refine)` session serialize on its
+    /// state; different ids (and different windows of one id) run
     /// concurrently up to the engine's in-flight bound. An exact repeat of
-    /// the session's last successful query returns that query's ε̄ bits
-    /// unchanged, without waiting for the session. Any other query runs
-    /// the certifier, starting from the layers another window's stored
-    /// answer at the same δ bits and checking flag already certified, when
+    /// the session's last successful query on the same entry returns that
+    /// query's ε̄ bits unchanged, without waiting for the session. Any other
+    /// query runs the certifier on the entry the id held when it arrived,
+    /// starting from the layers another window's stored answer on that
+    /// entry at the same δ bits and checking flag already certified, when
     /// one does: its ε̄ is certified for its inputs and equals a cold
     /// [`itne_core::certify_global`] run with the same options to solver
     /// tolerance, usually bit for bit (see the crate docs for when it is one
@@ -590,138 +526,95 @@ impl CertEngine {
     ///
     /// [`ServeError::UnknownNet`] for an unregistered id;
     /// [`ServeError::Certify`] for invalid query parameters. A rejected
-    /// query creates, seeds and changes no session.
+    /// query creates and changes no session.
     pub fn certify(&self, net_id: &str, q: &QueryRequest) -> Result<QueryResponse, ServeError> {
         let _slot = self.gate.acquire();
-        // The id resolves, and the session is found or made, under one
-        // registry lock: a registration cannot retire the entry in between,
-        // so the map never gains a session of a retired entry.
-        let reg = lock(&self.registry);
-        let key = *reg
-            .by_id
-            .get(net_id)
+        let mut reg = lock(&self.registry);
+        let served = reg
+            .ids
+            .get_mut(net_id)
             .ok_or_else(|| ServeError::UnknownNet(net_id.to_string()))?;
-        let entry = Arc::clone(reg.by_key.get(&key).expect("registry id without entry"));
         // The network and domain passed validation at registration; the
         // query's own parameters are checked before it touches any session.
         validate_query(q.delta, q.window)?;
-        let depth = entry.aff.layers.len();
-        let key = session_key(&entry, q);
-        let mut sessions = lock(&self.sessions);
-        let open = sessions.get(&key);
+        let entry = Arc::clone(&served.entry);
+        let shape = (q.window.min(entry.aff.layers.len()), q.refine);
+        let open = served.sessions.entry(shape).or_default();
         // An exact repeat is answered on the spot, without its session's
-        // lock: a stored answer is immutable and belongs to these inputs.
-        if let Some(answer) = open.and_then(Open::answer).filter(|a| a.answers(q)) {
-            let epsilons = answer.bounds.epsilons();
-            drop((sessions, reg));
-            return Ok(self.counted(QueryResponse {
-                net_hash: entry.key,
-                epsilons,
-                stats: CertifyStats::default(),
-                delta_seeded: false,
-                answer_cached: true,
-                shared_layers: 0,
-            }));
+        // lock: a stored answer is immutable and belongs to its inputs.
+        if let Some(answer) = open.answer().filter(|a| a.answers(&entry, q)) {
+            return Ok(self.repeat(&entry, answer));
         }
-        let found = open.map(|o| Arc::clone(&o.state));
-        let is_new = found.is_none();
-        // First query for this (net, window, refine): seed from the
-        // predecessor net's same-shaped session when one exists — its
-        // encodings re-parameterize and its bases warm-start against the
-        // updated weights (delta re-certification). The session of a
-        // predecessor no id resolves to leaves the map, answer included, and
-        // hands over its state; a resolvable one's state is cloned. A
-        // predecessor can itself be retired: a rollback resolves to an
-        // entry as it is, link included.
-        let seed = entry.predecessor.filter(|_| is_new).and_then(|p| {
-            let from = session_key(reg.by_key.get(&p)?, q);
-            if reg.resolves(p) {
-                sessions
-                    .get(&from)
-                    .map(|o| (from, Arc::clone(&o.state), false))
-            } else {
-                sessions.remove(&from).map(|o| (from, o.state, true))
-            }
-        });
-        let session = found.unwrap_or_default();
-        // A new session enters the map already locked, so no other query
-        // runs on it unseeded; no other query can reach it yet, so locking
-        // it never waits. The seed is copied after both maps are released:
-        // its source may be busy with another query.
-        let new_guard = is_new.then(|| {
-            let guard = lock(&session);
-            sessions.insert(
-                key,
-                Open {
-                    state: Arc::clone(&session),
-                    answer: None,
-                },
-            );
-            guard
-        });
-        drop((sessions, reg));
-        let mut state = new_guard.unwrap_or_else(|| self.lock_session(key, &session));
-        let delta_seeded = seed.is_some();
-        if let Some((from_key, from, take)) = seed {
-            let mut from = self.lock_session(from_key, &from);
-            *state = if take {
-                std::mem::take(&mut *from)
-            } else {
-                from.clone()
-            };
-        }
+        let session = Arc::clone(&open.state);
+        drop(reg);
+        let mut state = self.lock_session(net_id, shape, &session);
         // The store is read again under this session's lock, so a repeat of
         // a query that was still running on the session takes its answer.
-        // Reading another window's answer locks no other session.
-        let start = start_for(&lock(&self.sessions), key, q, depth);
-        let (epsilons, stats, answer_cached, shared) = match start {
-            Some((window, answer)) if window == key.1 => {
-                (answer.bounds.epsilons(), CertifyStats::default(), true, 0)
-            }
-            start => {
-                let mut opts = CertifyOptions {
-                    window: q.window,
-                    refine: q.refine,
-                    threads: self.threads,
-                    check_certificates: q.check_certs,
-                    ..Default::default()
-                };
-                // Timing telemetry (refactorization / FTRAN-BTRAN
-                // nanoseconds in the stats): audit-only clock reads inside
-                // the solver that never feed certified bounds.
-                opts.solver.telemetry = Some(itne_core::deadline::telemetry_clock());
-                let earlier = start.as_ref().map(|(w, a)| (&a.bounds, *w));
-                let report = certify_global_resident(
-                    &entry.aff,
-                    &entry.domain,
-                    q.delta,
-                    &opts,
-                    Some(&entry.pre),
-                    &mut state,
-                    earlier,
-                )?;
-                let shared = earlier.map_or(0, |(_, w)| shared_layers(depth, key.1, w));
-                let answer = Answer {
-                    delta_bits: q.delta.to_bits(),
-                    check_certs: q.check_certs,
-                    bounds: report.bounds,
-                };
-                // Stored only while the session is still open under its key.
-                if let Some(open) = still_open(&mut lock(&self.sessions), &key, &session) {
-                    open.answer = Some(Arc::new(answer));
-                }
-                (report.epsilons, report.stats, false, shared)
-            }
+        let start = lock(&self.registry)
+            .ids
+            .get(net_id)
+            .and_then(|s| start_for(&s.sessions, shape, q, &entry));
+        if let Some((_, answer)) = start.as_ref().filter(|(w, _)| *w == shape.0) {
+            return Ok(self.repeat(&entry, answer));
+        }
+        let delta_seeded = state.ran_on.is_some_and(|s| s != entry.serial);
+        state.ran_on = Some(entry.serial);
+        let mut opts = CertifyOptions {
+            window: q.window,
+            refine: q.refine,
+            threads: self.threads,
+            check_certificates: q.check_certs,
+            ..Default::default()
         };
+        // Timing telemetry (refactorization / FTRAN-BTRAN nanoseconds in the
+        // stats): audit-only clock reads inside the solver that never feed
+        // certified bounds.
+        opts.solver.telemetry = Some(itne_core::deadline::telemetry_clock());
+        let earlier = start.as_ref().map(|(w, a)| (&a.bounds, *w));
+        let report = certify_global_resident(
+            &entry.aff,
+            &entry.domain,
+            q.delta,
+            &opts,
+            Some(&entry.pre),
+            &mut state.resident,
+            earlier,
+        )?;
+        let shared = earlier.map_or(0, |(_, w)| {
+            shared_layers(entry.aff.layers.len(), shape.0, w)
+        });
+        let answer = Answer {
+            serial: entry.serial,
+            delta_bits: q.delta.to_bits(),
+            check_certs: q.check_certs,
+            bounds: report.bounds,
+        };
+        // Stored before the session's lock is released, so a repeat queued
+        // behind this query takes it.
+        if let Some(open) = lock(&self.registry).open(net_id, shape) {
+            open.answer = Some(Arc::new(answer));
+        }
         drop(state);
         Ok(self.counted(QueryResponse {
-            net_hash: entry.key,
-            epsilons,
-            stats,
+            net_hash: entry.hash,
+            epsilons: report.epsilons,
+            stats: report.stats,
             delta_seeded,
-            answer_cached,
+            answer_cached: false,
             shared_layers: shared,
         }))
+    }
+
+    /// The response to an exact repeat of `answer`'s query on `entry`.
+    fn repeat(&self, entry: &NetEntry, answer: &Answer) -> QueryResponse {
+        self.counted(QueryResponse {
+            net_hash: entry.hash,
+            epsilons: answer.bounds.epsilons(),
+            stats: CertifyStats::default(),
+            delta_seeded: false,
+            answer_cached: true,
+            shared_layers: 0,
+        })
     }
 
     /// Adds a finished query to the engine totals and hands its response on.
@@ -736,21 +629,22 @@ impl CertEngine {
         resp
     }
 
-    /// Locks the session under `key`. A poisoned lock means a query panicked
-    /// while holding it and may have left the state partly taken, so the
-    /// session restarts empty, its stored answer is dropped, and the event
-    /// is counted. The answer goes before the poison is cleared, so no
-    /// reader sees it in between. Never called while the session map is
-    /// held.
+    /// Locks `id`'s session of `shape`. A poisoned lock means a query
+    /// panicked while holding it and may have left the state partly
+    /// updated, so the session restarts empty, its stored answer is dropped,
+    /// and the event is counted. The answer goes before the poison is
+    /// cleared, so no reader sees it in between. Never called while the
+    /// registry is held.
     fn lock_session<'a>(
         &self,
-        key: SessionKey,
+        id: &str,
+        shape: Shape,
         session: &'a Session,
-    ) -> MutexGuard<'a, ResidentState> {
+    ) -> MutexGuard<'a, State> {
         session.lock().unwrap_or_else(|poisoned| {
             let mut guard = poisoned.into_inner();
-            *guard = ResidentState::default();
-            if let Some(open) = still_open(&mut lock(&self.sessions), &key, session) {
+            *guard = State::default();
+            if let Some(open) = lock(&self.registry).open(id, shape) {
                 open.answer = None;
             }
             session.clear_poison();
@@ -762,10 +656,10 @@ impl CertEngine {
     /// A snapshot of the engine-lifetime counters and the live gauges.
     pub fn stats(&self) -> ServeStats {
         let reg = lock(&self.registry);
-        let sessions = lock(&self.sessions);
         ServeStats {
-            live_entries: reg.by_key.len() as u64,
-            live_sessions: sessions.len() as u64,
+            registered_nets: reg.built,
+            live_entries: reg.ids.len() as u64,
+            live_sessions: reg.ids.values().map(|s| s.sessions.len() as u64).sum(),
             ..*lock(&self.stats)
         }
     }
@@ -936,32 +830,34 @@ mod tests {
         assert_eq!(bits(&got), bits(&cold), "served {got:?}, cold {cold:?}");
     }
 
-    /// A key-hash hit with different content is a collision, never a
-    /// match: the newcomer probes on to a key of its own.
+    /// A content-hash hit with different content is a collision, never a
+    /// match: only [`NetEntry::holds`] decides that an id already holds
+    /// what it is registered with.
     #[test]
     fn colliding_key_hash_is_confirmed_by_content() {
         let a = dense_net(3, 2, 3, 1);
         let b = dense_net(5, 2, 3, 1);
         let dom = [(0.0, 1.0); 2];
-        let mut reg = Registry::default();
-        // Plant `a` under the key `b` hashes to, as a collision would.
-        let forged = entry_hash(&b, &dom);
-        reg.by_key.insert(
-            forged,
-            Arc::new(NetEntry {
-                aff: a.clone(),
-                domain: dom.to_vec(),
-                key: forged,
-                pre: ibp_values(&a, &[Interval::new(0.0, 1.0); 2]),
-                predecessor: None,
-            }),
-        );
-        assert_eq!(reg.locate(&b, &dom), (forged.wrapping_add(1), false));
-        assert_eq!(reg.locate(&a, &dom), (entry_hash(&a, &dom), false));
+        // `a` under the hash `b` has, as a collision would give it.
+        let planted = NetEntry {
+            aff: a.clone(),
+            domain: dom.to_vec(),
+            hash: entry_hash(&b, &dom),
+            serial: 0,
+            pre: ibp_values(&a, &[Interval::new(0.0, 1.0); 2]),
+        };
+        assert!(!planted.holds(&b, &dom));
         // Identical content does match, including the planted entry.
-        let planted = reg.by_key.get(&forged).expect("planted");
         assert!(planted.holds(&a, &dom));
         assert!(!planted.holds(&a, &[(0.0, 1.0), (0.0, 2.0)]));
+        // Registering `b` under an id that holds the planted entry is no
+        // no-op: the id answers for `b`.
+        let engine = CertEngine::new(1, 1);
+        engine.register_affine("m", a, &dom).unwrap();
+        lock(&engine.registry).ids.get_mut("m").expect("id").entry = Arc::new(planted);
+        engine.register_affine("m", b.clone(), &dom).unwrap();
+        assert_eq!(engine.stats().delta_registrations, 1);
+        certify_as_cold(&engine, "m", &env_query(1e-3, 2), &b, &dom);
     }
 
     /// A NaN or infinite weight or bias is refused at registration.
@@ -1065,7 +961,7 @@ mod tests {
         assert_eq!(resp.net_hash, h2);
         assert!(
             resp.delta_seeded,
-            "delta path did not clone the old session"
+            "delta path did not continue the id's session"
         );
         assert!(!resp.answer_cached, "the old weights' answer was reused");
         assert!(resp.stats.query.cross_query_warm_hits > 0);
@@ -1222,8 +1118,9 @@ mod tests {
     }
 
     /// A rejected query touches no session: after a weight update, a query
-    /// with an invalid δ or window must not create the new weights' session,
-    /// so the first valid query still seeds it from the predecessor's.
+    /// with an invalid δ or window must neither create a session nor run
+    /// one on the new weights, so the first valid query is still the delta
+    /// path.
     #[test]
     fn rejected_queries_leave_sessions_untouched() {
         let net = dense_net(0xBAD, 4, 6, 2);
@@ -1249,12 +1146,12 @@ mod tests {
             ));
         }
         assert_eq!(
-            lock(&engine.sessions).len(),
+            lock(&engine.registry).ids["m"].sessions.len(),
             1,
             "a rejected query made a session"
         );
         let resp = engine.certify("m", &q).unwrap();
-        assert!(resp.delta_seeded, "a rejected query took the seeding");
+        assert!(resp.delta_seeded, "a rejected query ran the session");
         assert_eq!(engine.stats().delta_seeded_sessions, 1);
     }
 
@@ -1266,26 +1163,26 @@ mod tests {
         let net = dense_net(0x9015, 4, 6, 2);
         let dom = [(-1.0, 1.0); 4];
         let engine = CertEngine::new(1, 1);
-        let key = engine.register_affine("m", net.clone(), &dom).unwrap();
+        engine.register_affine("m", net.clone(), &dom).unwrap();
         let q = QueryRequest::new(0.001);
         engine.certify("m", &q).unwrap();
-        let key = (key, q.window, q.refine);
-        let session = Arc::clone(&lock(&engine.sessions)[&key].state);
+        let shape = (q.window, q.refine);
+        let session = Arc::clone(&lock(&engine.registry).ids["m"].sessions[&shape].state);
         // Leave a wrong answer behind and die holding the lock, as a query
         // that panicked mid-update would.
         let died = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
                     let _held = session.lock().unwrap();
-                    let mut sessions = lock(&engine.sessions);
-                    let open = sessions.get_mut(&key).expect("open session");
+                    let mut reg = lock(&engine.registry);
+                    let open = reg.open("m", shape).expect("open session");
                     let stored = Arc::clone(open.answer.as_ref().expect("stored answer"));
                     let mut bounds = stored.bounds.clone();
                     for layer in &mut bounds.dx {
                         layer.fill(Interval::point(0.0));
                     }
                     open.answer = Some(Arc::new(Answer { bounds, ..*stored }));
-                    drop(sessions);
+                    drop(reg);
                     panic!("query died holding its session");
                 })
                 .join()
@@ -1306,12 +1203,11 @@ mod tests {
     }
 
     /// A fine-tuning stream of 200 weight versions under one id: each
-    /// version's first query per window takes over its predecessor's
-    /// session, so no more than two versions are ever resident. Taking the
-    /// state moves exactly what a clone would copy, so every answer equals
-    /// that of one `ResidentState` carried through the stream, bit for bit
-    /// (the W = 2 run starting, as the engine's does, from the W = 1
-    /// answer's first layer).
+    /// version's first query per window continues the id's session of that
+    /// window, so the id keeps one entry and one session per window
+    /// resident. Every answer equals that of one `ResidentState` carried
+    /// through the stream, bit for bit (the W = 2 run starting, as the
+    /// engine's does, from the W = 1 answer's first layer).
     /// Against cold runs the stream shows the known gap of the crate docs:
     /// some answers sit one 2⁻³⁰ grid step from cold, none further.
     #[test]
@@ -1323,7 +1219,7 @@ mod tests {
         let mut carried = [ResidentState::new(), ResidentState::new()];
         let bounded = |engine: &CertEngine| {
             let s = engine.stats();
-            assert!(s.live_entries <= 2 && s.live_sessions <= 4, "{s:?}");
+            assert!(s.live_entries == 1 && s.live_sessions <= 2, "{s:?}");
         };
         for version in 0..200 {
             if version > 0 {
@@ -1362,29 +1258,37 @@ mod tests {
         }
         let s = engine.stats();
         assert_eq!((s.delta_registrations, s.delta_seeded_sessions), (199, 398));
-        assert_eq!((s.live_entries, s.live_sessions), (2, 2));
+        assert_eq!((s.live_entries, s.live_sessions), (1, 2));
     }
 
-    /// While a second id still resolves to the old weights, seeding clones
-    /// the old session instead of taking it: the old id keeps its warm
-    /// bases and its answer.
+    /// Two ids never share state, even on one content: `b`'s first query is
+    /// computed, not served from `a`'s answer, and after `a` moves on, `b`
+    /// keeps its bases and its answer.
     #[test]
-    fn a_version_another_id_resolves_to_is_cloned() {
+    fn ids_keep_their_own_sessions() {
         let net = dense_net(0xC10E, 4, 6, 2);
         let dom = [(-1.0, 1.0); 4];
         let engine = CertEngine::new(1, 1);
-        let k1 = engine.register_affine("a", net.clone(), &dom).unwrap();
-        assert_eq!(engine.register_affine("b", net.clone(), &dom).unwrap(), k1);
+        let k = engine.register_affine("a", net.clone(), &dom).unwrap();
+        assert_eq!(engine.register_affine("b", net.clone(), &dom).unwrap(), k);
         let q = env_query(1e-3, 2);
         certify_as_cold(&engine, "a", &q, &net, &dom);
+        let first = certify_as_cold(&engine, "b", &q, &net, &dom);
+        assert!(!first.answer_cached && !first.delta_seeded);
+        assert!(first.stats.query.solves > 0);
         let tuned = perturbed(&net, 1e-4);
         engine.register_affine("a", tuned.clone(), &dom).unwrap();
         assert!(certify_as_cold(&engine, "a", &q, &tuned, &dom).delta_seeded);
         let s = engine.stats();
-        assert_eq!((s.live_entries, s.live_sessions), (2, 2));
+        assert_eq!(
+            (s.registered_nets, s.live_entries, s.live_sessions),
+            (3, 2, 2)
+        );
 
-        // The old session still holds the answer `a` left in it.
-        assert!(engine.certify("b", &q).unwrap().answer_cached);
+        // `b` still holds the answer it computed, and its bases.
+        let hit = engine.certify("b", &q).unwrap();
+        assert!(hit.answer_cached);
+        assert_eq!(bits(&hit.epsilons), bits(&first.epsilons));
         let q2 = env_query(2e-3, 2);
         let old = certify_as_cold(&engine, "b", &q2, &net, &dom);
         assert!(!old.delta_seeded && !old.answer_cached);
@@ -1393,47 +1297,78 @@ mod tests {
             "the old id lost its bases: {:?}",
             old.stats.query
         );
-        let repeat = engine.certify("b", &q2).unwrap();
-        assert!(repeat.answer_cached);
-        assert_eq!(bits(&repeat.epsilons), bits(&old.epsilons));
         assert_eq!(engine.stats().delta_seeded_sessions, 1);
     }
 
-    /// A rollback starts cold when the version it returns to links to a
-    /// retired predecessor: after versions 0, 1 and 2, re-registering
-    /// version 1 resolves to its entry as it is, still linked to the retired
-    /// version 0, and its sessions went to version 2, which the rollback
-    /// retires. Its first queries seed nothing and equal cold.
+    /// A rollback, and a version registered but never queried, keep the id
+    /// warm: its sessions follow it from v0 past the unqueried v1 to v2 and
+    /// back to v1, where W = 2 starts from W = 1's layer. Every answer
+    /// equals cold.
     #[test]
-    fn a_rollback_to_a_version_whose_predecessor_retired_starts_cold() {
+    fn a_rollback_continues_the_ids_state() {
         let dom = [(-1.0, 1.0); 4];
         let v0 = dense_net(0x2011, 4, 6, 2);
         let v1 = perturbed(&v0, 1e-4);
         let v2 = perturbed(&v1, 1e-4);
         let engine = CertEngine::new(1, 1);
-        for net in [&v0, &v1, &v2] {
-            engine.register_affine("m", net.clone(), &dom).unwrap();
-            certify_as_cold(&engine, "m", &env_query(1e-3, 1), net, &dom);
+        engine.register_affine("m", v0.clone(), &dom).unwrap();
+        for window in [1, 2] {
+            certify_as_cold(&engine, "m", &env_query(1e-3, window), &v0, &dom);
         }
+        engine.register_affine("m", v1.clone(), &dom).unwrap();
+        engine.register_affine("m", v2.clone(), &dom).unwrap();
+        let resp = certify_as_cold(&engine, "m", &env_query(1e-3, 1), &v2, &dom);
+        assert!(resp.delta_seeded && !resp.answer_cached);
         engine.register_affine("m", v1.clone(), &dom).unwrap();
         for window in [1, 2] {
             let resp = certify_as_cold(&engine, "m", &env_query(1e-3, window), &v1, &dom);
-            assert!(!resp.delta_seeded && !resp.answer_cached, "W = {window}");
+            assert!(resp.delta_seeded && !resp.answer_cached, "W = {window}");
             assert_eq!(resp.shared_layers, window - 1, "W = {window}");
         }
         let s = engine.stats();
         assert_eq!(
             (s.delta_seeded_sessions, s.live_entries, s.live_sessions),
-            (2, 1, 2)
+            (3, 1, 2)
         );
     }
 
-    /// A seeding query waits for its predecessor's session outside the
-    /// session map: while another thread holds that session, a query on
-    /// another id still runs, and the seeding query completes seeded once
-    /// the session is released.
+    /// An id re-registered with other widths, then with another depth,
+    /// answers every window as cold: its sessions continue, and their caches
+    /// rebuild where the shapes changed. At depth 2, W = 3 asks W = 2's
+    /// query and is answered from its store.
     #[test]
-    fn a_seeding_query_waits_outside_the_session_map() {
+    fn an_id_reregistered_with_another_architecture_answers_as_cold() {
+        let dom = [(-1.0, 1.0); 4];
+        let deep = dense_net(0xA2C4, 4, 6, 2);
+        let wide = dense_net(0xA2C5, 4, 8, 2);
+        let mut shallow = dense_net(0xA2C6, 4, 5, 2);
+        shallow.layers.remove(1);
+        let engine = CertEngine::new(1, 1);
+        for net in [&deep, &wide, &shallow] {
+            engine.register_affine("m", net.clone(), &dom).unwrap();
+            for window in 1..=3 {
+                certify_as_cold(&engine, "m", &env_query(1e-3, window), net, &dom);
+            }
+        }
+        let s = engine.stats();
+        assert_eq!(
+            (
+                s.delta_registrations,
+                s.delta_seeded_sessions,
+                s.answer_hits
+            ),
+            (2, 5, 1)
+        );
+    }
+
+    /// A query waits for its session outside the registry: while a helper
+    /// holds m's session, a query on m at a new δ takes its handle on it
+    /// and waits, yet a query on another id and a re-registration of m both
+    /// finish. Released, the waiting query answers for the weights it
+    /// resolved, and the answer it stores late is never served for the new
+    /// weights.
+    #[test]
+    fn a_query_waits_for_its_session_outside_the_registry() {
         use std::sync::mpsc;
         use std::time::Duration;
         const PATIENCE: Duration = Duration::from_secs(30);
@@ -1448,9 +1383,9 @@ mod tests {
             .unwrap();
         let q = env_query(1e-3, 2);
         engine.certify("m", &q).unwrap();
-        let tuned = perturbed(&net, 1e-4);
-        let k2 = engine.register_affine("m", tuned.clone(), &dom).unwrap();
-        let held = Arc::clone(&lock(&engine.sessions)[&(k1, q.window, q.refine)].state);
+        let q2 = env_query(2e-3, 2);
+        let tuned = &perturbed(&net, 1e-4);
+        let held = &Arc::clone(&lock(&engine.registry).ids["m"].sessions[&(2, 0)].state);
         std::thread::scope(|scope| {
             // Both senders drop if this body panics, so no thread is left
             // waiting and the scope can join.
@@ -1462,38 +1397,49 @@ mod tests {
                 let _ = release_rx.recv();
             });
             locked_rx.recv().unwrap();
-            let seeding = scope.spawn(move || engine.certify("m", &q).unwrap());
-            // The seeding query opens its session, then waits for the held
-            // one. `try_lock`, so a map it kept fails the test, not hangs it.
-            let opened = || {
-                let sessions = engine.sessions.try_lock();
-                sessions.is_ok_and(|s| s.contains_key(&(k2, q.window, q.refine)))
-            };
+            let waiting = scope.spawn(move || engine.certify("m", &q2).unwrap());
+            // The map's handle and this test's, plus the waiting query's.
+            let taken = || Arc::strong_count(held) == 3;
             let tick = Duration::from_millis(1);
             for _ in 0..PATIENCE.as_millis() {
-                if opened() {
+                if taken() {
                     break;
                 }
                 std::thread::sleep(tick);
             }
-            assert!(opened(), "the seeding query kept the session map");
+            assert!(taken(), "the query never took its session's handle");
             let (done_tx, done_rx) = mpsc::channel();
-            scope.spawn(move || {
-                let _ = done_tx.send(engine.certify("other", &q));
+            let done = done_tx.clone();
+            let other = scope.spawn(move || {
+                let resp = engine.certify("other", &q);
+                let _ = done.send(());
+                resp
             });
-            let other = done_rx
-                .recv_timeout(PATIENCE)
-                .expect("a query on another id waited for the seeding query")
-                .unwrap();
+            let update = scope.spawn(move || {
+                let key = engine.register_affine("m", tuned.clone(), dom.as_slice());
+                let _ = done_tx.send(());
+                key
+            });
+            for _ in 0..2 {
+                done_rx
+                    .recv_timeout(PATIENCE)
+                    .expect("a query on another id or a registration waited for the session");
+            }
+            assert!(!waiting.is_finished());
+            let other = other.join().unwrap().unwrap();
             let cold =
                 certify_global_affine(&other_net, &other_dom, q.delta, &cold_opts(&q, 1)).unwrap();
             assert_eq!(bits(&other.epsilons), bits(&cold.epsilons));
+            assert_ne!(update.join().unwrap().unwrap(), k1);
             drop(release_tx);
-            let resp = seeding.join().unwrap();
-            assert!(resp.delta_seeded);
-            let cold = certify_global_affine(&tuned, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
-            assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
+            let late = waiting.join().unwrap();
+            assert_eq!(late.net_hash, k1);
+            let cold = certify_global_affine(&net, &dom, q2.delta, &cold_opts(&q2, 1)).unwrap();
+            assert_eq!(bits(&late.epsilons), bits(&cold.epsilons));
         });
+        let resp = certify_as_cold(engine, "m", &q2, tuned, &dom);
+        assert!(!resp.answer_cached, "served the old weights' late answer");
+        assert!(resp.delta_seeded);
     }
 
     proptest::proptest! {
