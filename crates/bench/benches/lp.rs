@@ -127,9 +127,10 @@ fn band_lp(n: usize, band: usize, seed: u64) -> (Model, Vec<itne_milp::VarId>) {
 }
 
 /// Dense tableau vs the sparse LU revised simplex on conv-window-sized band
-/// skeletons: a cold solve plus
-/// a warm 8-objective sweep per iteration, which is exactly the work one
-/// `LpRelaxY`/`LpRelaxX` sub-problem does.
+/// skeletons: an 8-objective sweep per iteration, which is exactly the work
+/// one `LpRelaxY`/`LpRelaxX` sub-problem does. The LU engine solves the
+/// first objective cold and warm-starts the rest; the dense oracle solves
+/// every objective cold.
 fn bench_sparse(c: &mut Criterion) {
     let mut g = c.benchmark_group("lp_sparse");
     g.warm_up_time(std::time::Duration::from_millis(500));

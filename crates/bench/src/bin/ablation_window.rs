@@ -67,5 +67,5 @@ fn main() {
     }
     table.print();
     save_json("ablation_window", &rows);
-    println!("\ndeeper windows keep more cross-layer correlation (tighter ε̄) at larger\nper-neuron LP cost — the paper's W = 2/3 sits at the knee. (The digits net\nstops at W = 2 here: W = 3 windows reach the 196-pixel input and are slow\non the dense-tableau simplex — see the scaling note in EXPERIMENTS.md.)");
+    println!("\ndeeper windows keep more cross-layer correlation (tighter ε̄) at larger\nper-neuron LP cost — the paper's W = 2/3 sits at the knee. (The digits net\nstops at W = 2 here to keep the run short: W = 3 windows reach the\n196-pixel input.)");
 }

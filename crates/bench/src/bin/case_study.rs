@@ -117,7 +117,7 @@ fn main() {
     // Largest perturbation bound with a formal safety certificate: bisect on
     // δ (ε̄ is monotone in δ). This reproduces the paper's structural claim —
     // a δ with an end-to-end proof — even when the from-scratch-trained
-    // network is less robust than the paper's (see EXPERIMENTS.md).
+    // network is less robust than the paper's.
     let headroom = beta - dd1;
     let mut delta_safe = 0.0;
     if headroom > 0.0 && !verified {

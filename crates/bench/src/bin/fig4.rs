@@ -150,7 +150,7 @@ fn main() {
     )
     .expect("btne lpr");
     // The paper composes one-sided bounds and reports [-2.85, 1.5]; our
-    // coupled LP over the same relaxation is tighter (see EXPERIMENTS.md).
+    // coupled LP over the same relaxation is tighter.
     push(
         &mut global,
         &mut rows,
@@ -203,7 +203,7 @@ fn main() {
         &mut rows,
         "Algorithm 1 (W=2)",
         alg1.bounds.dx[1][0],
-        (-0.25, 0.25), // tighter than Fig. 4's one-shot LPR; see EXPERIMENTS.md
+        (-0.25, 0.25), // tighter than Fig. 4's one-shot LPR
     );
     global.print();
 

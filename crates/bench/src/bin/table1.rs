@@ -24,7 +24,7 @@
 //! the committed snapshot that tracks the perf trajectory across PRs.
 //!
 //! Absolute numbers differ from the paper (pure-Rust simplex vs Gurobi,
-//! scaled datasets — see DESIGN.md); the *shape* is the reproduction target:
+//! scaled datasets); the *shape* is the reproduction target:
 //! exact methods blow up exponentially with network size while Algorithm 1
 //! scales, staying within a small factor of the exact bound (small nets) and
 //! under ~3× of the PGD lower bound (conv nets).
@@ -197,8 +197,9 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
         }
     } else {
         // Paper: half the hidden neurons refined. Each refined neuron costs
-        // a binary per sub-problem; bound the count in quick mode so the
-        // DFS B&B stays interactive (see EXPERIMENTS.md scaling note).
+        // a binary per sub-problem, and the DFS B&B tree grows exponentially
+        // with the count; bound it in quick mode so the run stays
+        // interactive.
         let refine = if quick {
             (net.hidden_neurons() / 2).min(6)
         } else {

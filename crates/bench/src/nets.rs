@@ -4,7 +4,8 @@
 //! * **Auto-MPG DNNs 1-5** — two ReLU hidden layers of equal width over the
 //!   7 synthetic fuel-economy features (paper: 8-64 total hidden neurons).
 //! * **Digit DNNs 6-8** — 1-3 conv layers + one FC hidden layer over 14×14
-//!   procedural digit images (paper: 28×28 MNIST; scaled per DESIGN.md).
+//!   procedural digit images (paper: 28×28 MNIST; scaled down so the
+//!   per-neuron LPs stay tractable for the from-scratch simplex).
 //!
 //! Models are trained deterministically (fixed seeds) and cached as JSON in
 //! `artifacts/models/`.

@@ -22,7 +22,7 @@
 //!    the paper reports (safe at 2/255, bound exceedances at 5/255, unsafe
 //!    states at 10/255).
 //!
-//! ## Fidelity note (documented in DESIGN.md)
+//! ## Fidelity note
 //!
 //! The paper prints the reference-speed disturbance as `+[1 0]ᵀ·w₁` with
 //! `w₁ = 0.4 − v_r ∈ [-0.2, 0.2]`. Taken literally no invariant subset of

@@ -1,5 +1,6 @@
 //! The vision-based distance-estimation DNN (the paper's 5-layer perception
-//! network, scaled to the 12×24 renderer — see DESIGN.md substitutions).
+//! network, scaled to the 12×24 grayscale renderer that stands in for the
+//! paper's 24×48 Webots images).
 
 use itne_attack::fgsm_perturb;
 use itne_data::camera::{camera_dataset, pixel_bounds, CameraSpec};
@@ -22,7 +23,7 @@ pub struct PerceptionConfig {
     /// Adam learning rate.
     pub learning_rate: f64,
     /// Decoupled weight decay (shrinks the Lipschitz gain, which directly
-    /// tightens the certification — see DESIGN.md).
+    /// tightens the certification).
     pub weight_decay: f64,
     /// Prepend a 2×2 average-pooling front end. Pooling is a gain-1 linear
     /// layer, so it smooths the input without adding certification slack —

@@ -74,7 +74,7 @@ pub struct CertifyOptions {
     /// variable (once, at first use); unset, `0`, `false`, or `off` means
     /// disabled.
     pub check_certificates: bool,
-    /// Per-solve limits and tolerances.
+    /// Per-solve limits, engine and warm-start switch.
     pub solver: SolveOptions,
     /// Overall wall-clock deadline; on expiry remaining neurons keep their
     /// sound IBP ranges (the result stays sound, only looser).

@@ -795,7 +795,7 @@ mod tests {
     /// fully-coupled LP over the same BTNE relaxation is tighter,
     /// [-1.34375, 1.34375] (6.7×). Either way BTNE is several times looser
     /// than ITNE-LPR's [-0.275, 0.275] (1.38×) — the paper's point. The
-    /// exact values here are a regression lock; see EXPERIMENTS.md.
+    /// exact values here are a regression lock.
     #[test]
     fn btne_lpr_whole_network_matches_paper() {
         let (net, bounds) = fig1_setup();

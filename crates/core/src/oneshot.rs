@@ -155,7 +155,8 @@ mod tests {
     const DOM: [(f64, f64); 2] = [(-1.0, 1.0), (-1.0, 1.0)];
 
     /// The four global rows of Fig. 4 in one place (ITNE values exact to the
-    /// paper; BTNE-LPR per the coupled-LP regression — see EXPERIMENTS.md).
+    /// paper; BTNE-LPR is the fully coupled LP's range, tighter than the
+    /// paper's one-sided bound composition).
     #[test]
     fn fig4_global_oneshot_rows() {
         let aff = fig1_affine();

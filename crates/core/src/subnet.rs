@@ -22,8 +22,8 @@ pub struct SubNetwork<'a> {
 impl<'a> SubNetwork<'a> {
     /// Decomposes `net` around `target` in `layer` with the given window,
     /// clamping the window to the available prefix (`w = min(window,
-    /// layer+1)` — the paper's Algorithm 1 line 4, with the `max` typo
-    /// corrected; see DESIGN.md).
+    /// layer+1)` — the paper's Algorithm 1 line 4, which prints `max`: a
+    /// window cannot reach past the input layer, so it must be `min`).
     ///
     /// # Panics
     ///

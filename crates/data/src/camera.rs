@@ -6,8 +6,7 @@
 //! structure deterministically: a road/sky background, a lead-vehicle body
 //! whose apparent size scales like `1/distance` (pinhole model), lateral
 //! drift, lighting variation, and pixel noise. Grayscale 12×24 by default so
-//! the perception network stays within reach of the from-scratch LP solver
-//! (see DESIGN.md substitutions).
+//! the perception network stays within reach of the from-scratch LP solver.
 
 use crate::rng_from;
 use itne_nn::train::Dataset;

@@ -5,7 +5,7 @@
 //! background noise. Labels are one-hot. Images are `size × size` with
 //! `size ≥ 9`; the paper uses 28×28 MNIST, our experiments default to 14×14
 //! so the per-neuron LPs stay tractable for the from-scratch simplex (the
-//! encoding code paths are identical — see DESIGN.md).
+//! encoding code paths are identical at any size).
 
 use crate::rng_from;
 use itne_nn::train::Dataset;

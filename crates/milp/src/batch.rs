@@ -13,7 +13,8 @@
 //! simplex first. Whenever a restore cannot complete (singular
 //! refactorization, an unrepairable snapshot, numerical trouble), the solve
 //! transparently falls back to a cold solve, so results never depend on
-//! whether a warm start succeeded.
+//! whether a warm start succeeded. Warm starts run on [`Engine::Lu`] only:
+//! the dense oracle ([`Engine::Dense`]) solves every objective cold.
 //!
 //! Mixed-integer models are accepted for uniformity and solved by
 //! branch-and-bound, whose tree starts cold for every objective (inside the
@@ -22,8 +23,9 @@
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense};
-use crate::options::SolveOptions;
-use crate::simplex::{self, Basis, Resident, ResolveOutcome, WarmResidentOutcome};
+use crate::options::{Engine, SolveOptions};
+use crate::simplex::{self, Basis};
+use crate::sparse::{self, ResolveOutcome, SparseResident, WarmResidentOutcome};
 use crate::{branch_bound, LinExpr, Solution};
 
 /// Work counters for one [`BatchSolver`]'s lifetime.
@@ -36,7 +38,8 @@ pub struct BatchStats {
     /// Warm attempts that were rejected and fell back to a cold solve.
     pub warm_misses: u64,
     /// Solves that ran cold because no snapshot was available (the first
-    /// solve of every sweep, MILP solves, and everything after a failure).
+    /// solve of every sweep, MILP solves, every dense-engine solve, and
+    /// everything after a failure).
     pub cold_solves: u64,
     /// Total simplex pivots across all solves, *including* the pivots burned
     /// by warm attempts that were later rejected (that work is real even
@@ -89,11 +92,11 @@ impl BatchStats {
 /// ```
 pub struct BatchSolver<'m> {
     model: &'m mut Model,
-    /// The previous solve's live factorized tableau. Reoptimizing it in
+    /// The previous LU solve's live factorized engine. Reoptimizing it in
     /// place is strictly cheaper than restoring a [`crate::Basis`] snapshot
     /// (no `B⁻¹` refactorization per solve); snapshots carry warm starts
     /// *across* sweeps ([`BatchSolver::solve_slot`]).
-    resident: Option<Resident>,
+    resident: Option<SparseResident>,
     /// Pivot count of the most recent cold solve, the baseline for
     /// [`BatchStats::pivots_saved`].
     last_cold_pivots: u64,
@@ -123,7 +126,7 @@ impl<'m> BatchSolver<'m> {
     /// `None` when no resident is held or the final basis still contains an
     /// artificial column (redundant equality rows).
     pub fn snapshot(&self) -> Option<Basis> {
-        self.resident.as_ref().and_then(Resident::snapshot)
+        self.resident.as_ref().and_then(SparseResident::snapshot)
     }
 
     /// Read-only view of the model being swept — the exact problem data the
@@ -159,20 +162,24 @@ impl<'m> BatchSolver<'m> {
     /// sweep's first solve runs cold.
     ///
     /// With a live resident the restore reuses the compiled skeleton and
-    /// working arrays and pays only a basis refactorization
-    /// (`Resident::resolve_from`); the sweep's first solve rebuilds the
-    /// engine from the snapshot. A stored basis whose point is no longer
-    /// primal feasible — the model's RHS or bounds moved since the slot was
-    /// written — is repaired in place by the sparse engine's bounded dual
-    /// simplex and still counts as a seed hit. A slot shaped for another
-    /// model (a row came or went since it was written) is not restored into
-    /// a live resident: the solve chains from the previous one instead, a
-    /// warm hit but not a seed hit, so only a sweep's first solve can run
-    /// cold on it. A restore that cannot complete (shape mismatch, singular
-    /// basis, a repair that finds no entering column or hits the pivot cap,
-    /// a failed residual check, or any stale point on the dense engine) is a
-    /// warm miss and falls back to a cold solve, so the slot is advisory and
-    /// never affects results, only the work counters.
+    /// working arrays and pays only a basis refactorization; the sweep's
+    /// first solve rebuilds the engine from the snapshot. A stored basis
+    /// whose point is no longer primal feasible — the model's RHS or bounds
+    /// moved since the slot was written — is repaired in place by the
+    /// bounded dual simplex and still counts as a seed hit. A slot shaped
+    /// for another model (a row came or went since it was written) is not
+    /// restored into a live resident: the solve chains from the previous one
+    /// instead, a warm hit but not a seed hit, so only a sweep's first solve
+    /// can run cold on it. A restore that cannot complete (shape mismatch,
+    /// singular basis, a repair that finds no entering column or hits the
+    /// pivot cap, or a failed residual check) is a warm miss and falls back
+    /// to a cold solve, so the slot is advisory and never affects results,
+    /// only the work counters.
+    ///
+    /// All of this is [`Engine::Lu`]'s. A solve on [`Engine::Dense`] drops
+    /// the live resident, runs cold, and neither reads nor writes `slot`:
+    /// the oracle keeps no warm state, so it never answers from a basis the
+    /// LU engine left.
     ///
     /// # Errors
     ///
@@ -196,17 +203,14 @@ impl<'m> BatchSolver<'m> {
             return Ok(sol);
         }
 
-        // A resident factorization belongs to the engine that ran the cold
-        // solve; if the caller switches `opts.engine` mid-sweep (e.g. for a
-        // differential run), answering from the old engine's resident would
-        // silently compare an engine against itself. Drop it and solve cold
-        // with the engine actually requested.
-        if self
-            .resident
-            .as_ref()
-            .is_some_and(|r| r.engine() != opts.engine)
-        {
+        if opts.engine == Engine::Dense {
+            // The oracle keeps no warm state: it never answers from a basis
+            // the LU engine left, and the LU solve after it starts cold.
             self.resident = None;
+            self.stats.cold_solves += 1;
+            let sol = simplex::solve_lp(self.model, opts)?;
+            self.stats.pivots += sol.stats.pivots;
+            return Ok(sol);
         }
 
         if opts.warm_start {
@@ -222,12 +226,12 @@ impl<'m> BatchSolver<'m> {
                 // First solve of the sweep: rebuild the engine once from the
                 // stored snapshot; later slot solves rebase it.
                 (Some(warm), None) => {
-                    match simplex::solve_lp_warm_resident(self.model, opts, warm)? {
+                    match sparse::solve_warm_resident(self.model, opts, warm)? {
                         WarmResidentOutcome::Solved(sol, resident) => {
                             self.stats.warm_hits += 1;
                             self.stats.seed_hits += 1;
                             self.stats.pivots += sol.stats.pivots;
-                            self.resident = resident;
+                            self.resident = Some(resident);
                             self.store_slot(slot);
                             return Ok(sol);
                         }
@@ -268,7 +272,7 @@ impl<'m> BatchSolver<'m> {
         }
 
         self.stats.cold_solves += 1;
-        match simplex::solve_lp_resident(self.model, opts) {
+        match sparse::solve_resident(self.model, opts) {
             Ok((sol, resident)) => {
                 self.stats.pivots += sol.stats.pivots;
                 self.last_cold_pivots = sol.stats.pivots;
@@ -354,31 +358,49 @@ mod tests {
         assert!(stats.warm_hits >= 4, "expected warm hits, got {stats:?}");
     }
 
+    /// The dense oracle keeps no warm state: every solve of a dense sweep
+    /// runs cold and returns exactly what an independent cold solve of the
+    /// same objective returns. It neither writes empty slots nor reads the
+    /// ones an LU sweep filled.
     #[test]
-    fn dense_engine_sweep_still_warm_starts() {
-        // The dense resident tableau stays available behind
-        // `SolveOptions::engine` for differential testing; its sweep path
-        // must keep warm-starting and agreeing with cold solves.
+    fn dense_engine_sweep_runs_every_solve_cold() {
         let (mut m, x, y) = skeleton();
         let opts = SolveOptions {
-            engine: crate::Engine::Dense,
+            engine: Engine::Dense,
             ..Default::default()
         };
-        let cold_hi = {
-            let mut fresh = m.clone();
-            fresh.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
-            fresh.solve_with(&opts).expect("cold solves").objective
-        };
+        let objectives = [
+            (Sense::Maximize, 3.0 * x + 2.0 * y),
+            (Sense::Minimize, 3.0 * x + 2.0 * y),
+            (Sense::Maximize, 1.0 * y - 1.0 * x),
+        ];
+        let cold: Vec<Solution> = objectives
+            .iter()
+            .map(|(sense, e)| {
+                let mut fresh = m.clone();
+                fresh.set_objective(*sense, e.clone());
+                fresh.solve_with(&opts).expect("cold solves")
+            })
+            .collect();
+        let mut empty: Vec<Option<Basis>> = vec![None; objectives.len()];
+        let mut lu_filled = empty.clone();
         let mut batch = BatchSolver::new(&mut m);
-        let hi = batch
-            .solve(Sense::Maximize, 3.0 * x + 2.0 * y, &opts)
-            .unwrap();
-        let lo = batch
-            .solve(Sense::Minimize, 3.0 * x + 2.0 * y, &opts)
-            .unwrap();
-        assert!((hi.objective - cold_hi).abs() < 1e-9);
-        assert!(lo.objective.abs() < 1e-9);
-        assert_eq!(batch.stats().warm_hits, 1);
+        for ((sense, e), slot) in objectives.iter().zip(&mut lu_filled) {
+            let lu = SolveOptions::default();
+            batch.solve_slot(*sense, e.clone(), &lu, slot).unwrap();
+        }
+        for slots in [&mut empty, &mut lu_filled] {
+            let mut batch = BatchSolver::new(&mut m);
+            for (((sense, e), slot), want) in objectives.iter().zip(slots).zip(&cold) {
+                let got = batch.solve_slot(*sense, e.clone(), &opts, slot).unwrap();
+                assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+                assert_eq!(got.stats.pivots, want.stats.pivots);
+            }
+            let stats = batch.stats();
+            let counts = (stats.cold_solves, stats.warm_hits, stats.seed_hits);
+            assert_eq!(counts, (3, 0, 0), "{stats:?}");
+        }
+        assert!(empty.iter().all(Option::is_none), "dense wrote a slot");
     }
 
     #[test]
@@ -389,7 +411,7 @@ mod tests {
         let (mut m, x, y) = skeleton();
         let sparse = SolveOptions::default();
         let dense = SolveOptions {
-            engine: crate::Engine::Dense,
+            engine: Engine::Dense,
             ..Default::default()
         };
         let mut batch = BatchSolver::new(&mut m);
@@ -398,9 +420,10 @@ mod tests {
         let stats = batch.stats();
         assert_eq!(stats.cold_solves, 2, "engine switch must re-solve cold");
         assert_eq!(stats.warm_hits, 0);
-        // The switched engine's own resident chains from there.
+        // The dense chain stays cold.
         batch.solve(Sense::Maximize, 1.0 * x, &dense).unwrap();
-        assert_eq!(batch.stats().warm_hits, 1);
+        assert_eq!(batch.stats().warm_hits, 0);
+        assert_eq!(batch.stats().cold_solves, 3);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! LP has alternative optima the warm and cold paths may return different
 //! optimal vertices, so the trees can differ in shape while proving the
 //! same optimum. [`SolveOptions::warm_start`] off re-solves every node
-//! cold, and [`Engine::Dense`] always does (the all-cold oracle).
+//! cold, and [`Engine::Dense`], the oracle, solves every node cold in a
+//! fresh tableau.
 //! [`Stats`] counts the work of every node — infeasible ones included —
 //! and how each warm attempt ended (`warm_nodes`, `farkas_pruned`,
 //! `cold_fallbacks`).
@@ -45,7 +46,7 @@ use itne_certcheck::{verify_infeasibility, RowCmp, RowRef};
 
 use crate::error::SolveError;
 use crate::model::{Cmp, Model, Sense, VarType};
-use crate::options::{Engine, SolveOptions, StopWhen};
+use crate::options::{Engine, SolveOptions, StopWhen, INT_TOL, MAX_NODES};
 use crate::simplex::{self, Basis, EngineCounters};
 use crate::sparse::{NodeLp, WarmNode};
 use crate::{Solution, Stats, Status};
@@ -75,7 +76,6 @@ struct WarmCounts {
 
 pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let sense = model.sense.unwrap_or(Sense::Minimize);
-    let int_tol = opts.tolerances.integrality;
     // `better(a, b)`: objective a strictly improves on b.
     let better = |a: f64, b: f64| match sense {
         Sense::Maximize => a > b + 1e-9,
@@ -138,7 +138,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
             timed_out = true;
             break;
         }
-        if nodes >= opts.max_nodes {
+        if nodes >= MAX_NODES {
             node_limited = true;
             break;
         }
@@ -187,7 +187,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
         for &c in &int_vars {
             let v = relax.values()[c];
             let frac = (v - v.round()).abs();
-            if frac > int_tol {
+            if frac > INT_TOL {
                 let dist = (v - v.floor() - 0.5).abs(); // 0 = perfectly fractional
                 if branch.is_none_or(|(_, _, d)| dist < d) {
                     branch = Some((c, v, dist));

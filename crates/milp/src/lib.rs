@@ -14,7 +14,7 @@
 //!   factorization with hybrid Forrest–Tomlin / product-form updates,
 //!   range-row folding, fill-growth-triggered refactorization) and the
 //!   original **dense tableau**, kept as the independent
-//!   differential-testing oracle;
+//!   differential-testing oracle, which solves every LP cold;
 //! * a **branch-and-bound** search over integer (in practice binary ReLU
 //!   indicator) variables, with cooperative cancellation ([`StopWhen`],
 //!   typically a caller-built deadline) and node-limit support
@@ -22,15 +22,16 @@
 //!   re-solves warm from its parent's basis through a bounded dual simplex,
 //!   and a child the dual ratio test finds infeasible is pruned only once
 //!   its Farkas ray passes `itne_certcheck`'s exact check;
-//! * **warm-started objective sweeps**: [`BatchSolver`] keeps the live
-//!   factorization of one solve resident and reoptimizes the next objective
-//!   over the same constraint skeleton from it, skipping phase 1. Its
-//!   [`BatchSolver::solve_slot`] also restores a [`Basis`] snapshot that an
-//!   earlier sweep stored for the same objective (repairing it with the
-//!   dual simplex when the right-hand sides or bounds moved since), and
-//!   falls back to a cold solve whenever a restore cannot complete. This is
-//!   the certifier's hot path: every `LpRelaxY`/`LpRelaxX` sub-problem is
-//!   "one skeleton, several objectives".
+//! * **warm-started objective sweeps** on the sparse engine: [`BatchSolver`]
+//!   keeps the live factorization of one solve resident and reoptimizes the
+//!   next objective over the same constraint skeleton from it, skipping
+//!   phase 1. Its [`BatchSolver::solve_slot`] also restores a [`Basis`]
+//!   snapshot that an earlier sweep stored for the same objective
+//!   (repairing it with the dual simplex when the right-hand sides or
+//!   bounds moved since), and falls back to a cold solve whenever a restore
+//!   cannot complete. This is the certifier's hot path: every
+//!   `LpRelaxY`/`LpRelaxX` sub-problem is "one skeleton, several
+//!   objectives".
 //!
 //! The API is deliberately Gurobi-shaped: build a [`Model`], add variables with
 //! bounds, add linear constraints, set a linear objective, and solve.
@@ -81,7 +82,7 @@ pub use batch::{BatchSolver, BatchStats};
 pub use error::SolveError;
 pub use linexpr::LinExpr;
 pub use model::{Cmp, Model, Sense, VarId, VarType};
-pub use options::{Engine, SolveOptions, StopWhen, TelemetryClock, Tolerances};
+pub use options::{Engine, SolveOptions, StopWhen, TelemetryClock};
 pub use simplex::Basis;
 
 use serde::{Deserialize, Serialize};
@@ -121,8 +122,8 @@ pub struct Stats {
     /// the revised simplex exploits; `rows × cols` would be the dense cost).
     pub nnz: u64,
     /// Basis refactorizations performed (sparse engine: periodic basis
-    /// rebuilds plus warm-restore factorizations; dense engine: one per warm
-    /// restore).
+    /// rebuilds plus warm-restore factorizations; `0` on the dense engine,
+    /// which never refactorizes).
     pub refactorizations: u64,
     /// Peak update count during the solve: Forrest–Tomlin column
     /// replacements plus product-form etas layered on top of the LU factors

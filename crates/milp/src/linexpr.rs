@@ -52,12 +52,6 @@ impl LinExpr {
         self
     }
 
-    /// Adds a constant to the expression.
-    pub fn add_constant(&mut self, k: f64) -> &mut Self {
-        self.constant += k;
-        self
-    }
-
     /// Resets the expression to `0`, keeping the term buffer's capacity.
     /// With [`LinExpr::add_scaled`] and the `*_buf` constraint methods on
     /// [`crate::Model`], this lets encoders reuse one scratch expression
@@ -119,11 +113,6 @@ impl LinExpr {
             acc += c * values[v.index()];
         }
         acc
-    }
-
-    /// True if the expression has a coefficient that is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        !self.constant.is_finite() || self.terms.iter().any(|(_, c)| !c.is_finite())
     }
 }
 

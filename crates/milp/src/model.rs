@@ -317,7 +317,7 @@ impl Model {
         sparse::infeasibility_duals(self, opts)
     }
 
-    /// Solves with explicit options (tolerances, limits, stop signal).
+    /// Solves with explicit options (engine, limits, stop signal).
     ///
     /// # Errors
     ///

@@ -3,39 +3,27 @@
 use std::fmt;
 use std::sync::Arc;
 
-/// Absolute numerical tolerances used throughout the solver.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct Tolerances {
-    /// A point is feasible if every row residual and bound violation is below
-    /// this value.
-    pub feasibility: f64,
-    /// A reduced cost smaller in magnitude than this is treated as zero
-    /// (optimality test).
-    pub optimality: f64,
-    /// Tableau entries smaller in magnitude than this are never used as
-    /// pivots.
-    pub pivot: f64,
-    /// An integer variable is integral if within this distance of an integer.
-    pub integrality: f64,
-}
+/// A point is feasible if every row residual and bound violation is below
+/// this value.
+pub(crate) const FEAS_TOL: f64 = 1e-7;
+/// A reduced cost smaller in magnitude than this is treated as zero
+/// (optimality test).
+pub(crate) const OPT_TOL: f64 = 1e-7;
+/// Tableau entries smaller in magnitude than this are never used as pivots.
+pub(crate) const PIVOT_TOL: f64 = 1e-9;
+/// An integer variable is integral if within this distance of an integer.
+pub(crate) const INT_TOL: f64 = 1e-6;
+/// Branch-and-bound nodes explored before giving up with
+/// [`crate::Status::NodeLimit`].
+pub(crate) const MAX_NODES: u64 = 20_000_000;
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            feasibility: 1e-7,
-            optimality: 1e-7,
-            pivot: 1e-9,
-            integrality: 1e-6,
-        }
-    }
-}
-
-/// Which simplex implementation runs LP solves (warm and cold).
+/// Which simplex implementation runs LP solves.
 ///
 /// Both engines implement the same two-phase bounded-variable method with
-/// identical tolerances and termination semantics; they differ only in how
-/// the basis inverse is represented, so swapping engines never changes
-/// which problems are solvable — only how fast pivots are.
+/// identical tolerances and termination semantics; they differ in how the
+/// basis inverse is represented and in whether a solve may start warm, so
+/// swapping engines never changes which problems are solvable — only how
+/// much work each solve takes.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Sparse revised simplex over a real sparse LU factorization of the
@@ -56,7 +44,10 @@ pub enum Engine {
     /// Dense tableau (the original engine): every pivot rewrites the full
     /// `B⁻¹·[A | I | I]` tableau. Kept as the independent differential-
     /// testing oracle and numerical second opinion: it shares no code with
-    /// the sparse engine's factorization, pricing or range folding.
+    /// the sparse engine's factorization, pricing or range folding, and no
+    /// warm state either. Every LP it runs — each solve of a
+    /// [`crate::BatchSolver`] sweep and each branch-and-bound node — is a
+    /// cold two-phase solve, whatever [`SolveOptions::warm_start`] says.
     Dense,
 }
 
@@ -137,27 +128,27 @@ impl fmt::Debug for StopWhen {
 }
 
 /// Limits and behaviour switches for [`crate::Model::solve_with`].
+///
+/// The numerical tolerances (feasibility and optimality 1e-7, pivot 1e-9,
+/// integrality 1e-6) and the branch-and-bound node limit (20,000,000) are
+/// fixed.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
-    /// Numerical tolerances.
-    pub tolerances: Tolerances,
     /// Maximum simplex pivots per LP solve. `0` means "scale with model size"
     /// (`200 · (rows + cols) + 2000`).
     pub max_pivots: u64,
-    /// Maximum branch-and-bound nodes before giving up with
-    /// [`crate::Status::NodeLimit`].
-    pub max_nodes: u64,
     /// Cooperative stop signal (typically a wall-clock deadline built by the
     /// caller — see [`StopWhen`]). When it fires, branch-and-bound returns
     /// the incumbent with [`crate::Status::TimedOut`] (or
     /// [`crate::SolveError::Timeout`] if none exists).
     pub stop: Option<StopWhen>,
     /// Allow [`crate::BatchSolver`] to reuse the basis of an earlier solve
-    /// instead of running phase 1 from scratch, and branch-and-bound on the
-    /// sparse engine to re-solve each node warm from its parent's basis
-    /// (dual simplex). Disabling forces every solve and every node cold —
-    /// useful to prove warm-started results are a pure optimization (see
-    /// the golden regression tests) and to bisect suspected solver issues.
+    /// instead of running phase 1 from scratch, and branch-and-bound to
+    /// re-solve each node warm from its parent's basis (dual simplex). Only
+    /// [`Engine::Lu`] warm-starts; [`Engine::Dense`] solves cold either way.
+    /// Disabling forces every solve and every node cold — useful to prove
+    /// warm-started results are a pure optimization (see the golden
+    /// regression tests) and to bisect suspected solver issues.
     pub warm_start: bool,
     /// Which simplex engine runs LP solves. See [`Engine`].
     pub engine: Engine,
@@ -166,14 +157,6 @@ pub struct SolveOptions {
     /// so the default is on). Branch-and-bound turns this off for its node
     /// relaxations, whose duals nobody consumes.
     pub emit_certificates: bool,
-    /// Sparse-engine refactorization cadence: refactorize the basis after
-    /// this many pivots. `0` (the default) means `(8m).max(2000)` pivots, a
-    /// drift backstop only: the cadence is really governed by *measured
-    /// fill growth* — the updates are folded back into fresh LU factors
-    /// whenever their accumulated fill outgrows twice the factors' own,
-    /// independent of this knob. The refactorization-equivalence tests set
-    /// it to `1` to rebuild after every pivot.
-    pub refactor_interval: u64,
     /// Optional monotonic clock for timing telemetry
     /// (`Stats::{refactor_time_ns, ftran_btran_time_ns}`). See
     /// [`TelemetryClock`]; `None` (the default) keeps the counters at zero.
@@ -183,14 +166,11 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            tolerances: Tolerances::default(),
             max_pivots: 0,
-            max_nodes: 20_000_000,
             stop: None,
             warm_start: true,
             engine: Engine::default(),
             emit_certificates: true,
-            refactor_interval: 0,
             telemetry: None,
         }
     }

@@ -1,8 +1,11 @@
 //! Two-phase primal simplex with bounded variables on a dense tableau — the
-//! reference engine — plus the entry points that dispatch each solve to the
-//! engine selected by [`SolveOptions::engine`] (the sparse revised simplex in
-//! [`crate::sparse`] by default; this dense engine via [`Engine::Dense`],
-//! kept for differential testing and as a numerical second opinion).
+//! reference engine — plus the entry point that dispatches a cold solve to
+//! the engine selected by [`SolveOptions::engine`] (the sparse revised
+//! simplex in [`crate::sparse`] by default; this dense engine via
+//! [`Engine::Dense`], kept for differential testing and as a numerical
+//! second opinion). The dense engine keeps no state between solves: every
+//! solve builds its tableau from the model and runs both phases from the
+//! slack basis, so it never starts from a basis the sparse engine produced.
 //!
 //! Box bounds are handled natively: non-basic variables rest at their lower or
 //! upper bound and the ratio test allows bound-to-bound flips, so bounds never
@@ -15,7 +18,7 @@
 
 use crate::error::SolveError;
 use crate::model::{Cmp, Model, Sense};
-use crate::options::{Engine, SolveOptions};
+use crate::options::{Engine, SolveOptions, FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use crate::sparse;
 use crate::{DualCertificate, Solution, Stats, Status};
 
@@ -34,13 +37,16 @@ pub(crate) enum ColState {
 /// plus the resting state of every structural and slack column.
 ///
 /// Stored by [`crate::BatchSolver::solve_slot`] after every successful LP
-/// solve and re-injected as the *starting* basis of a later solve over the
-/// **same** constraint skeleton — typically in a later sweep, after the
-/// right-hand sides or bounds moved. Restoring skips phase 1 entirely: the basis is refactorized
-/// against the original matrix and phase 2 reoptimizes from there. A snapshot
-/// is only meaningful for the model shape that produced it; restoring it
-/// elsewhere is detected (shape/feasibility checks) and rejected, at which
-/// point callers fall back to a cold solve.
+/// solve on [`Engine::Lu`] and re-injected as the *starting* basis of a
+/// later solve over the **same** constraint skeleton — typically in a later
+/// sweep, after the right-hand sides or bounds moved. Restoring skips phase
+/// 1 entirely: the basis is refactorized against the original matrix,
+/// repaired by the dual simplex if the moved data left it infeasible, and
+/// phase 2 reoptimizes from there. A snapshot is only meaningful for the
+/// model shape that produced it; restoring it elsewhere is detected
+/// (shape/feasibility checks) and rejected, at which point callers fall
+/// back to a cold solve. [`Engine::Dense`] neither writes nor reads
+/// snapshots.
 #[derive(Clone, Debug)]
 pub struct Basis {
     /// Per-column resting state for the `n + m` structural + slack columns.
@@ -66,175 +72,10 @@ impl Basis {
     }
 }
 
-/// Outcome of restoring a [`Basis`] snapshot into a fresh engine
-/// ([`solve_lp_warm_resident`]). Success keeps the live engine state, so a
-/// slot sweep ([`crate::BatchSolver::solve_slot`]) can chain later
-/// objectives through in-place reoptimization — paying the snapshot-restore
-/// refactorization once per sweep rather than once per solve.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum WarmResidentOutcome {
-    /// The restored basis reoptimized to optimality; the live engine stays
-    /// available for [`Resident::resolve`].
-    Solved(Solution, Option<Resident>),
-    /// The basis could not be restored (shape mismatch, singular
-    /// refactorization, a stale point the engine could not repair, or
-    /// numerical trouble during reoptimization); the caller should solve
-    /// cold. Carries the pivots the abandoned attempt burned, as
-    /// [`ResolveOutcome::Rejected`] does.
-    Rejected { wasted_pivots: u64 },
-}
-
-/// A live factorized tableau kept resident between the solves of one
-/// objective sweep ([`crate::BatchSolver`]). Unlike a [`Basis`] snapshot —
-/// which must refactorize `B⁻¹` from the original matrix on every restore —
-/// the resident tableau is already at its final basis when the next
-/// objective arrives, so a warm solve costs only a reduced-cost rebuild plus
-/// the phase-2 pivots of the reoptimization itself.
-///
-/// Only valid while the originating model's constraint skeleton and bounds
-/// stay unchanged (the batch layer guarantees this by holding the model
-/// mutably for the sweep's whole lifetime).
-pub(crate) struct DenseResident {
-    t: Tableau,
-    /// Structural column count of the originating model.
-    n: usize,
-    /// The bounds the tableau was built with (for residual checks).
-    var_bounds: Vec<(f64, f64)>,
-}
-
-/// Engine-dispatching resident handle: whichever engine ran the cold solve
-/// owns the live factorization for the rest of the sweep.
-pub(crate) enum Resident {
-    Dense(Box<DenseResident>),
-    Sparse(Box<sparse::SparseResident>),
-}
-
-impl Resident {
-    /// The engine that owns this resident factorization (the one that ran
-    /// the cold solve).
-    pub(crate) fn engine(&self) -> Engine {
-        match self {
-            Resident::Dense(_) => Engine::Dense,
-            Resident::Sparse(_) => Engine::Lu,
-        }
-    }
-
-    /// Reoptimizes the resident factorization under `model`'s current
-    /// objective (phase 2 only).
-    pub(crate) fn resolve(
-        &mut self,
-        model: &Model,
-        opts: &SolveOptions,
-    ) -> Result<ResolveOutcome, SolveError> {
-        match self {
-            Resident::Dense(r) => r.resolve(model, opts),
-            Resident::Sparse(r) => r.resolve(model, opts),
-        }
-    }
-
-    /// Whether `warm` is shaped for this resident: a snapshot of the same
-    /// model shape. A slot stored before the model gained or lost a row is
-    /// not.
-    pub(crate) fn fits(&self, warm: &Basis) -> bool {
-        match self {
-            Resident::Dense(r) => warm.n == r.n && warm.m == r.t.nrows,
-            Resident::Sparse(r) => r.fits(warm),
-        }
-    }
-
-    /// [`Resident::resolve`], but restoring `warm` as the starting basis
-    /// instead of continuing from the current one — the slot-restore path of
-    /// a resident sweep. The sparse engine reuses the live core (skeleton and
-    /// working arrays), pays one basis refactorization, and repairs a stale
-    /// point with the dual simplex ([`sparse::SparseResident::resolve_from`]);
-    /// the dense engine rejects, so its callers fall back to a chain or cold
-    /// solve (dense exists for differential testing, not throughput).
-    ///
-    /// After a rejection the engine state may be inconsistent — the caller
-    /// must discard this resident.
-    pub(crate) fn resolve_from(
-        &mut self,
-        model: &Model,
-        opts: &SolveOptions,
-        warm: &Basis,
-    ) -> Result<ResolveOutcome, SolveError> {
-        match self {
-            Resident::Dense(_) => Ok(ResolveOutcome::Rejected { wasted_pivots: 0 }),
-            Resident::Sparse(r) => r.resolve_from(model, opts, warm),
-        }
-    }
-
-    /// Flattens the live factorization to a restorable [`Basis`] snapshot
-    /// (`None` when an artificial column is still basic).
-    pub(crate) fn snapshot(&self) -> Option<Basis> {
-        match self {
-            Resident::Dense(r) => r.t.snapshot(r.n),
-            Resident::Sparse(r) => r.snapshot(),
-        }
-    }
-}
-
-/// Outcome of reoptimizing a [`Resident`] tableau under a new objective.
-pub(crate) enum ResolveOutcome {
-    /// Optimal for the new objective; the tableau stays resident.
-    Solved(Solution),
-    /// Numerical trouble (iteration limit, drifted residuals). The caller
-    /// should discard the resident and solve cold. Carries the pivots the
-    /// abandoned attempt burned, so callers can keep work counters honest.
-    Rejected { wasted_pivots: u64 },
-}
-
-impl DenseResident {
-    /// Reoptimizes the resident tableau under `model`'s *current* objective
-    /// (phase 2 only — the basis is already primal feasible).
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Unbounded`] when the new objective is genuinely
-    /// unbounded over the skeleton; everything recoverable is reported as
-    /// [`ResolveOutcome::Rejected`] instead.
-    pub(crate) fn resolve(
-        &mut self,
-        model: &Model,
-        opts: &SolveOptions,
-    ) -> Result<ResolveOutcome, SolveError> {
-        let t = &mut self.t;
-        if model.cols.len() != self.n || model.rows.len() != t.nrows {
-            return Ok(ResolveOutcome::Rejected { wasted_pivots: 0 });
-        }
-        let flip = matches!(model.sense, Some(Sense::Maximize));
-        let mut costs = vec![0.0f64; t.ncols];
-        for &(v, c) in &model.objective {
-            costs[v] += if flip { -c } else { c };
-        }
-        t.rebuild_dj(&costs);
-        t.pivots = 0; // per-solve iteration count
-        match t.optimize(true, opts.pivot_cap(t.nrows, t.ncols)) {
-            Ok(()) => {}
-            Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-            Err(_) => {
-                return Ok(ResolveOutcome::Rejected {
-                    wasted_pivots: t.pivots,
-                })
-            }
-        }
-        match finish(model, &self.var_bounds, t, opts.emit_certificates) {
-            Ok(sol) => Ok(ResolveOutcome::Solved(sol)),
-            Err(_) => Ok(ResolveOutcome::Rejected {
-                wasted_pivots: t.pivots,
-            }),
-        }
-    }
-}
-
 struct Tableau {
     /// Row-major dense tableau, `rows × ncols`; starts as `[A | I_slack | I_art]`
     /// and is kept equal to `B⁻¹·[A | I | I]` by pivoting.
     tab: Vec<f64>,
-    /// `B⁻¹·b`, maintained through pivots. Only populated (non-empty) by the
-    /// warm-start path, which needs it to recover basic values from a
-    /// restored basis; the cold path tracks values incrementally instead.
-    rhs: Vec<f64>,
     /// Reduced costs for the current phase, length `ncols`.
     dj: Vec<f64>,
     /// Current value of every column (basic and non-basic).
@@ -249,9 +90,6 @@ struct Tableau {
     /// First artificial column index (== n_struct + nrows).
     art_start: usize,
     pivots: u64,
-    feas_tol: f64,
-    opt_tol: f64,
-    pivot_tol: f64,
 }
 
 enum StepOutcome {
@@ -292,7 +130,7 @@ impl Tableau {
                     }
                 }
             };
-            if score <= self.opt_tol {
+            if score <= OPT_TOL {
                 continue;
             }
             if bland {
@@ -324,9 +162,9 @@ impl Tableau {
         for r in 0..self.nrows {
             let a = self.entry(r, q) * dir;
             let b = self.basis[r];
-            let (room, to_lower) = if a > self.pivot_tol {
+            let (room, to_lower) = if a > PIVOT_TOL {
                 (self.xval[b] - self.lo[b], true)
-            } else if a < -self.pivot_tol {
+            } else if a < -PIVOT_TOL {
                 (self.hi[b] - self.xval[b], false)
             } else {
                 continue;
@@ -412,11 +250,6 @@ impl Tableau {
             self.tab[row_start + j] *= inv;
         }
         self.tab[row_start + q] = 1.0; // exact unit entry
-        let track_rhs = !self.rhs.is_empty();
-        if track_rhs {
-            self.rhs[r] *= inv;
-        }
-        let prhs = if track_rhs { self.rhs[r] } else { 0.0 };
 
         // Copy the normalized pivot row so we can stream through the others.
         let prow: Vec<f64> = self.tab[row_start..row_start + ncols].to_vec();
@@ -431,9 +264,6 @@ impl Tableau {
                     *t -= f * p;
                 }
                 self.tab[base + q] = 0.0;
-                if track_rhs {
-                    self.rhs[i] -= f * prhs;
-                }
             }
         }
         let f = self.dj[q];
@@ -477,21 +307,6 @@ impl Tableau {
                 }
             }
         }
-    }
-
-    /// Extracts a reusable [`Basis`] snapshot, or `None` when the final basis
-    /// still contains an artificial column (a redundant row kept its frozen
-    /// artificial) and therefore cannot be restored against `[A | I]` alone.
-    fn snapshot(&self, n_struct: usize) -> Option<Basis> {
-        if self.basis.iter().any(|&b| b >= self.art_start) {
-            return None;
-        }
-        Some(Basis {
-            state: self.state[..self.art_start].to_vec(),
-            rows: self.basis.clone(),
-            n: n_struct,
-            m: self.nrows,
-        })
     }
 
     /// Reads the dual certificate off the maintained reduced-cost row of a
@@ -553,72 +368,29 @@ pub(crate) fn initial_value(lo: f64, hi: f64) -> (f64, ColState) {
     }
 }
 
-/// Solves a continuous model with the engine selected by
+/// Solves a continuous model cold with the engine selected by
 /// [`SolveOptions::engine`].
 pub(crate) fn solve_lp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    solve_lp_bounded(model, &bounds, opts)
-}
-
-/// [`solve_lp`] that also hands back the live factorized engine state for
-/// in-place reoptimization under later objectives ([`Resident::resolve`]).
-pub(crate) fn solve_lp_resident(
-    model: &Model,
-    opts: &SolveOptions,
-) -> Result<(Solution, Option<Resident>), SolveError> {
-    if opts.engine != Engine::Dense {
-        let (sol, resident) = sparse::solve_resident(model, opts)?;
-        return Ok((sol, resident.map(|r| Resident::Sparse(Box::new(r)))));
+    match opts.engine {
+        Engine::Lu => sparse::solve_bounded(model, &bounds, opts, None),
+        Engine::Dense => solve_dense_counted(model, &bounds, opts, &mut 0),
     }
-    let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, t) = solve_lp_core(model, &bounds, opts, &mut 0)?;
-    let resident = t.map(|t| {
-        Resident::Dense(Box::new(DenseResident {
-            t,
-            n: model.cols.len(),
-            var_bounds: bounds,
-        }))
-    });
-    Ok((sol, resident))
 }
 
-/// Solves a continuous relaxation with per-variable bound overrides (used by
-/// branch-and-bound so nodes don't clone the constraint matrix).
-pub(crate) fn solve_lp_bounded(
-    model: &Model,
-    var_bounds: &[(f64, f64)],
-    opts: &SolveOptions,
-) -> Result<Solution, SolveError> {
-    if opts.engine != Engine::Dense {
-        return sparse::solve_bounded(model, var_bounds, opts, None);
-    }
-    solve_lp_core(model, var_bounds, opts, &mut 0).map(|(sol, _)| sol)
-}
-
-/// Dense-engine [`solve_lp_bounded`] that also adds the pivots it took to
-/// `spent` — on failure too, so branch-and-bound counts the work of its
-/// infeasible nodes.
+/// The dense engine's cold two-phase solve under per-variable bound
+/// overrides (branch-and-bound nodes pass theirs, so they don't clone the
+/// constraint matrix). `spent` accumulates the pivots it took — on failure
+/// too, so branch-and-bound counts the work of its infeasible nodes.
 pub(crate) fn solve_dense_counted(
     model: &Model,
     var_bounds: &[(f64, f64)],
     opts: &SolveOptions,
     spent: &mut u64,
 ) -> Result<Solution, SolveError> {
-    solve_lp_core(model, var_bounds, opts, spent).map(|(sol, _)| sol)
-}
-
-/// The dense engine's cold two-phase solve. `spent` accumulates the pivots
-/// it took, failed solves included.
-fn solve_lp_core(
-    model: &Model,
-    var_bounds: &[(f64, f64)],
-    opts: &SolveOptions,
-    spent: &mut u64,
-) -> Result<(Solution, Option<Tableau>), SolveError> {
     let n = model.cols.len();
     let m = model.rows.len();
     debug_assert_eq!(var_bounds.len(), n);
-    let tol = opts.tolerances;
 
     for &(lo, hi) in var_bounds {
         if lo > hi {
@@ -627,9 +399,8 @@ fn solve_lp_core(
     }
 
     // Trivial case: no constraints — each variable goes to its best bound.
-    // (No snapshot: there is no basis, and re-solving is already trivial.)
     if m == 0 {
-        return solve_unconstrained(model, var_bounds).map(|s| (s, None));
+        return solve_unconstrained(model, var_bounds);
     }
 
     // Internal costs are always "minimize".
@@ -719,7 +490,6 @@ fn solve_lp_core(
 
     let mut t = Tableau {
         tab,
-        rhs: Vec::new(),
         dj: vec![0.0; ncols],
         xval,
         lo,
@@ -730,9 +500,6 @@ fn solve_lp_core(
         ncols,
         art_start,
         pivots: 0,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
     };
     let cap = opts.pivot_cap(m, ncols);
 
@@ -746,7 +513,7 @@ fn solve_lp_core(
             t.rebuild_dj(&costs);
             t.optimize(false, cap)?;
             let remaining: f64 = (art_start..ncols).map(|j| t.xval[j]).sum();
-            if remaining > t.feas_tol.max(1e-7) {
+            if remaining > FEAS_TOL {
                 return Err(SolveError::Infeasible);
             }
             drive_out_artificials(t);
@@ -768,7 +535,7 @@ fn solve_lp_core(
     };
     let sol = run(&mut t);
     *spent += t.pivots;
-    Ok((sol?, Some(t)))
+    sol
 }
 
 /// Reads the optimal point out of a terminated tableau, checking residuals.
@@ -860,216 +627,6 @@ pub(crate) fn finish_values(
     })
 }
 
-/// Warm-started solve from a [`Basis`] snapshot: restore `warm`,
-/// refactorize it against the original matrix, and reoptimize phase 2 under
-/// the model's current objective, skipping phase 1 entirely. The restored
-/// basis is primal feasible when the constraint data is unchanged; when the
-/// RHS or the bounds moved, the sparse engine first repairs it with the
-/// bounded dual simplex, while the dense engine rejects it.
-///
-/// On success the live engine state comes back (see
-/// [`WarmResidentOutcome`]): the slot path of a batch sweep
-/// ([`crate::BatchSolver::solve_slot`]) installs it as the sweep's resident
-/// tableau, so the restore refactorization is paid once per sweep instead of
-/// once per solve. Anything that prevents completing from the restored basis
-/// (shape mismatch, a singular refactorization, a stale point the engine
-/// cannot repair, iteration limits, residual failures) is
-/// [`WarmResidentOutcome::Rejected`] so the caller can fall back to a cold
-/// solve; only genuine model-level errors ([`SolveError::Unbounded`],
-/// invalid bounds) propagate as `Err`.
-pub(crate) fn solve_lp_warm_resident(
-    model: &Model,
-    opts: &SolveOptions,
-    warm: &Basis,
-) -> Result<WarmResidentOutcome, SolveError> {
-    if opts.engine != Engine::Dense {
-        return sparse::solve_warm_resident(model, opts, warm);
-    }
-    let n = model.cols.len();
-    let m = model.rows.len();
-    let tol = opts.tolerances;
-    if warm.n != n || warm.m != m || m == 0 || warm.state.len() != n + m || warm.rows.len() != m {
-        return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
-    }
-    let var_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    for &(lo, hi) in &var_bounds {
-        if lo > hi {
-            return Err(SolveError::Infeasible);
-        }
-    }
-
-    let ncols = n + m;
-    let mut lo = Vec::with_capacity(ncols);
-    let mut hi = Vec::with_capacity(ncols);
-    for &(l, h) in &var_bounds {
-        lo.push(l);
-        hi.push(h);
-    }
-    for row in &model.rows {
-        let (l, h) = slack_bounds(row.cmp);
-        lo.push(l);
-        hi.push(h);
-    }
-
-    // Non-basic columns rest exactly at their recorded bound; a recorded
-    // state that no longer matches a finite bound means the snapshot belongs
-    // to a different model.
-    let state = warm.state.clone();
-    let mut xval = vec![0.0f64; ncols];
-    for j in 0..ncols {
-        match state[j] {
-            ColState::Basic => {}
-            ColState::AtLower => {
-                if !lo[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
-                }
-                xval[j] = lo[j];
-            }
-            ColState::AtUpper => {
-                if !hi[j].is_finite() {
-                    return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
-                }
-                xval[j] = hi[j];
-            }
-            ColState::Free => xval[j] = 0.0,
-        }
-    }
-    if warm
-        .rows
-        .iter()
-        .any(|&b| b >= ncols || state[b] != ColState::Basic)
-    {
-        return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
-    }
-
-    let mut tab = vec![0.0f64; m * ncols];
-    for (r, row) in model.rows.iter().enumerate() {
-        let base = r * ncols;
-        for &(v, c) in &row.terms {
-            tab[base + v] = c;
-        }
-        tab[base + n + r] = 1.0;
-    }
-    let rhs: Vec<f64> = model.rows.iter().map(|row| row.rhs).collect();
-
-    let mut t = Tableau {
-        tab,
-        rhs,
-        dj: vec![0.0; ncols],
-        xval,
-        lo,
-        hi,
-        state,
-        basis: warm.rows.clone(),
-        nrows: m,
-        ncols,
-        art_start: ncols,
-        pivots: 0,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
-    };
-
-    // Refactorize: make each recorded basic column the unit vector of its
-    // row. The row ↔ column pairing is fixed by the snapshot, but the
-    // *elimination order* is chosen greedily by pivot magnitude — fixed-order
-    // elimination hits structurally zero pivots on perfectly good bases
-    // whenever a leading sub-permutation is singular. Ties break to the
-    // lowest row index, keeping the order (and the arithmetic) deterministic.
-    // If the best remaining pivot still vanishes, the recorded basis really
-    // is singular with respect to this matrix — reject rather than divide.
-    let mut eliminated = vec![false; m];
-    for _ in 0..m {
-        let mut best: Option<(usize, f64)> = None;
-        for (r, &done) in eliminated.iter().enumerate() {
-            if done {
-                continue;
-            }
-            let a = t.entry(r, t.basis[r]).abs();
-            if best.is_none_or(|(_, mag)| a > mag) {
-                best = Some((r, a));
-            }
-        }
-        let (r, mag) = best.expect("one un-eliminated row per pass");
-        if mag <= t.pivot_tol {
-            return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
-        }
-        t.pivot(r, t.basis[r]);
-        eliminated[r] = true;
-    }
-    // Refactorization eliminations are setup, not simplex iterations: report
-    // only the reoptimization's own pivots (the convention iteration counts
-    // use), so warm and cold pivot counters stay comparable.
-    t.pivots = 0;
-
-    // Recover basic values x_B = B⁻¹b − B⁻¹N·x_N and confirm the restored
-    // point is still primal feasible (it must be when the skeleton is
-    // unchanged; drift beyond tolerance means the snapshot is stale).
-    for r in 0..m {
-        let b = t.basis[r];
-        let mut v = t.rhs[r];
-        let base = r * t.ncols;
-        for j in 0..t.ncols {
-            let a = t.tab[base + j];
-            if a != 0.0 && t.state[j] != ColState::Basic {
-                v -= a * t.xval[j];
-            }
-        }
-        t.xval[b] = v;
-    }
-    for r in 0..m {
-        let b = t.basis[r];
-        let v = t.xval[b];
-        if v < t.lo[b] - t.feas_tol || v > t.hi[b] + t.feas_tol {
-            return Ok(WarmResidentOutcome::Rejected { wasted_pivots: 0 });
-        }
-        t.xval[b] = v.clamp(t.lo[b], t.hi[b]);
-    }
-
-    // Phase 2 only: reduced costs for the current objective, then reoptimize.
-    let flip = matches!(model.sense, Some(Sense::Maximize));
-    let mut costs = vec![0.0f64; ncols];
-    for &(v, c) in &model.objective {
-        costs[v] += if flip { -c } else { c };
-    }
-    t.rebuild_dj(&costs);
-    match t.optimize(true, opts.pivot_cap(m, ncols)) {
-        Ok(()) => {}
-        Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-        Err(_) => {
-            return Ok(WarmResidentOutcome::Rejected {
-                wasted_pivots: t.pivots,
-            })
-        }
-    }
-    // The restore's greedy elimination is one basis refactorization; report
-    // it so warm and cold work counters stay comparable across engines.
-    let certificate = opts.emit_certificates.then(|| t.certificate(n));
-    match finish_values(
-        model,
-        &var_bounds,
-        t.xval[..n].to_vec(),
-        EngineCounters {
-            pivots: t.pivots,
-            refactorizations: 1,
-            ..EngineCounters::default()
-        },
-        certificate,
-    ) {
-        Ok(sol) => Ok(WarmResidentOutcome::Solved(
-            sol,
-            Some(Resident::Dense(Box::new(DenseResident {
-                t,
-                n,
-                var_bounds,
-            }))),
-        )),
-        Err(_) => Ok(WarmResidentOutcome::Rejected {
-            wasted_pivots: t.pivots,
-        }),
-    }
-}
-
 /// Pivots basic artificial variables (all at value 0) out of the basis; rows
 /// that admit no replacement column are redundant and keep their frozen
 /// artificial.
@@ -1084,7 +641,7 @@ fn drive_out_artificials(t: &mut Tableau) {
                 continue;
             }
             let a = t.entry(r, j).abs();
-            if a > t.pivot_tol && best.is_none_or(|(_, b)| a > b) {
+            if a > PIVOT_TOL && best.is_none_or(|(_, b)| a > b) {
                 best = Some((j, a));
             }
         }

@@ -53,10 +53,10 @@ use crate::error::SolveError;
 use crate::kernel;
 use crate::lu::LuFactors;
 use crate::model::{Cmp, Model, Sense};
-use crate::options::{SolveOptions, TelemetryClock};
+use crate::options::{SolveOptions, TelemetryClock, FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use crate::simplex::{
     finish_values, initial_value, slack_bounds, solve_unconstrained, Basis, ColState,
-    EngineCounters, Resident, ResolveOutcome, WarmResidentOutcome,
+    EngineCounters,
 };
 use crate::{DualCertificate, Solution};
 
@@ -400,10 +400,10 @@ impl Inverse {
     /// refactorization. Returns `false` when the updated factors are
     /// numerically unusable and the caller must refactorize before the next
     /// solve.
-    fn fold_pivot(&mut self, row: usize, w: &[f64], pivot_tol: f64) -> bool {
+    fn fold_pivot(&mut self, row: usize, w: &[f64]) -> bool {
         let lu = &mut self.lu;
         if !lu.is_trivial() && self.etas.len() == 0 && lu.replace_cost(row) <= FT_TAIL_MAX {
-            lu.replace_column(row, pivot_tol)
+            lu.replace_column(row, PIVOT_TOL)
         } else {
             self.etas.push_from_column(row, w);
             true
@@ -508,9 +508,6 @@ struct Core {
     refactor_ns: u64,
     solve_ns: u64,
     lu_fill: u64,
-    feas_tol: f64,
-    opt_tol: f64,
-    pivot_tol: f64,
 }
 
 impl Core {
@@ -627,7 +624,7 @@ impl Core {
                 }
                 let dj = self.reduced_cost(j);
                 if let Some((dir, score)) = self.direction(j, dj) {
-                    if score > self.opt_tol {
+                    if score > OPT_TOL {
                         return Some((j, dir));
                     }
                 }
@@ -648,7 +645,7 @@ impl Core {
             }
             let dj = self.reduced_cost(j);
             if let Some((dir, score)) = self.direction(j, dj) {
-                if score > self.opt_tol {
+                if score > OPT_TOL {
                     match best {
                         Some((_, _, s)) if s >= score => {}
                         _ => best = Some((j, dir, score)),
@@ -670,7 +667,7 @@ impl Core {
             }
             let dj = self.reduced_cost(j);
             if let Some((dir, score)) = self.direction(j, dj) {
-                if score > self.opt_tol {
+                if score > OPT_TOL {
                     scored.push((j, dir, score));
                 }
             }
@@ -709,9 +706,9 @@ impl Core {
         for r in 0..self.m {
             let a = self.w[r] * dir;
             let b = self.basis[r];
-            let (room, to_lower) = if a > self.pivot_tol {
+            let (room, to_lower) = if a > PIVOT_TOL {
                 (self.xval[b] - self.lo[b], true)
-            } else if a < -self.pivot_tol {
+            } else if a < -PIVOT_TOL {
                 (self.hi[b] - self.xval[b], false)
             } else {
                 continue;
@@ -787,7 +784,7 @@ impl Core {
     /// advanced and a refactorization is forced before the next solve.
     fn apply_pivot(&mut self, r: usize, q: usize) {
         debug_assert!(self.w[r].abs() > 0.0, "zero pivot");
-        if !self.inverse.fold_pivot(r, &self.w, self.pivot_tol) {
+        if !self.inverse.fold_pivot(r, &self.w) {
             self.needs_refactor = true;
         }
         self.eta_peak = self.eta_peak.max(self.inverse.update_len());
@@ -880,13 +877,7 @@ impl Core {
             .spare
             .take()
             .unwrap_or_else(|| LuFactors::identity(0, &[]));
-        let ok = lu.refactor(
-            m,
-            &buf.col_ptr,
-            &buf.entries,
-            &buf.row_weight,
-            self.pivot_tol,
-        );
+        let ok = lu.refactor(m, &buf.col_ptr, &buf.entries, &buf.row_weight, PIVOT_TOL);
         if ok {
             for (k, &r) in lu.pivot_rows().iter().enumerate() {
                 self.basis[r] = buf.order[k];
@@ -941,12 +932,11 @@ impl Core {
     /// every value left as it was, when some basic value violates a bound by
     /// more than the tolerance.
     fn clamp_basic_values(&mut self) -> bool {
-        let tol = self.feas_tol;
         let (lo, hi, xval) = (&self.lo, &self.hi, &mut self.xval);
         if self
             .basis
             .iter()
-            .any(|&b| xval[b] < lo[b] - tol || xval[b] > hi[b] + tol)
+            .any(|&b| xval[b] < lo[b] - FEAS_TOL || xval[b] > hi[b] + FEAS_TOL)
         {
             return false;
         }
@@ -1048,7 +1038,7 @@ impl Core {
             };
             self.compute_w(q);
             let wr = self.w[r];
-            if wr.abs() <= self.pivot_tol || (wr > 0.0) != (alpha_q > 0.0) {
+            if wr.abs() <= PIVOT_TOL || (wr > 0.0) != (alpha_q > 0.0) {
                 // FTRAN and BTRAN disagree on the pivot: numerical trouble.
                 return DualOutcome::Abandoned;
             }
@@ -1092,7 +1082,7 @@ impl Core {
     /// violated row whose basic column has the lowest index). `None` once
     /// the basis is primal feasible.
     fn dual_leaving(&self, bland: bool) -> Option<(usize, bool)> {
-        let tol = self.feas_tol * DUAL_FEAS_FRACTION;
+        let tol = FEAS_TOL * DUAL_FEAS_FRACTION;
         let mut best: Option<(usize, bool, f64)> = None;
         for r in 0..self.m {
             let b = self.basis[r];
@@ -1140,9 +1130,9 @@ impl Core {
             // z_j moves x_r toward its bound, `g < 0` means lowering does.
             let g = if above { alpha } else { -alpha };
             let eligible = match st {
-                ColState::AtLower => g > self.pivot_tol,
-                ColState::AtUpper => g < -self.pivot_tol,
-                ColState::Free => g.abs() > self.pivot_tol,
+                ColState::AtLower => g > PIVOT_TOL,
+                ColState::AtUpper => g < -PIVOT_TOL,
+                ColState::Free => g.abs() > PIVOT_TOL,
                 ColState::Basic => false,
             };
             if !eligible {
@@ -1187,13 +1177,13 @@ impl Core {
                     continue;
                 }
                 let a = self.col_dot(&self.y, j).abs();
-                if a > self.pivot_tol && best.is_none_or(|(_, b)| a > b) {
+                if a > PIVOT_TOL && best.is_none_or(|(_, b)| a > b) {
                     best = Some((j, a));
                 }
             }
             if let Some((j, _)) = best {
                 self.compute_w(j);
-                if self.w[r].abs() <= self.pivot_tol {
+                if self.w[r].abs() <= PIVOT_TOL {
                     continue; // round-off disagreement; keep the frozen artificial
                 }
                 let leaving = self.basis[r];
@@ -1305,8 +1295,7 @@ impl Core {
     /// Extracts a reusable [`Basis`] snapshot, or `None` when an artificial
     /// column is still basic (redundant row). `m` is the *internal* row
     /// count, so a snapshot taken under range folding only restores into a
-    /// core that folds the same way (the dense engine rejects it
-    /// shape-first and falls back cold).
+    /// core that folds the same way.
     fn snapshot(&self) -> Option<Basis> {
         let mut out = Basis::empty();
         self.snapshot_into(&mut out).then_some(out)
@@ -1454,15 +1443,16 @@ fn lu_growth_cap(lu: &LuFactors) -> usize {
     (2 * lu.nnz()).max(8192)
 }
 
-/// Refactorization cadence. The real trigger is measured update-file fill
-/// growth against the factors (`eta_nnz_cap`, re-derived per
-/// refactorization), so the pivot budget is only a drift backstop.
-fn refactor_budget(opts: &SolveOptions, m: usize) -> u64 {
-    if opts.refactor_interval > 0 {
-        opts.refactor_interval
-    } else {
-        (m as u64 * 8).max(2000)
+/// Refactorization cadence: `(8m).max(2000)` pivots. The real trigger is
+/// measured update-file fill growth against the factors (`eta_nnz_cap`,
+/// re-derived per refactorization), so the pivot budget is only a drift
+/// backstop.
+fn refactor_budget(m: usize) -> u64 {
+    #[cfg(test)]
+    if let Some(every) = tests::REFACTOR_EVERY.get() {
+        return every;
     }
+    (m as u64 * 8).max(2000)
 }
 
 /// Builds the initial working state (columns, resting values, slack-or-
@@ -1531,7 +1521,6 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
     let n = var_bounds.len();
     let m = skel.m();
     let ncols = n + m;
-    let tol = opts.tolerances;
     let mut lo = Vec::with_capacity(n + 2 * m);
     let mut hi = Vec::with_capacity(n + 2 * m);
     for &(l, h) in var_bounds {
@@ -1572,15 +1561,12 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
         refactorizations: 0,
         eta_peak: 0,
         pivots_since_refactor: 0,
-        refactor_every: refactor_budget(opts, m),
+        refactor_every: refactor_budget(m),
         eta_nnz_cap,
         needs_refactor: false,
         refactor_ns: 0,
         solve_ns: 0,
         lu_fill,
-        feas_tol: tol.feasibility,
-        opt_tol: tol.optimality,
-        pivot_tol: tol.pivot,
     }
 }
 
@@ -1625,7 +1611,7 @@ fn cold_phases(
         core.set_phase1_costs();
         core.optimize(false, cap)?;
         let remaining: f64 = (core.art_start..core.ncols).map(|j| core.xval[j]).sum();
-        if remaining > core.feas_tol.max(1e-7) {
+        if remaining > FEAS_TOL {
             return Err(SolveError::Infeasible);
         }
         if !core.drive_out_artificials() {
@@ -1679,7 +1665,7 @@ pub(crate) fn infeasibility_duals(model: &Model, opts: &SolveOptions) -> Option<
     let cap = opts.pivot_cap(core.m, core.ncols);
     core.optimize(false, cap).ok()?;
     let remaining: f64 = (core.art_start..core.ncols).map(|j| core.xval[j]).sum();
-    if remaining <= core.feas_tol.max(1e-7) {
+    if remaining <= FEAS_TOL {
         return None; // feasible after all
     }
     // `certificate` prices the current costs — still the phase-1 costs here,
@@ -1800,10 +1786,42 @@ impl NodeLp {
     }
 }
 
+/// Outcome of restoring a [`Basis`] snapshot into a fresh engine
+/// ([`solve_warm_resident`]). Success keeps the live engine, so a slot
+/// sweep ([`crate::BatchSolver::solve_slot`]) can chain later objectives
+/// through in-place reoptimization — paying the snapshot-restore
+/// refactorization once per sweep rather than once per solve.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum WarmResidentOutcome {
+    /// The restored basis reoptimized to optimality; the live engine stays
+    /// available for [`SparseResident::resolve`].
+    Solved(Solution, SparseResident),
+    /// The basis could not be restored (shape mismatch, singular
+    /// refactorization, a stale point the dual simplex could not repair,
+    /// or numerical trouble during reoptimization); the caller should
+    /// solve cold. Carries the pivots the abandoned attempt burned, as
+    /// [`ResolveOutcome::Rejected`] does.
+    Rejected { wasted_pivots: u64 },
+}
+
+/// Outcome of reoptimizing a [`SparseResident`] under a new objective.
+pub(crate) enum ResolveOutcome {
+    /// Optimal for the new objective; the engine stays resident.
+    Solved(Solution),
+    /// Numerical trouble (iteration limit, drifted residuals). The caller
+    /// should discard the resident and solve cold. Carries the pivots the
+    /// abandoned attempt burned, so callers can keep work counters honest.
+    Rejected { wasted_pivots: u64 },
+}
+
 /// A live factorized sparse engine kept resident between the solves of one
-/// objective sweep — the sparse counterpart of the dense resident tableau,
-/// minus the dense tableau: reoptimizing in place costs one reduced-cost
-/// pass plus the phase-2 pivots, at revised-simplex per-pivot prices.
+/// objective sweep ([`crate::BatchSolver`]): reoptimizing in place costs
+/// one reduced-cost pass plus the phase-2 pivots, where restoring a
+/// [`Basis`] snapshot would first refactorize the basis.
+///
+/// Only valid while the originating model's constraint skeleton and bounds
+/// stay unchanged (the batch layer guarantees this by holding the model
+/// mutably for the sweep's whole lifetime).
 pub(crate) struct SparseResident {
     core: Core,
     var_bounds: Vec<(f64, f64)>,
@@ -1933,7 +1951,8 @@ pub(crate) fn solve_resident(
 /// repair when the restored point is no longer primal feasible, then phase
 /// 2), and hand back the live engine for in-place reoptimization of later
 /// objectives. Anything recoverable reports [`WarmResidentOutcome::Rejected`]
-/// so the caller can fall back cold, matching the dense engine's contract.
+/// so the caller can fall back cold; only model-level errors
+/// ([`SolveError::Unbounded`], invalid bounds) propagate as `Err`.
 pub(crate) fn solve_warm_resident(
     model: &Model,
     opts: &SolveOptions,
@@ -1950,9 +1969,7 @@ pub(crate) fn solve_warm_resident(
     let core = restore_core(&var_bounds, opts, skel);
     let mut resident = SparseResident { core, var_bounds };
     Ok(match resident.resolve_from(model, opts, warm)? {
-        ResolveOutcome::Solved(sol) => {
-            WarmResidentOutcome::Solved(sol, Some(Resident::Sparse(Box::new(resident))))
-        }
+        ResolveOutcome::Solved(sol) => WarmResidentOutcome::Solved(sol, resident),
         ResolveOutcome::Rejected { wasted_pivots } => {
             WarmResidentOutcome::Rejected { wasted_pivots }
         }
@@ -1961,8 +1978,24 @@ pub(crate) fn solve_warm_resident(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::Skeleton;
     use crate::{BatchSolver, Cmp, Engine, LinExpr, Model, Sense, SolveError, SolveOptions};
+
+    thread_local! {
+        /// Overrides [`super::refactor_budget`] for the solves this thread
+        /// runs: `Some(k)` refactorizes the basis after every `k` pivots.
+        pub(super) static REFACTOR_EVERY: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with the refactorization budget forced to `every` pivots.
+    fn refactor_every<T>(every: u64, f: impl FnOnce() -> T) -> T {
+        REFACTOR_EVERY.set(Some(every));
+        let out = f();
+        REFACTOR_EVERY.set(None);
+        out
+    }
 
     fn opts(engine: Engine) -> SolveOptions {
         SolveOptions {
@@ -2237,19 +2270,14 @@ mod tests {
     }
 
     /// The refactorization-equivalence property: rebuilding the
-    /// factorization after *every* pivot (`refactor_interval = 1`) must
-    /// reach the same optimum as the lazy default — refactorization is a
-    /// representation change, never a semantic one.
+    /// factorization after *every* pivot must reach the same optimum as the
+    /// lazy default — refactorization is a representation change, never a
+    /// semantic one.
     #[test]
     fn refactorization_is_equivalence_preserving() {
         let (m, _) = band_lp(40, 5, 0xE7A);
         let lazy = m.solve_with(&opts(Engine::Lu)).expect("lazy solves");
-        let eager = m
-            .solve_with(&SolveOptions {
-                refactor_interval: 1,
-                ..opts(Engine::Lu)
-            })
-            .expect("eager solves");
+        let eager = refactor_every(1, || m.solve_with(&opts(Engine::Lu))).expect("eager solves");
         assert_close(eager.objective, lazy.objective);
         assert!(
             eager.stats.refactorizations > 0,
@@ -2285,12 +2313,9 @@ mod tests {
                 })
                 .collect()
         };
-        let run = |interval: u64| -> Vec<f64> {
+        let run = || -> Vec<f64> {
             let (mut m, vars) = band_lp(30, 4, 0xBEE);
-            let o = SolveOptions {
-                refactor_interval: interval,
-                ..opts(Engine::Lu)
-            };
+            let o = opts(Engine::Lu);
             let mut batch = BatchSolver::new(&mut m);
             objectives
                 .iter()
@@ -2300,8 +2325,8 @@ mod tests {
                 })
                 .collect()
         };
-        let lazy = run(0);
-        let eager = run(1);
+        let lazy = run();
+        let eager = refactor_every(1, run);
         for (a, b) in eager.iter().zip(&lazy) {
             assert!((a - b).abs() < 1e-6, "sweep diverged: {a} vs {b}");
         }

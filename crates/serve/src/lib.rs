@@ -43,14 +43,17 @@
 //! sessions, so the next query of each shape is the **delta
 //! re-certification** path: it re-parameterizes the encodings the previous
 //! content left and warm-starts every sweep from their bases
-//! ([`QueryResponse::delta_seeded`]). Answers belong to their entry and are
-//! never read for another, including one a query stores late for the entry
-//! it resolved before the re-registration. So a rollback, a version
-//! registered and never queried, and each of two ids that forked from one
-//! content stay warm, and an id keeps one entry and at most one session per
-//! shape resident ([`ServeStats::live_entries`],
-//! [`ServeStats::live_sessions`]). Two ids never share state, even on
-//! identical content. Re-registering the content an id holds is a no-op.
+//! ([`QueryResponse::delta_seeded`]). A session whose window exceeds the
+//! new network's depth serves a shape no query can reach any more, so it
+//! is dropped, and the kept sessions' stored answers are cleared. Answers
+//! belong to their entry and are never read for another, including one a
+//! query stores late for the entry it resolved before the re-registration.
+//! So a rollback, a version registered and never queried, and each of two
+//! ids that forked from one content stay warm, and an id keeps one entry
+//! and at most one session per reachable shape resident
+//! ([`ServeStats::live_entries`], [`ServeStats::live_sessions`]). Two ids
+//! never share state, even on identical content. Re-registering the content
+//! an id holds is a no-op.
 //!
 //! Every answer is the certifier's ε̄ for the exact inputs of its query, and
 //! an answer hit returns exactly the bits its session returned before.
@@ -326,7 +329,7 @@ impl Open {
 type Sessions = BTreeMap<Shape, Open>;
 
 /// A registered id: its current entry, and its sessions, which outlive
-/// re-registrations.
+/// re-registrations that can still reach their shape.
 struct Served {
     entry: Arc<NetEntry>,
     sessions: Sessions,
@@ -340,8 +343,10 @@ struct Registry {
 }
 
 impl Registry {
-    /// `id`'s session of `shape`. Ids and sessions are never removed, so
-    /// it is there once a query has resolved them.
+    /// `id`'s session of `shape`. Ids are never removed, and sessions only
+    /// by a re-registration that makes their shape unreachable, so it is
+    /// there once a query has resolved them unless such a re-registration
+    /// came in between.
     fn open(&mut self, id: &str, shape: Shape) -> Option<&mut Open> {
         self.ids.get_mut(id)?.sessions.get_mut(&shape)
     }
@@ -439,7 +444,9 @@ impl CertEngine {
     /// id with changed weights or a changed domain swaps in a new entry and
     /// keeps the id's sessions: the first query of each `(window, refine)`
     /// after it continues from the state the previous content left (delta
-    /// path). Re-registering the content the id holds is a no-op.
+    /// path). It drops the sessions whose window exceeds the new depth and
+    /// clears the stored answers of the rest. Re-registering the content the
+    /// id holds is a no-op.
     ///
     /// # Errors
     ///
@@ -485,10 +492,17 @@ impl CertEngine {
         });
         reg.built += 1;
         let hash = entry.hash;
-        // The new entry takes over the id's sessions.
+        // The new entry takes over the id's sessions of the shapes it can
+        // reach. Their answers carry the old serial and can never match, so
+        // they go too.
         let old = reg.ids.remove(id);
         let update = old.is_some();
-        let sessions = old.map(|s| s.sessions).unwrap_or_default();
+        let mut sessions = old.map(|s| s.sessions).unwrap_or_default();
+        let depth = entry.aff.layers.len();
+        sessions.retain(|&(window, _), _| window <= depth);
+        for open in sessions.values_mut() {
+            open.answer = None;
+        }
         reg.ids.insert(id.to_string(), Served { entry, sessions });
         drop(reg);
         lock(&self.stats).delta_registrations += u64::from(update);
@@ -728,6 +742,12 @@ mod tests {
         eps.iter().map(|e| e.to_bits()).collect()
     }
 
+    /// Whether queries run on the LU engine, the only one that warm-starts
+    /// (`ITNE_TEST_ENGINE=dense` selects the cold oracle).
+    fn lu_engine() -> bool {
+        CertifyOptions::default().solver.engine == itne_milp::Engine::Lu
+    }
+
     /// A query at `delta` and `window` that checks certificates when
     /// `ITNE_CHECK_CERTS` says so.
     fn env_query(delta: f64, window: usize) -> QueryRequest {
@@ -964,16 +984,18 @@ mod tests {
             "delta path did not continue the id's session"
         );
         assert!(!resp.answer_cached, "the old weights' answer was reused");
-        assert!(resp.stats.query.cross_query_warm_hits > 0);
         // Bits still golden against the cold path on the tuned net.
         let cold = certify_global_affine(&tuned, &dom, q.delta, &cold_opts(&q, 1)).unwrap();
         assert_eq!(bits(&resp.epsilons), bits(&cold.epsilons));
-        assert!(
-            resp.stats.query.pivots < cold.stats.query.pivots,
-            "delta query did not save pivots: {} vs {}",
-            resp.stats.query.pivots,
-            cold.stats.query.pivots
-        );
+        if lu_engine() {
+            assert!(resp.stats.query.cross_query_warm_hits > 0);
+            assert!(
+                resp.stats.query.pivots < cold.stats.query.pivots,
+                "delta query did not save pivots: {} vs {}",
+                resp.stats.query.pivots,
+                cold.stats.query.pivots
+            );
+        }
         let repeat = engine.certify("m", &q).unwrap();
         assert!(repeat.answer_cached && !repeat.delta_seeded);
         assert_eq!(bits(&repeat.epsilons), bits(&resp.epsilons));
@@ -1293,7 +1315,7 @@ mod tests {
         let old = certify_as_cold(&engine, "b", &q2, &net, &dom);
         assert!(!old.delta_seeded && !old.answer_cached);
         assert!(
-            old.stats.query.cross_query_warm_hits > 0,
+            !lu_engine() || old.stats.query.cross_query_warm_hits > 0,
             "the old id lost its bases: {:?}",
             old.stats.query
         );
@@ -1334,8 +1356,8 @@ mod tests {
 
     /// An id re-registered with other widths, then with another depth,
     /// answers every window as cold: its sessions continue, and their caches
-    /// rebuild where the shapes changed. At depth 2, W = 3 asks W = 2's
-    /// query and is answered from its store.
+    /// rebuild where the shapes changed. At depth 2 the W = 3 session is
+    /// gone, and W = 3 asks W = 2's query and is answered from its store.
     #[test]
     fn an_id_reregistered_with_another_architecture_answers_as_cold() {
         let dom = [(-1.0, 1.0); 4];
@@ -1359,6 +1381,7 @@ mod tests {
             ),
             (2, 5, 1)
         );
+        assert_eq!((s.live_entries, s.live_sessions), (1, 2));
     }
 
     /// A query waits for its session outside the registry: while a helper
@@ -1485,7 +1508,7 @@ mod tests {
                 let s = engine.stats();
                 proptest::prop_assert_eq!(s.answer_hits, 1);
                 proptest::prop_assert!(s.query.encoding_cache_hits > 0);
-                proptest::prop_assert!(s.query.cross_query_warm_hits > 0);
+                proptest::prop_assert!(!lu_engine() || s.query.cross_query_warm_hits > 0);
             }
         }
     }

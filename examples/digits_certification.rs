@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let delta = 2.0 / 255.0; // the paper's δ for MNIST
 
     // --- Algorithm 1. The paper's MNIST setting is W = 3 with 30 refined
-    //     neurons per sub-problem under Gurobi; with the from-scratch B&B a
-    //     lighter configuration keeps this example interactive (see the
-    //     scaling note in EXPERIMENTS.md). ---
+    //     neurons per sub-problem under Gurobi; the from-scratch B&B tree
+    //     grows exponentially with the refined count, so a lighter
+    //     configuration keeps this example interactive. ---
     let opts = CertifyOptions {
         window: 2,
         refine: 4,

@@ -26,6 +26,7 @@
 
 use itne::cert::encode::{EncodingKind, Relaxation};
 use itne::cert::{certify_global, CertifyOptions};
+use itne::milp::Engine;
 use itne::nn::train::{train, Adam, Loss, TrainConfig};
 use itne::nn::{initialize, Network, NetworkBuilder};
 
@@ -174,7 +175,9 @@ fn run(case: &Case) -> Vec<f64> {
 
 /// The warm-started batched path must agree with the all-cold path exactly,
 /// case by case — independent of whether either matches the recorded table.
-/// This is the direct statement of "batching is a pure optimization".
+/// This is the direct statement of "batching is a pure optimization". Only
+/// the LU engine warm-starts; under the dense oracle both paths run cold and
+/// must still agree on bits, solves and pivots.
 #[test]
 fn warm_started_path_equals_cold_path_bit_for_bit() {
     for case in cases() {
@@ -193,7 +196,7 @@ fn warm_started_path_equals_cold_path_bit_for_bit() {
         assert_eq!(w.solves, c.solves, "{}: solve count changed", case.name);
         assert_eq!(c.warm_hits, 0, "{}: cold path warm-started", case.name);
         assert!(
-            w.warm_hits > 0,
+            case.opts.solver.engine != Engine::Lu || w.warm_hits > 0,
             "{}: warm path never hit a warm start ({w:?})",
             case.name
         );
