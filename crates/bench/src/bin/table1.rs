@@ -283,7 +283,7 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
             domain,
             *delta,
             &SplitOptions {
-                deadline: Some(Instant::now() + budget),
+                solver: itne_core::deadline::solver_with_budget(budget),
                 ..Default::default()
             },
         )

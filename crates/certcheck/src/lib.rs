@@ -19,32 +19,31 @@
 //! valid for **every** `y` in that cone — not just the optimal one. The
 //! checker therefore never trusts the solver: wrong-signed multipliers are
 //! clamped to zero (which only loosens `L`), the reduction `d` is recomputed
-//! from scratch, and all arithmetic is **exact**: a fast path in error-free
-//! floating-point expansions (`expansion`) handles the overwhelmingly
-//! common case where every intermediate stays in `f64` range, and the
-//! vendored [`dyadic::Dyadic`] exact rationals take over whenever the
-//! expansion path overflows or underflows out of its provably-exact window.
-//! Either way a `Valid` verdict is a machine-checked proof that the
-//! reported (already outward-snapped) bound dominates the true optimum. A
-//! certificate that proves nothing — wrong duals, an unbounded dual
-//! contribution through an infinite variable bound — returns
-//! [`Verdict::Invalid`] and the caller falls back to its interval-arithmetic
-//! bound, so a bad certificate can degrade tightness but never soundness.
+//! from scratch, and every verdict is **exact**. Each check runs up to two
+//! paths: a plain-`f64` filter evaluates the bound with a rigorous forward
+//! error bound and accepts a claim only when its margin clears every
+//! rounding error, and the vendored [`dyadic::Dyadic`] exact rationals
+//! decide every claim the filter does not accept. Either way a `Valid`
+//! verdict is a machine-checked proof that the reported (already
+//! outward-snapped) bound dominates the true optimum. A certificate that
+//! proves nothing — wrong duals, an unbounded dual contribution through an
+//! infinite variable bound — returns [`Verdict::Invalid`] and the caller
+//! falls back to its interval-arithmetic bound, so a bad certificate can
+//! degrade tightness but never soundness.
 //!
 //! The same computation with a zero objective is a Farkas infeasibility
 //! proof: `L(y) > 0` certifies that no feasible point exists
 //! ([`verify_infeasibility`]).
 //!
-//! The crate is dependency-free (the bignum and the expansion arithmetic
-//! are vendored) and does its work in one sparse mat-vec per certificate.
+//! The crate is dependency-free (the bignum is vendored) and does its work
+//! in one sparse mat-vec per certificate, plus a second, exact one for the
+//! claims the filter leaves open.
 
 #![forbid(unsafe_code)]
 
 pub mod dyadic;
-mod expansion;
 
 use dyadic::Dyadic;
-use expansion::Expansion;
 use std::cmp::Ordering;
 
 /// Constraint comparison operator. Mirrors the solver's `Cmp`; re-declared
@@ -124,11 +123,11 @@ pub fn verify_bound(
             Verdict::Invalid("reported bound is infinite in the tightening direction".into())
         };
     }
-    // Tier 1: a plain-f64 forward-error filter. It can only *accept* — and
-    // only when the margin provably clears every rounding error — so a
-    // `Valid` from here is as trustworthy as one from the exact tiers. In
-    // practice the reported bounds carry ≥ 1e-7 of deliberate outward slack
-    // against errors of order 1e-13, so this tier decides almost every call.
+    // The plain-f64 forward-error filter. It can only *accept* — and only
+    // when the margin provably clears every rounding error — so a `Valid`
+    // from here is as trustworthy as one from the exact path. In practice
+    // the reported bounds carry ≥ 1e-7 of deliberate outward slack against
+    // errors of order 1e-13, so the filter decides almost every call.
     if let Some((l, l_err)) =
         dual_bound_filter(num_vars, rows, bounds, objective, maximize, row_duals)
     {
@@ -145,20 +144,7 @@ pub fn verify_bound(
             }
         }
     }
-    // Tier 2: exact floating-point expansions (decides both ways).
-    if let Some(v) = fast_verdict(
-        num_vars,
-        rows,
-        bounds,
-        objective,
-        obj_constant,
-        maximize,
-        row_duals,
-        reported,
-    ) {
-        return v;
-    }
-    // Tier 3: exact rationals — unlimited range, heap-heavy, last resort.
+    // Exact rationals decide everything else, both ways.
     slow_verdict(
         num_vars,
         rows,
@@ -171,10 +157,9 @@ pub fn verify_bound(
     )
 }
 
-/// The exact-rational (bignum) verdict — the fallback when the expansion
-/// fast path leaves its provably-exact `f64` window: an intermediate
-/// product or sum overflowed toward ±∞, or a nonzero product dipped under
-/// ~1e-290 where Dekker's error term stops being representable.
+/// The exact-rational (bignum) verdict for every claim the `f64` filter
+/// does not accept: a too-tight claim, a margin inside the filter's error
+/// bound, or data past `f64` range.
 #[allow(clippy::too_many_arguments)]
 fn slow_verdict(
     num_vars: usize,
@@ -230,25 +215,12 @@ pub fn verify_infeasibility(
     bounds: &[(f64, f64)],
     row_duals: &[f64],
 ) -> Verdict {
-    // Tier 1: the f64 filter proves `L ≥ l − l_err`; strictly positive
-    // after the discount means the Farkas proof certainly holds.
+    // The f64 filter proves `L ≥ l − l_err`; strictly positive after the
+    // discount means the Farkas proof certainly holds.
     if let Some((l, l_err)) = dual_bound_filter(num_vars, rows, bounds, &[], false, row_duals) {
         if l > l_err {
             return Verdict::Valid;
         }
-    }
-    match dual_bound_fast(num_vars, rows, bounds, &[], false, row_duals) {
-        Ok(Some(l)) => {
-            if let Some(s) = l.sign() {
-                return if s > 0 {
-                    Verdict::Valid
-                } else {
-                    Verdict::Invalid("Farkas bound is not strictly positive".into())
-                };
-            }
-        }
-        Ok(None) => {}
-        Err(reason) => return Verdict::Invalid(reason),
     }
     let costs = vec![Dyadic::zero(); num_vars];
     match dual_bound(num_vars, rows, bounds, &costs, row_duals) {
@@ -258,19 +230,19 @@ pub fn verify_infeasibility(
     }
 }
 
-/// Tier-1 filter: evaluates the dual bound in plain `f64` alongside a
+/// The `f64` filter: evaluates the dual bound in plain `f64` alongside a
 /// rigorous forward error bound. Returns `Some((l, l_err))` with the
 /// guarantee `L ≥ l − l_err` for the exact dual bound `L` — the caller may
-/// accept any claim that clears the error margin, and must escalate to an
-/// exact tier for anything else. `None` means the filter cannot vouch at
-/// all (malformed/non-finite data, or an uncertain reduced-cost sign next
-/// to an infinite variable bound).
+/// accept any claim that clears the error margin, and must take the exact
+/// path (`dual_bound`) for anything else. `None` means the filter cannot
+/// vouch at all (malformed/non-finite data, or an uncertain reduced-cost
+/// sign next to an infinite variable bound).
 ///
 /// The error accounting is deliberately loose (standard `γₙ = n·u`-style
 /// bounds inflated by small constant factors): with `u = 2⁻⁵³` the slack it
 /// wastes is orders of magnitude below the 1e-7 outward padding every
 /// reported bound already carries, and looseness only ever costs speed
-/// (an unnecessary escalation), never soundness.
+/// (an unnecessary exact check), never soundness.
 fn dual_bound_filter(
     num_vars: usize,
     rows: &[RowRef<'_>],
@@ -372,139 +344,6 @@ fn dual_bound_filter(
         return None;
     }
     Some((l, err))
-}
-
-/// The expansion fast path for [`verify_bound`]: returns `None` when an
-/// intermediate left the provably-exact `f64` window (the caller then takes
-/// the bignum path), otherwise the final verdict. Structural failures
-/// (malformed lengths, out-of-range indices, non-finite data, an unbounded
-/// profitable side) are decided here identically to the slow path — the
-/// reduced-cost *signs* the decision rests on are exact.
-#[allow(clippy::too_many_arguments)]
-fn fast_verdict(
-    num_vars: usize,
-    rows: &[RowRef<'_>],
-    bounds: &[(f64, f64)],
-    objective: &[(usize, f64)],
-    obj_constant: f64,
-    maximize: bool,
-    row_duals: &[f64],
-    reported: f64,
-) -> Option<Verdict> {
-    let l = match dual_bound_fast(num_vars, rows, bounds, objective, maximize, row_duals) {
-        Ok(Some(l)) => l,
-        Ok(None) => return None,
-        Err(reason) => return Some(Verdict::Invalid(reason)),
-    };
-    if !obj_constant.is_finite() {
-        return Some(Verdict::Invalid("non-finite objective constant".into()));
-    }
-    // Minimize: optimum ≥ k + L, so `k + L − reported ≥ 0` proves the
-    // reported lower bound. Maximize: optimum ≤ k − L, so the reported
-    // upper bound needs `reported − (k − L) = reported − k + L ≥ 0`.
-    let mut margin = l;
-    if maximize {
-        margin.grow(reported);
-        margin.grow(-obj_constant);
-    } else {
-        margin.grow(obj_constant);
-        margin.grow(-reported);
-    }
-    let s = margin.sign()?;
-    Some(if s >= 0 {
-        Verdict::Valid
-    } else {
-        Verdict::Invalid(format!(
-            "reported bound {reported} is tighter than the certified bound"
-        ))
-    })
-}
-
-/// The dual bound `L(y)` as an exact expansion. `Ok(None)` means the
-/// computation left the exact window and the caller must fall back to
-/// [`dual_bound`]; `Err` means the certificate is structurally invalid (the
-/// same conditions, in the same order, as the slow path reports).
-fn dual_bound_fast(
-    num_vars: usize,
-    rows: &[RowRef<'_>],
-    bounds: &[(f64, f64)],
-    objective: &[(usize, f64)],
-    maximize: bool,
-    row_duals: &[f64],
-) -> Result<Option<Expansion>, String> {
-    if row_duals.len() != rows.len() {
-        return Err(format!(
-            "certificate has {} duals for {} rows",
-            row_duals.len(),
-            rows.len()
-        ));
-    }
-    if bounds.len() != num_vars {
-        return Err(format!(
-            "{} variable bounds for {num_vars} variables",
-            bounds.len()
-        ));
-    }
-    // Reduced costs d = c′ − Aᵀy, one exact expansion per variable (empty
-    // expansions don't allocate, so this is one Vec for the whole check).
-    let mut d: Vec<Expansion> = vec![Expansion::new(); num_vars];
-    for &(j, c) in objective {
-        if !c.is_finite() {
-            return Err(format!("non-finite objective coefficient on variable {j}"));
-        }
-        if j >= num_vars {
-            return Err(format!("objective names variable {j} out of range"));
-        }
-        d[j].grow(if maximize { -c } else { c });
-    }
-    let mut l = Expansion::new();
-    for (row, &raw) in rows.iter().zip(row_duals) {
-        // Clamp into the dual cone (and drop non-finite garbage): any
-        // remaining multiplier yields a valid — possibly looser — bound.
-        let yi = if raw.is_finite() { raw } else { 0.0 };
-        let yi = match row.cmp {
-            RowCmp::Le => yi.min(0.0),
-            RowCmp::Ge => yi.max(0.0),
-            RowCmp::Eq => yi,
-        };
-        if yi == 0.0 {
-            continue;
-        }
-        if !row.rhs.is_finite() {
-            return Err("non-finite row rhs".into());
-        }
-        l.grow_prod(yi, row.rhs);
-        for &(j, a) in row.terms {
-            if j >= num_vars {
-                return Err(format!("row names variable {j} out of range"));
-            }
-            if !a.is_finite() {
-                return Err(format!("non-finite coefficient on variable {j}"));
-            }
-            d[j].grow_prod(-yi, a);
-        }
-    }
-    for (j, (dj, &(lo, hi))) in d.iter().zip(bounds).enumerate() {
-        let Some(s) = dj.sign() else {
-            return Ok(None);
-        };
-        if s == 0 {
-            continue;
-        }
-        // dⱼ > 0 pushes xⱼ to its lower bound, dⱼ < 0 to its upper; an
-        // infinite bound on the profitable side sends L to −∞.
-        let b = if s < 0 { hi } else { lo };
-        if !b.is_finite() {
-            return Err(format!(
-                "nonzero reduced cost on variable {j} with an unbounded profitable side"
-            ));
-        }
-        l.grow_scaled(dj, b);
-    }
-    if l.poisoned() {
-        return Ok(None);
-    }
-    Ok(Some(l))
 }
 
 /// The exact dual lower bound `L(y) = yᵀb + Σⱼ min(dⱼ·loⱼ, dⱼ·hiⱼ)` with
@@ -768,12 +607,13 @@ mod tests {
         assert!(verify_infeasibility(1, &rows, &bounds, &[1.0]).is_valid());
     }
 
-    /// The expansion fast path and the bignum slow path must render the
-    /// same verdict on every problem the fast path accepts. Deterministic
-    /// LCG-driven battery over awkward coefficients (dyadic-inexact
-    /// decimals, large magnitude spreads, wrong-signed and NaN duals).
-    #[test]
-    fn fast_and_slow_paths_agree() {
+    /// Runs `check` on 200 problems of a deterministic LCG-driven battery
+    /// over awkward coefficients (dyadic-inexact decimals, large magnitude
+    /// spreads, wrong-signed and NaN duals): `(num_vars, rows, bounds,
+    /// objective, duals, maximize, reported)`.
+    fn battery(
+        mut check: impl FnMut(usize, &[RowRef<'_>], &[(f64, f64)], &[(usize, f64)], &[f64], bool, f64),
+    ) {
         fn lcg(state: &mut u64) -> u64 {
             *state = state
                 .wrapping_mul(6364136223846793005)
@@ -838,48 +678,93 @@ mod tests {
             let duals: Vec<f64> = (0..nr).map(|_| pick(&mut st, true)).collect();
             let maximize = lcg(&mut st).is_multiple_of(2);
             let reported = pick(&mut st, false);
-            let fast = fast_verdict(
-                nv, &rows, &bounds, &objective, 0.5, maximize, &duals, reported,
-            )
-            .expect("palette magnitudes stay inside the exact window");
-            let slow = slow_verdict(
-                nv, &rows, &bounds, &objective, 0.5, maximize, &duals, reported,
-            );
-            assert_eq!(
-                fast.is_valid(),
-                slow.is_valid(),
-                "paths disagree: fast {fast:?} vs slow {slow:?} \
-                 (rows {rows:?}, bounds {bounds:?}, obj {objective:?}, \
-                 duals {duals:?}, maximize {maximize}, reported {reported})"
-            );
-            // The public entry point routes through the f64 filter first;
-            // whatever tier decides, the verdict must match the bignum's.
-            let full = verify_bound(
-                nv, &rows, &bounds, &objective, 0.5, maximize, &duals, reported,
-            );
-            assert_eq!(
-                full.is_valid(),
-                slow.is_valid(),
-                "filtered chain disagrees with the bignum path: {full:?} vs {slow:?} \
-                 (rows {rows:?}, bounds {bounds:?}, obj {objective:?}, \
-                 duals {duals:?}, maximize {maximize}, reported {reported})"
-            );
+            check(nv, &rows, &bounds, &objective, &duals, maximize, reported);
         }
     }
 
-    /// Magnitudes whose products overflow f64 poison the fast path; the
-    /// public entry point must still verify exactly via the bignum fallback.
+    /// The filtered entry point must render the bignum's verdict on every
+    /// problem of the battery, whichever path decides.
+    #[test]
+    fn verify_bound_agrees_with_the_bignum() {
+        let mut valid = [0usize; 2];
+        battery(|nv, rows, bounds, objective, duals, maximize, reported| {
+            let full = verify_bound(nv, rows, bounds, objective, 0.5, maximize, duals, reported);
+            let exact = slow_verdict(nv, rows, bounds, objective, 0.5, maximize, duals, reported);
+            assert_eq!(
+                full.is_valid(),
+                exact.is_valid(),
+                "filtered check disagrees with the bignum: {full:?} vs {exact:?} \
+                 (rows {rows:?}, bounds {bounds:?}, obj {objective:?}, \
+                 duals {duals:?}, maximize {maximize}, reported {reported})"
+            );
+            valid[usize::from(exact.is_valid())] += 1;
+        });
+        assert!(valid[0] > 0 && valid[1] > 0, "one-sided battery: {valid:?}");
+    }
+
+    /// The same battery read as Farkas claims: [`verify_infeasibility`] must
+    /// accept exactly when the bignum dual bound under zero costs is
+    /// strictly positive.
+    #[test]
+    fn verify_infeasibility_agrees_with_the_bignum() {
+        let mut valid = [0usize; 2];
+        battery(|nv, rows, bounds, _, duals, _, _| {
+            let full = verify_infeasibility(nv, rows, bounds, duals);
+            let exact = dual_bound(nv, rows, bounds, &vec![Dyadic::zero(); nv], duals);
+            let proved = matches!(&exact, Ok(l) if l.sign() > 0);
+            assert_eq!(
+                full.is_valid(),
+                proved,
+                "filtered check disagrees with the bignum: {full:?} vs {exact:?} \
+                 (rows {rows:?}, bounds {bounds:?}, duals {duals:?})"
+            );
+            valid[usize::from(proved)] += 1;
+        });
+        assert!(valid[0] > 0 && valid[1] > 0, "one-sided battery: {valid:?}");
+    }
+
+    /// A Farkas margin inside the filter's error bound goes to the bignum,
+    /// which decides it both ways.
+    #[test]
+    fn farkas_margins_below_the_filter_go_to_the_bignum() {
+        // x ≥ a ∧ x ≤ 0.3 with y = (1, −1): L = a − 0.3 exactly.
+        let terms = vec![(0usize, 1.0)];
+        let bounds = vec![(0.0, 1.0)];
+        let duals = [1.0, -1.0];
+        let crossed = |a: f64| {
+            let rows = [
+                RowRef {
+                    terms: &terms,
+                    cmp: RowCmp::Ge,
+                    rhs: a,
+                },
+                RowRef {
+                    terms: &terms,
+                    cmp: RowCmp::Le,
+                    rhs: 0.3,
+                },
+            ];
+            let (l, l_err) =
+                dual_bound_filter(1, &rows, &bounds, &[], false, &duals).expect("finite data");
+            assert!(l <= l_err, "the filter must not decide a = {a}");
+            verify_infeasibility(1, &rows, &bounds, &duals)
+        };
+        // One ulp of crossing proves infeasibility …
+        let v = crossed(0.1 + 0.2);
+        assert!(v.is_valid(), "{v:?}");
+        // … and touching rows prove nothing (L = 0 is not > 0).
+        assert!(!crossed(0.3).is_valid());
+    }
+
+    /// Sums past f64 range defeat the filter; the public entry point must
+    /// still verify exactly via the bignum.
     #[test]
     fn overflow_falls_back_to_the_bignum_path() {
         // min (1.7e308 + 1.7e308)·x over 1 ≤ x ≤ 2: the exact cost
         // 3.4·10³⁰⁸ exists only as a bignum — summing the duplicate
-        // objective terms overflows and poisons the expansion path.
+        // objective terms overflows in f64.
         let objective = vec![(0usize, 1.7e308), (0usize, 1.7e308)];
         let bounds = vec![(1.0, 2.0)];
-        assert!(
-            fast_verdict(1, &[], &bounds, &objective, 0.0, false, &[], 1.0e308).is_none(),
-            "sums past f64 range must defer to the slow path"
-        );
         // Exact L = 3.4e308·1 dominates any finite reported lower bound …
         let v = verify_bound(1, &[], &bounds, &objective, 0.0, false, &[], 1.0e308);
         assert!(v.is_valid(), "{v:?}");
@@ -891,8 +776,7 @@ mod tests {
         let v = verify_bound(1, &[], &bounds_neg, &objective, 0.0, false, &[], -1.0e308);
         assert!(!v.is_valid(), "tighter than the exact bound must fail");
         // Products that underflow out of f64 entirely (1e-200 · 3e-200
-        // rounds to 0.0) take the same detour — the exact dual bound
-        // 3·10⁻⁴⁰⁰ > 0 exists only on the bignum path.
+        // rounds to 0.0) must not cost a sound claim its proof.
         let terms = vec![(0usize, 1e-200)];
         let rows = [RowRef {
             terms: &terms,
@@ -900,7 +784,6 @@ mod tests {
             rhs: 3e-200,
         }];
         let objective = vec![(0usize, 1e-200)];
-        assert!(fast_verdict(1, &rows, &bounds, &objective, 0.0, false, &[1e-200], 0.0).is_none());
         let v = verify_bound(1, &rows, &bounds, &objective, 0.0, false, &[1e-200], 0.0);
         assert!(v.is_valid(), "{v:?}");
     }

@@ -74,11 +74,13 @@ pub struct CertifyOptions {
     /// variable (once, at first use); unset, `0`, `false`, or `off` means
     /// disabled.
     pub check_certificates: bool,
-    /// Per-solve limits, engine and warm-start switch.
+    /// Per-solve limits, engine, warm-start switch and stop signal. The
+    /// per-neuron loop polls [`SolveOptions::stop`] before every solve, so a
+    /// deadline for the whole run is a stop signal built by
+    /// [`crate::deadline::stop_at`] (or [`crate::deadline::solver_with_budget`]);
+    /// once it fires, the remaining neurons keep their sound IBP ranges (the
+    /// result stays sound, only looser).
     pub solver: SolveOptions,
-    /// Overall wall-clock deadline; on expiry remaining neurons keep their
-    /// sound IBP ranges (the result stays sound, only looser).
-    pub deadline: Option<Instant>,
 }
 
 /// Default worker-thread count: `ITNE_TEST_THREADS` when set to a sane
@@ -134,7 +136,6 @@ impl Default for CertifyOptions {
                 engine: default_engine(),
                 ..SolveOptions::default()
             },
-            deadline: None,
         }
     }
 }
@@ -158,18 +159,6 @@ impl CertifyOptions {
             y_aware_distance: self.y_aware_distance,
             delta,
         }
-    }
-
-    fn solver_options(&self) -> SolveOptions {
-        let mut s = self.solver.clone();
-        if let Some(d) = self.deadline {
-            let at_deadline = crate::deadline::stop_at(d);
-            s.stop = Some(match s.stop.take() {
-                Some(prior) => prior.or(at_deadline),
-                None => at_deadline,
-            });
-        }
-        s
     }
 }
 
@@ -419,7 +408,6 @@ pub(crate) fn propagate_cached(
     });
     let caching = resident.is_some();
     let mut stats = CertifyStats::default();
-    let solver = opts.solver_options();
 
     for li in first..aff.layers.len() {
         let width = aff.layers[li].width();
@@ -433,7 +421,7 @@ pub(crate) fn propagate_cached(
             .map(|(j, cache)| LayerTask::Sweep { j, cache })
             .collect();
         let (results, accs) = run_steal(opts.threads, initial, width, |task, acc| {
-            run_task(aff, &bounds, li, delta, opts, &solver, caching, task, acc)
+            run_task(aff, &bounds, li, delta, opts, caching, task, acc)
         });
         for (j, r) in results.into_iter().enumerate() {
             bounds.y[li][j] = r.y;
@@ -510,12 +498,12 @@ fn run_task<'a>(
     li: usize,
     delta: f64,
     opts: &CertifyOptions,
-    solver: &SolveOptions,
     caching: bool,
     task: LayerTask<'a>,
     acc: &mut WorkerAcc,
 ) -> Step<LayerTask<'a>, NeuronResult> {
     let enc_opts = opts.encode_options(delta);
+    let solver = &opts.solver;
     let check = opts.check_certificates;
     let done = |j, y, dy, x, dx, cache| Step::Done {
         slot: j,
@@ -1052,10 +1040,8 @@ mod tests {
     #[test]
     fn expired_deadline_returns_ibp() {
         let net = fig1_network();
-        let opts = CertifyOptions {
-            deadline: Some(crate::deadline::already_expired()),
-            ..Default::default()
-        };
+        let mut opts = CertifyOptions::default();
+        opts.solver.stop = Some(crate::deadline::stop_at(crate::deadline::already_expired()));
         let r = certify_global(&net, &DOM, 0.1, &opts).unwrap();
         // IBP ε for the example is 0.3; sound and loose.
         assert!((r.epsilon(0) - 0.3).abs() < 1e-9);

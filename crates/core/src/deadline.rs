@@ -85,11 +85,4 @@ mod tests {
         let b = c.now_ns();
         assert!(b >= a, "telemetry clock went backwards: {a} then {b}");
     }
-
-    #[test]
-    fn or_combinator_fires_when_either_does() {
-        let far = stop_after(Duration::from_secs(3600));
-        assert!(far.clone().or(StopWhen::immediately()).should_stop());
-        assert!(!far.clone().or(far).should_stop());
-    }
 }

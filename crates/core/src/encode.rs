@@ -918,35 +918,16 @@ mod tests {
                 None,
                 &refined2,
             );
-            assert_models_identical(&enc.model, &fresh.model);
+            // `f64`'s `Debug` form round-trips, so equal renderings mean
+            // bit-equal bounds, coefficients and right-hand sides.
+            assert_eq!(
+                format!("{:?}", enc.model),
+                format!("{:?}", fresh.model),
+                "replay diverged from a fresh build ({kind:?})"
+            );
             assert_eq!(enc.binaries, fresh.binaries);
             assert_eq!(enc.refined, fresh.refined);
             assert_eq!(enc.relaxed, fresh.relaxed);
-        }
-    }
-
-    fn assert_models_identical(a: &Model, b: &Model) {
-        assert_eq!(a.num_vars(), b.num_vars());
-        assert_eq!(a.num_constraints(), b.num_constraints());
-        for j in 0..a.num_vars() {
-            let (alo, ahi) = a.bounds_at(j);
-            let (blo, bhi) = b.bounds_at(j);
-            assert_eq!(alo.to_bits(), blo.to_bits(), "var {j} lo");
-            assert_eq!(ahi.to_bits(), bhi.to_bits(), "var {j} hi");
-        }
-        for r in 0..a.num_constraints() {
-            assert_eq!(a.row_cmp(r), b.row_cmp(r), "row {r} cmp");
-            assert_eq!(
-                a.row_rhs(r).to_bits(),
-                b.row_rhs(r).to_bits(),
-                "row {r} rhs"
-            );
-            let (ta, tb) = (a.row_terms(r), b.row_terms(r));
-            assert_eq!(ta.len(), tb.len(), "row {r} support");
-            for (&(va, ca), &(vb, cb)) in ta.iter().zip(tb) {
-                assert_eq!(va, vb, "row {r} var");
-                assert_eq!(ca.to_bits(), cb.to_bits(), "row {r} coef");
-            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! term, snap outward onto `BOUND_GRID`, and — when certificate checking
 //! is on — validate the *snapped* claim against the solve's
 //! [`itne_milp::DualCertificate`] in exact rational arithmetic
-//! (`itne_certcheck`). A bound whose certificate fails the check is
+//! ([`Model::check_bound`]). A bound whose certificate fails the check is
 //! discarded in favor of the sound IBP fallback and counted in
 //! [`QueryStats::cert_failures`].
 //!
@@ -31,9 +31,8 @@
 
 use crate::encode::{EncodedSubNet, TargetKind};
 use crate::interval::Interval;
-use itne_certcheck::{verify_bound, RowCmp, RowRef};
 use itne_milp::{
-    Basis, BatchSolver, BatchStats, Cmp, LinExpr, Model, Sense, Solution, SolveOptions, StopWhen,
+    Basis, BatchSolver, BatchStats, LinExpr, Model, Sense, Solution, SolveOptions, StopWhen,
 };
 use serde::Serialize;
 
@@ -348,46 +347,18 @@ fn certified_bound(
     };
     if check && sol.is_certified() {
         stats.certs_checked += 1;
-        if !certificate_validates(model, &sol, sense, snapped) {
+        // The model must still hold the objective the solve installed
+        // (guaranteed by `BatchSolver::model` within a sweep).
+        let valid = sol
+            .certificate()
+            .is_some_and(|c| model.check_bound(sense, &c.row_duals, snapped).is_valid());
+        if !valid {
             stats.cert_failures += 1;
             stats.fallbacks += 1;
             return fallback_bound;
         }
     }
     snapped
-}
-
-/// Exact-rational validation of `reported` as a `sense`-directional bound on
-/// `model`'s optimum, using the dual certificate attached to `sol`. The
-/// model must still hold the objective the solve installed (guaranteed by
-/// [`BatchSolver::model`] within a sweep).
-fn certificate_validates(model: &Model, sol: &Solution, sense: Sense, reported: f64) -> bool {
-    let Some(cert) = sol.certificate() else {
-        return false;
-    };
-    let rows: Vec<RowRef<'_>> = (0..model.num_constraints())
-        .map(|r| RowRef {
-            terms: model.row_terms(r),
-            cmp: match model.row_cmp(r) {
-                Cmp::Le => RowCmp::Le,
-                Cmp::Ge => RowCmp::Ge,
-                Cmp::Eq => RowCmp::Eq,
-            },
-            rhs: model.row_rhs(r),
-        })
-        .collect();
-    let bounds: Vec<(f64, f64)> = (0..model.num_vars()).map(|j| model.bounds_at(j)).collect();
-    verify_bound(
-        model.num_vars(),
-        &rows,
-        &bounds,
-        model.objective_terms(),
-        model.objective_constant(),
-        sense == Sense::Maximize,
-        &cert.row_duals,
-        reported,
-    )
-    .is_valid()
 }
 
 /// Number of persistent basis slots a sub-problem sweep keeps: one per
@@ -522,6 +493,7 @@ mod tests {
     use crate::example::fig1_affine;
     use crate::ibp::ibp_twin;
     use crate::subnet::SubNetwork;
+    use itne_milp::Cmp;
 
     #[test]
     fn query_clips_to_fallback() {
@@ -811,7 +783,6 @@ mod tests {
 
     #[test]
     fn solver_failures_never_invert_the_interval() {
-        use itne_milp::{Cmp, Model};
         let fb = Interval::new(-1.0, 2.0);
 
         // Infeasible skeleton: both directed solves error; the fallback
@@ -911,7 +882,6 @@ mod tests {
 
     #[test]
     fn nan_objective_falls_back_instead_of_inverting() {
-        use itne_milp::{Cmp, Model};
         // Two variables fixed at ±1e308 with ±1e308 objective coefficients:
         // the float objective evaluates to inf − inf = NaN while the solve
         // itself terminates Optimal. The non-finite guard must discard it.
@@ -937,6 +907,48 @@ mod tests {
             stats.fallbacks >= 1,
             "NaN objective must fall back: {stats:?}"
         );
+    }
+
+    /// A row that moves between the solve and the check leaves the duals
+    /// proving a different problem: the claim is rejected through
+    /// [`Model::check_bound`], counted, and the bound falls back.
+    #[test]
+    fn certificate_of_a_changed_row_is_rejected() {
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_var(0.0, 10.0);
+        m.add_constraint(x + y, Cmp::Le, 6.0);
+        m.add_constraint(2.0 * x + y, Cmp::Le, 9.0);
+        m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
+        let sol = m.solve().expect("feasible");
+        assert!(sol.is_certified());
+        let check = |m: &Model, stats: &mut QueryStats| {
+            certified_bound(
+                m,
+                Some(sol.clone()),
+                Sense::Maximize,
+                true,
+                true,
+                99.0,
+                stats,
+            )
+        };
+        // Loosening `x + y ≤ 6` to 7 raises the maximum from 15 to 16, so
+        // the duals no longer prove the snapped claim just above 15.
+        m.update_rhs(0, 7.0);
+        let mut stats = QueryStats::default();
+        assert_eq!(check(&m, &mut stats), 99.0);
+        assert_eq!(
+            (stats.certs_checked, stats.cert_failures, stats.fallbacks),
+            (1, 1, 1),
+            "{stats:?}"
+        );
+        // Against the row it was solved with, the same claim passes.
+        m.update_rhs(0, 6.0);
+        let mut stats = QueryStats::default();
+        let b = check(&m, &mut stats);
+        assert!(b > 15.0 && b < 15.0 + 1e-6, "{b}");
+        assert_eq!((stats.certs_checked, stats.cert_failures), (1, 0));
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::ibp::ibp_twin;
 use crate::interval::Interval;
 use itne_milp::{Cmp, Model, Sense, SolveOptions, StopWhen, VarId};
 use itne_nn::{AffineNetwork, Network};
-use std::time::Instant;
 
 /// Result of a [`split_global`] run.
 #[derive(Clone, Debug)]
@@ -36,13 +35,13 @@ pub struct SplitReport {
 /// Limits for the splitting search.
 #[derive(Clone, Debug)]
 pub struct SplitOptions {
-    /// LP solver settings.
+    /// LP solver settings. Its stop signal ([`SolveOptions::stop`]) is
+    /// polled between splitting nodes, so a wall-clock budget is
+    /// [`crate::deadline::solver_with_budget`]; once it fires, the
+    /// unexplored frontier's bounds become the (sound) answer.
     pub solver: SolveOptions,
     /// Node budget across all objectives.
     pub max_nodes: u64,
-    /// Wall-clock deadline, polled through the audited
-    /// [`crate::deadline::stop_at`] site.
-    pub deadline: Option<Instant>,
 }
 
 impl Default for SplitOptions {
@@ -50,7 +49,6 @@ impl Default for SplitOptions {
         SplitOptions {
             solver: SolveOptions::default(),
             max_nodes: 2_000_000,
-            deadline: None,
         }
     }
 }
@@ -154,7 +152,6 @@ fn split_search(
         Sense::Minimize => -1.0,
     };
     // Work in "maximize sign·Δ" form throughout.
-    let stop = opts.deadline.map(crate::deadline::stop_at);
     let mut incumbent = f64::NEG_INFINITY;
     let mut stack = vec![Node {
         ya: base.to_vec(),
@@ -167,7 +164,9 @@ fn split_search(
         if node.bound <= incumbent + 1e-9 {
             continue;
         }
-        if report.nodes >= opts.max_nodes || stop.as_ref().is_some_and(StopWhen::should_stop) {
+        if report.nodes >= opts.max_nodes
+            || opts.solver.stop.as_ref().is_some_and(StopWhen::should_stop)
+        {
             // Unexplored frontier: its bounds stay valid upper bounds.
             incumbent = incumbent.max(node.bound);
             for n in &stack {

@@ -488,7 +488,7 @@ fn check_snap_audit(path: &str, file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// that turns a raw `Solution.objective` into a reported bound (outward pad,
 /// dyadic snap, exact-rational certificate check) — and no non-test line may
 /// read the `.objective` field outside that gate. Accessors like
-/// `.objective_terms()` describe the *model* and are exempt; only the exact
+/// `.objective_sense()` describe the *model* and are exempt; only the exact
 /// field access on a solution is audited.
 fn check_cert_audit(path: &str, file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let toks = &file.tokens;

@@ -528,27 +528,6 @@ mod tests {
         }
     }
 
-    /// Whether `sol`'s dual certificate proves `claim` on `model` in exact
-    /// arithmetic.
-    fn certifies(model: &Model, sol: &Solution, claim: f64) -> bool {
-        let Some(cert) = sol.certificate() else {
-            return false;
-        };
-        let rows: Vec<_> = model.rows.iter().map(branch_bound::row_ref).collect();
-        let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-        itne_certcheck::verify_bound(
-            model.num_vars(),
-            &rows,
-            &bounds,
-            model.objective_terms(),
-            model.objective_constant(),
-            model.objective_sense() == Some(Sense::Maximize),
-            &cert.row_duals,
-            claim,
-        )
-        .is_valid()
-    }
-
     /// Slots stored before the RHS moved hold bases whose restored points
     /// are primal infeasible (`x + y ≤ 6 → 12` puts both optima's vertices
     /// outside the box or past `2x + y ≤ 9`). The sparse engine repairs them
@@ -583,7 +562,11 @@ mod tests {
                 warm.objective,
                 cold.objective
             );
-            assert!(certifies(batch.model(), &warm, claim));
+            let cert = warm.certificate().expect("warm optimum carries duals");
+            let verdict = batch
+                .model()
+                .check_bound(Sense::Maximize, &cert.row_duals, claim);
+            assert!(verdict.is_valid(), "{verdict:?}");
         }
         let stats = batch.stats();
         assert_eq!(stats.warm_misses, 0, "{stats:?}");

@@ -42,10 +42,10 @@
 
 use std::rc::Rc;
 
-use itne_certcheck::{verify_infeasibility, RowCmp, RowRef};
+use itne_certcheck::{verify_infeasibility, RowRef};
 
 use crate::error::SolveError;
-use crate::model::{Cmp, Model, Sense, VarType};
+use crate::model::{Model, Sense, VarType};
 use crate::options::{Engine, SolveOptions, StopWhen, INT_TOL, MAX_NODES};
 use crate::simplex::{self, Basis, EngineCounters};
 use crate::sparse::{NodeLp, WarmNode};
@@ -123,11 +123,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
     let mut lp = (opts.engine != Engine::Dense).then(|| NodeLp::new(model));
     let warm = opts.warm_start && lp.is_some();
     // The exact checker's view of the rows, built once per tree.
-    let rows: Vec<RowRef<'_>> = if warm {
-        model.rows.iter().map(row_ref).collect()
-    } else {
-        Vec::new()
-    };
+    let rows: Vec<RowRef<'_>> = if warm { model.row_view() } else { Vec::new() };
     // Sequence number of the node whose optimum the live core holds (0:
     // none), and spent snapshots whose buffers the next ones reuse.
     let mut live = 0u64;
@@ -333,19 +329,6 @@ fn settle_warm(
     }
     counts.cold_fallbacks += 1;
     None
-}
-
-/// The exact checker's view of one model row.
-pub(crate) fn row_ref(row: &crate::model::Row) -> RowRef<'_> {
-    RowRef {
-        terms: &row.terms,
-        cmp: match row.cmp {
-            Cmp::Le => RowCmp::Le,
-            Cmp::Ge => RowCmp::Ge,
-            Cmp::Eq => RowCmp::Eq,
-        },
-        rhs: row.rhs,
-    }
 }
 
 /// Returns a spent node's snapshot buffers to the pool once its sibling no

@@ -153,14 +153,15 @@ pub struct Stats {
 
 /// The dual certificate of an optimal LP termination: the data an
 /// *independent* checker needs to re-derive the reported objective as a
-/// machine-checked bound (see the `itne_certcheck` crate).
+/// machine-checked bound ([`Model::check_bound`], which runs the
+/// `itne_certcheck` crate).
 ///
 /// Both simplex engines emit one on every optimal pure-LP termination (the
 /// sparse engine via a BTRAN pass `yᵀ = c_Bᵀ·B⁻¹`, the dense engine from the
 /// maintained reduced-cost row) unless [`SolveOptions::emit_certificates`]
 /// is off. The vectors are in the engines' *internal minimize orientation* —
 /// costs are negated for a [`Sense::Maximize`] model — which is the
-/// orientation `itne_certcheck::verify_bound` expects.
+/// orientation [`Model::check_bound`] expects.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DualCertificate {
     /// One simplex multiplier per constraint row, in model row order.

@@ -3,7 +3,8 @@
 use crate::error::SolveError;
 use crate::linexpr::LinExpr;
 use crate::options::SolveOptions;
-use crate::{branch_bound, simplex, sparse, Solution};
+use crate::{branch_bound, simplex, Solution};
+use itne_certcheck::{RowCmp, RowRef, Verdict};
 
 /// Handle to a model variable. Cheap to copy; only valid for the model that
 /// created it.
@@ -142,60 +143,6 @@ impl Model {
         self.cols[v.0].hi = hi;
     }
 
-    /// Bounds of variable `j` by creation index — the indexing
-    /// [`Model::row_terms`] and [`Model::objective_terms`] use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.num_vars()`.
-    pub fn bounds_at(&self, j: usize) -> (f64, f64) {
-        (self.cols[j].lo, self.cols[j].hi)
-    }
-
-    /// The `(variable index, coefficient)` terms of constraint row `r`.
-    ///
-    /// Exposed (together with [`Model::row_cmp`], [`Model::row_rhs`],
-    /// [`Model::bounds_at`] and the objective accessors) so external
-    /// certificate checkers can rebuild the exact problem data a
-    /// [`crate::DualCertificate`] refers to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.num_constraints()`.
-    pub fn row_terms(&self, r: usize) -> &[(usize, f64)] {
-        &self.rows[r].terms
-    }
-
-    /// The comparison operator of constraint row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.num_constraints()`.
-    pub fn row_cmp(&self, r: usize) -> Cmp {
-        self.rows[r].cmp
-    }
-
-    /// The right-hand side of constraint row `r` (after the expression's
-    /// constant moved across in [`Model::add_constraint`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.num_constraints()`.
-    pub fn row_rhs(&self, r: usize) -> f64 {
-        self.rows[r].rhs
-    }
-
-    /// The `(variable index, coefficient)` terms of the current objective.
-    pub fn objective_terms(&self) -> &[(usize, f64)] {
-        &self.objective
-    }
-
-    /// The objective's constant offset (added to every reported objective
-    /// value but invisible to the simplex engines).
-    pub fn objective_constant(&self) -> f64 {
-        self.obj_constant
-    }
-
     /// The current objective sense, or `None` for a pure feasibility model.
     pub fn objective_sense(&self) -> Option<Sense> {
         self.sense
@@ -297,26 +244,6 @@ impl Model {
         self.solve_with(&SolveOptions::default())
     }
 
-    /// Best-effort Farkas-style witness that the model's *continuous
-    /// relaxation* is infeasible: the dual prices of a phase-1 optimum left
-    /// with positive artificial mass. Checked against a zero objective
-    /// (e.g. `itne_certcheck::verify_infeasibility`), the prices prove by
-    /// weak duality that no point within the variable bounds satisfies
-    /// every row.
-    ///
-    /// Returns `None` when the relaxation is feasible, when infeasibility
-    /// stems from a crossed variable bound (`lo > hi` — trivially checkable,
-    /// no row ray exists), when the model has no rows, or when phase 1 does
-    /// not terminate within the pivot budget. Always runs the sparse engine
-    /// regardless of [`SolveOptions::engine`] — the witness is engine-
-    /// independent data.
-    pub fn infeasibility_certificate(&self, opts: &SolveOptions) -> Option<Vec<f64>> {
-        if self.validate().is_err() {
-            return None;
-        }
-        sparse::infeasibility_duals(self, opts)
-    }
-
     /// Solves with explicit options (engine, limits, stop signal).
     ///
     /// # Errors
@@ -329,6 +256,51 @@ impl Model {
         } else {
             branch_bound::solve_milp(self, opts)
         }
+    }
+
+    /// Checks `reported` as a `sense`-directional bound on this model's
+    /// optimum against the multipliers of a [`crate::DualCertificate`]
+    /// (`row_duals`, in the engines' internal minimize orientation), in
+    /// exact arithmetic through `itne_certcheck::verify_bound`. For
+    /// [`Sense::Maximize`] a `Valid` verdict proves `reported ≥ max`, for
+    /// [`Sense::Minimize`] it proves `reported ≤ min`, over the model's
+    /// current rows, variable bounds and objective. Multipliers outside the
+    /// dual cone are clamped to zero, so even adversarial duals can only
+    /// make the check fail, never pass wrongly.
+    ///
+    /// The sense is an argument, not the model's own: a sweep that solved
+    /// both directions of one objective checks its minimum after the
+    /// maximization installed its sense.
+    pub fn check_bound(&self, sense: Sense, row_duals: &[f64], reported: f64) -> Verdict {
+        let bounds: Vec<(f64, f64)> = self.cols.iter().map(|c| (c.lo, c.hi)).collect();
+        itne_certcheck::verify_bound(
+            self.cols.len(),
+            &self.row_view(),
+            &bounds,
+            &self.objective,
+            self.obj_constant,
+            sense == Sense::Maximize,
+            row_duals,
+            reported,
+        )
+    }
+
+    /// The exact checker's view of the constraint rows: the one place a
+    /// [`Cmp`] becomes a `RowCmp`. Branch-and-bound builds it once per tree
+    /// for its Farkas checks.
+    pub(crate) fn row_view(&self) -> Vec<RowRef<'_>> {
+        self.rows
+            .iter()
+            .map(|row| RowRef {
+                terms: &row.terms,
+                cmp: match row.cmp {
+                    Cmp::Le => RowCmp::Le,
+                    Cmp::Ge => RowCmp::Ge,
+                    Cmp::Eq => RowCmp::Eq,
+                },
+                rhs: row.rhs,
+            })
+            .collect()
     }
 
     pub(crate) fn validate(&self) -> Result<(), SolveError> {
@@ -405,11 +377,11 @@ mod tests {
     #[test]
     fn update_rhs_changes_only_the_rhs() {
         let (mut m, _, _) = toy();
-        let before = m.row_terms(0).to_vec();
+        let before = m.rows[0].terms.clone();
         m.update_rhs(0, 8.0);
-        assert_eq!(m.row_rhs(0), 8.0);
-        assert_eq!(m.row_terms(0), &before[..]);
-        assert_eq!(m.row_cmp(0), Cmp::Le);
+        assert_eq!(m.rows[0].rhs, 8.0);
+        assert_eq!(m.rows[0].terms, before);
+        assert_eq!(m.rows[0].cmp, Cmp::Le);
     }
 
     #[test]
@@ -424,8 +396,8 @@ mod tests {
         let fx = fresh.add_var(0.0, 10.0);
         let fy = fresh.add_var(0.0, 10.0);
         fresh.add_constraint(1.5 * fx + 0.5 * fy + 2.0, Cmp::Le, 7.0);
-        assert_eq!(reused.row_terms(0), fresh.row_terms(0));
-        assert_eq!(reused.row_rhs(0), fresh.row_rhs(0));
+        assert_eq!(reused.rows[0].terms, fresh.rows[0].terms);
+        assert_eq!(reused.rows[0].rhs, fresh.rows[0].rhs);
 
         let a = reused.solve().expect("feasible");
         // Same model built cold from scratch must agree bit-for-bit.
@@ -442,7 +414,7 @@ mod tests {
     #[test]
     fn reparam_row_rejects_structural_mismatch() {
         let (mut m, x, y) = toy();
-        let rhs_before = m.row_rhs(0);
+        let rhs_before = m.rows[0].rhs;
         // Different operator.
         let mut buf: LinExpr = 1.0 * x + 1.0 * y;
         assert!(!m.reparam_row_buf(0, &mut buf, Cmp::Ge, 6.0));
@@ -452,7 +424,7 @@ mod tests {
         // Out-of-range row.
         let mut buf: LinExpr = 1.0 * x + 1.0 * y;
         assert!(!m.reparam_row_buf(99, &mut buf, Cmp::Le, 6.0));
-        assert_eq!(m.row_rhs(0), rhs_before);
+        assert_eq!(m.rows[0].rhs, rhs_before);
     }
 
     #[test]

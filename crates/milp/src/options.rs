@@ -81,16 +81,20 @@ impl fmt::Debug for TelemetryClock {
     }
 }
 
-/// A caller-supplied cooperative interrupt.
+/// A caller-supplied cooperative interrupt: the one stop signal, carried
+/// in [`SolveOptions::stop`].
 ///
 /// Branch-and-bound polls it between nodes and gives up with
 /// [`crate::Status::TimedOut`] (or [`crate::SolveError::Timeout`] when no
-/// incumbent exists) once it fires. The solver itself never reads the wall
-/// clock — determinism lint rule `wall-clock` bans `Instant::now` in this
-/// crate — so time-based cancellation is built by the *caller* from its own
-/// audited clock site (see `itne_core::deadline::stop_at`). Keeping the
-/// clock out of the kernel means a solve is a pure function of its inputs
-/// and the stop signal, which is what the bit-exactness invariants rest on.
+/// incumbent exists) once it fires; a pure LP solve never polls it. Callers
+/// that drive many solves (the certifier's per-neuron loop, the splitting
+/// search) poll the same signal between solves. The solver itself never
+/// reads the wall clock — determinism lint rule `wall-clock` bans
+/// `Instant::now` in this crate — so a deadline is built by the *caller*
+/// from its own audited clock site (see `itne_core::deadline::stop_at`).
+/// Keeping the clock out of the kernel means a solve is a pure function of
+/// its inputs and the stop signal, which is what the bit-exactness
+/// invariants rest on.
 #[derive(Clone)]
 pub struct StopWhen(Arc<dyn Fn() -> bool + Send + Sync>);
 
@@ -106,13 +110,6 @@ impl StopWhen {
     /// This is the deterministic stand-in for "an expired deadline" in tests.
     pub fn immediately() -> Self {
         StopWhen::new(|| true)
-    }
-
-    /// Combines two signals: stop as soon as either fires (the successor of
-    /// the old "earlier of two deadlines" merge).
-    #[must_use]
-    pub fn or(self, other: StopWhen) -> Self {
-        StopWhen::new(move || self.should_stop() || other.should_stop())
     }
 
     /// Polls the signal.

@@ -373,7 +373,7 @@ pub(crate) fn initial_value(lo: f64, hi: f64) -> (f64, ColState) {
 pub(crate) fn solve_lp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
     match opts.engine {
-        Engine::Lu => sparse::solve_bounded(model, &bounds, opts, None),
+        Engine::Lu => sparse::solve_bounded(model, &bounds, opts),
         Engine::Dense => solve_dense_counted(model, &bounds, opts, &mut 0),
     }
 }

@@ -176,11 +176,11 @@ pub(crate) struct Skeleton {
 }
 
 impl Skeleton {
-    /// Compiles `model`'s rows. With `fold` on, adjacent `≤`/`≥` pairs over
-    /// identical terms with `rhs_le ≥ rhs_ge` become range rows; a *crossed*
-    /// pair (`rhs_le < rhs_ge`, trivially infeasible) is left unfolded so
-    /// phase 1 reports infeasibility exactly like the dense engine.
-    pub(crate) fn build(model: &Model, fold: bool) -> Self {
+    /// Compiles `model`'s rows. Adjacent `≤`/`≥` pairs over identical terms
+    /// with `rhs_le ≥ rhs_ge` become range rows; a *crossed* pair
+    /// (`rhs_le < rhs_ge`, trivially infeasible) is left unfolded so phase 1
+    /// reports infeasibility exactly like the dense engine.
+    pub(crate) fn build(model: &Model) -> Self {
         let m_model = model.rows.len();
         let mut origin = Vec::with_capacity(m_model);
         let mut rhs = Vec::with_capacity(m_model);
@@ -189,7 +189,7 @@ impl Skeleton {
         let mut rep_rows: Vec<&[(usize, f64)]> = Vec::with_capacity(m_model);
         let mut r = 0;
         while r < m_model {
-            if fold && r + 1 < m_model {
+            if r + 1 < m_model {
                 let pair = match (model.rows[r].cmp, model.rows[r + 1].cmp) {
                     (Cmp::Le, Cmp::Ge) => Some((r, r + 1)),
                     (Cmp::Ge, Cmp::Le) => Some((r + 1, r)),
@@ -1576,7 +1576,6 @@ fn solve_core(
     model: &Model,
     var_bounds: &[(f64, f64)],
     opts: &SolveOptions,
-    skel: Option<Arc<Skeleton>>,
 ) -> Result<(Solution, Option<Core>), SolveError> {
     let n = model.cols.len();
     debug_assert_eq!(var_bounds.len(), n);
@@ -1590,7 +1589,7 @@ fn solve_core(
         return solve_unconstrained(model, var_bounds).map(|s| (s, None));
     }
 
-    let skel = skel.unwrap_or_else(|| Arc::new(Skeleton::build(model, true)));
+    let skel = Arc::new(Skeleton::build(model));
     let (mut core, art_sum) = build_core(model, var_bounds, opts, skel);
     let sol = cold_phases(&mut core, art_sum, model, var_bounds, opts)?;
     Ok((sol, Some(core)))
@@ -1643,47 +1642,13 @@ fn cold_phases(
     }
 }
 
-/// Extracts a Farkas-style infeasibility witness: the dual prices of the
-/// phase-1 optimum when a positive artificial mass remains. Against a zero
-/// objective these prices prove (weak duality) that every point satisfying
-/// the variable bounds violates some row — i.e. the LP is infeasible.
-/// Returns `None` when the model is in fact feasible, when infeasibility
-/// comes from a crossed variable bound (`lo > hi`, no row ray exists), or
-/// when phase 1 itself fails to terminate cleanly. Runs unfolded so the
-/// witness keeps the legacy one-dual-per-model-row shape.
-pub(crate) fn infeasibility_duals(model: &Model, opts: &SolveOptions) -> Option<Vec<f64>> {
-    let var_bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    if model.rows.is_empty() || var_bounds.iter().any(|&(lo, hi)| lo > hi) {
-        return None;
-    }
-    let skel = Arc::new(Skeleton::build(model, false));
-    let (mut core, art_sum) = build_core(model, &var_bounds, opts, skel);
-    if art_sum == 0.0 {
-        return None; // starting basis already feasible — nothing to witness
-    }
-    core.set_phase1_costs();
-    let cap = opts.pivot_cap(core.m, core.ncols);
-    core.optimize(false, cap).ok()?;
-    let remaining: f64 = (core.art_start..core.ncols).map(|j| core.xval[j]).sum();
-    if remaining <= FEAS_TOL {
-        return None; // feasible after all
-    }
-    // `certificate` prices the current costs — still the phase-1 costs here,
-    // which is exactly what makes the duals an infeasibility witness.
-    Some(core.certificate().row_duals)
-}
-
-/// Sparse counterpart of [`crate::simplex`]'s cold LP entry point. A caller
-/// holding a compiled [`Skeleton`] for this model (branch-and-bound, batch
-/// sweeps) passes it to skip recompilation; it must have been built with
-/// this engine's folding mode.
+/// Sparse counterpart of [`crate::simplex`]'s cold LP entry point.
 pub(crate) fn solve_bounded(
     model: &Model,
     var_bounds: &[(f64, f64)],
     opts: &SolveOptions,
-    skel: Option<Arc<Skeleton>>,
 ) -> Result<Solution, SolveError> {
-    solve_core(model, var_bounds, opts, skel).map(|(sol, _)| sol)
+    solve_core(model, var_bounds, opts).map(|(sol, _)| sol)
 }
 
 /// How a warm re-solve of a branch-and-bound node ended.
@@ -1716,7 +1681,7 @@ pub(crate) struct NodeLp {
 impl NodeLp {
     pub(crate) fn new(model: &Model) -> Self {
         NodeLp {
-            skel: Arc::new(Skeleton::build(model, true)),
+            skel: Arc::new(Skeleton::build(model)),
             core: None,
             ray: Vec::new(),
             work: EngineCounters::default(),
@@ -1937,7 +1902,7 @@ pub(crate) fn solve_resident(
     opts: &SolveOptions,
 ) -> Result<(Solution, Option<SparseResident>), SolveError> {
     let bounds: Vec<(f64, f64)> = model.cols.iter().map(|c| (c.lo, c.hi)).collect();
-    let (sol, core) = solve_core(model, &bounds, opts, None)?;
+    let (sol, core) = solve_core(model, &bounds, opts)?;
     let resident = core.map(|core| SparseResident {
         core,
         var_bounds: bounds,
@@ -1965,7 +1930,7 @@ pub(crate) fn solve_warm_resident(
     if var_bounds.iter().any(|&(lo, hi)| lo > hi) {
         return Err(SolveError::Infeasible);
     }
-    let skel = Arc::new(Skeleton::build(model, true));
+    let skel = Arc::new(Skeleton::build(model));
     let core = restore_core(&var_bounds, opts, skel);
     let mut resident = SparseResident { core, var_bounds };
     Ok(match resident.resolve_from(model, opts, warm)? {
@@ -2196,17 +2161,15 @@ mod tests {
     #[test]
     fn skeleton_folds_range_pairs() {
         let (m, _) = range_band_lp(10, 3, 0xF01D);
-        let folded = Skeleton::build(&m, true);
+        let folded = Skeleton::build(&m);
         assert_eq!(folded.m(), 10, "every pair folds: {}", folded.m());
-        let unfolded = Skeleton::build(&m, false);
-        assert_eq!(unfolded.m(), 20);
 
         // A crossed pair must not fold.
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
         m.add_constraint(2.0 * x, Cmp::Le, 0.0);
         m.add_constraint(2.0 * x, Cmp::Ge, 1.0);
-        assert_eq!(Skeleton::build(&m, true).m(), 2);
+        assert_eq!(Skeleton::build(&m).m(), 2);
 
         // Differing terms must not fold.
         let mut m = Model::new();
@@ -2214,7 +2177,7 @@ mod tests {
         let y = m.add_var(0.0, 1.0);
         m.add_constraint(x + y, Cmp::Le, 1.0);
         m.add_constraint(x + 2.0 * y, Cmp::Ge, 0.0);
-        assert_eq!(Skeleton::build(&m, true).m(), 2);
+        assert_eq!(Skeleton::build(&m).m(), 2);
     }
 
     /// Range folding is an internal reformulation: the LU engine must reach

@@ -1,11 +1,12 @@
 //! Cross-crate proof that the solver's dual certificates actually certify:
 //! every emission path (cold dense, cold sparse, basis-slot restore,
 //! resident batch sweep, unconstrained) produces a [`DualCertificate`] that
-//! `itne_certcheck` validates in exact arithmetic, and corrupted or
+//! [`Model::check_bound`] validates in exact arithmetic, and corrupted or
 //! over-tight claims are rejected. Slot restores and resident sweeps are
 //! [`Engine::Lu`]'s; the dense oracle solves every sweep objective cold.
+//!
+//! [`DualCertificate`]: itne_milp::DualCertificate
 
-use itne_certcheck::{verify_bound, verify_infeasibility, RowCmp, RowRef};
 use itne_milp::{BatchSolver, Cmp, Engine, Model, Sense, Solution, SolveOptions};
 
 fn opts(engine: Engine) -> SolveOptions {
@@ -15,40 +16,14 @@ fn opts(engine: Engine) -> SolveOptions {
     }
 }
 
-fn rows_of(model: &Model) -> Vec<RowRef<'_>> {
-    (0..model.num_constraints())
-        .map(|r| RowRef {
-            terms: model.row_terms(r),
-            cmp: match model.row_cmp(r) {
-                Cmp::Le => RowCmp::Le,
-                Cmp::Ge => RowCmp::Ge,
-                Cmp::Eq => RowCmp::Eq,
-            },
-            rhs: model.row_rhs(r),
-        })
-        .collect()
-}
-
-fn bounds_of(model: &Model) -> Vec<(f64, f64)> {
-    (0..model.num_vars()).map(|j| model.bounds_at(j)).collect()
-}
-
 /// Checks `reported` as a directional bound on `model`'s optimum using the
 /// certificate attached to `sol`.
 fn certify(model: &Model, sol: &Solution, reported: f64) -> bool {
     let cert = sol.certificate().expect("certificate expected");
-    let maximize = model.objective_sense() == Some(Sense::Maximize);
-    verify_bound(
-        model.num_vars(),
-        &rows_of(model),
-        &bounds_of(model),
-        model.objective_terms(),
-        model.objective_constant(),
-        maximize,
-        &cert.row_duals,
-        reported,
-    )
-    .is_valid()
+    let sense = model.objective_sense().expect("model has an objective");
+    model
+        .check_bound(sense, &cert.row_duals, reported)
+        .is_valid()
 }
 
 /// The float optimum padded outward by a slack dominating simplex round-off,
@@ -108,29 +83,13 @@ fn corrupted_certificates_are_rejected() {
     // Halving one multiplier weakens the proven bound past the claim.
     let mut tampered = cert.row_duals.clone();
     tampered[0] *= 0.5;
-    assert!(!verify_bound(
-        m.num_vars(),
-        &rows_of(&m),
-        &bounds_of(&m),
-        m.objective_terms(),
-        m.objective_constant(),
-        true,
-        &tampered,
-        reported,
-    )
-    .is_valid());
+    assert!(!m
+        .check_bound(Sense::Maximize, &tampered, reported)
+        .is_valid());
     // Wrong length is malformed, not silently padded.
-    assert!(!verify_bound(
-        m.num_vars(),
-        &rows_of(&m),
-        &bounds_of(&m),
-        m.objective_terms(),
-        m.objective_constant(),
-        true,
-        &cert.row_duals[..1],
-        reported,
-    )
-    .is_valid());
+    assert!(!m
+        .check_bound(Sense::Maximize, &cert.row_duals[..1], reported)
+        .is_valid());
 }
 
 /// A slot restore is the LU engine's alone: the dense oracle neither writes
@@ -234,35 +193,4 @@ fn unconstrained_solves_are_certified() {
     assert!((sol.objective - 7.0).abs() < 1e-12);
     assert!(certify(&m, &sol, padded(&m, &sol)));
     assert!(!certify(&m, &sol, sol.objective - 0.5));
-}
-
-#[test]
-fn infeasibility_certificate_validates_exactly() {
-    // x ≥ 3 and x ≤ 2 cannot both hold.
-    let mut m = Model::new();
-    let x = m.add_var(0.0, 10.0);
-    m.add_constraint(1.0 * x, Cmp::Ge, 3.0);
-    m.add_constraint(1.0 * x, Cmp::Le, 2.0);
-    assert!(m.solve().is_err());
-    let duals = m
-        .infeasibility_certificate(&SolveOptions::default())
-        .expect("infeasible model yields a witness");
-    assert!(verify_infeasibility(m.num_vars(), &rows_of(&m), &bounds_of(&m), &duals).is_valid());
-
-    // A feasible model yields no witness.
-    let mut f = Model::new();
-    let x = f.add_var(0.0, 10.0);
-    f.add_constraint(1.0 * x, Cmp::Le, 5.0);
-    assert!(f
-        .infeasibility_certificate(&SolveOptions::default())
-        .is_none());
-
-    // Bound-driven infeasibility needs row terms: x ≥ 5 with hi = 4.
-    let mut b = Model::new();
-    let x = b.add_var(0.0, 4.0);
-    b.add_constraint(1.0 * x, Cmp::Ge, 5.0);
-    let duals = b
-        .infeasibility_certificate(&SolveOptions::default())
-        .expect("bound-vs-row conflict yields a witness");
-    assert!(verify_infeasibility(b.num_vars(), &rows_of(&b), &bounds_of(&b), &duals).is_valid());
 }

@@ -9,7 +9,6 @@
 //!   solves on every objective of randomly generated *feasible* skeletons —
 //!   including when a restore is rejected and falls back to a cold solve.
 
-use itne_certcheck::{verify_bound, RowCmp, RowRef};
 use itne_milp::{
     BatchSolver, Cmp, Engine, LinExpr, Model, Sense, Solution, SolveError, SolveOptions,
 };
@@ -52,30 +51,10 @@ fn certificate_checks(model: &Model, sol: &itne_milp::Solution) -> bool {
     let Some(cert) = sol.certificate() else {
         return false;
     };
-    let rows: Vec<RowRef<'_>> = (0..model.num_constraints())
-        .map(|r| RowRef {
-            terms: model.row_terms(r),
-            cmp: match model.row_cmp(r) {
-                Cmp::Le => RowCmp::Le,
-                Cmp::Ge => RowCmp::Ge,
-                Cmp::Eq => RowCmp::Eq,
-            },
-            rhs: model.row_rhs(r),
-        })
-        .collect();
-    let bounds: Vec<(f64, f64)> = (0..model.num_vars()).map(|j| model.bounds_at(j)).collect();
     let sense = model.objective_sense().unwrap_or(Sense::Minimize);
-    verify_bound(
-        model.num_vars(),
-        &rows,
-        &bounds,
-        model.objective_terms(),
-        model.objective_constant(),
-        sense == Sense::Maximize,
-        &cert.row_duals,
-        snap_bound(sol.objective, sense),
-    )
-    .is_valid()
+    model
+        .check_bound(sense, &cert.row_duals, snap_bound(sol.objective, sense))
+        .is_valid()
 }
 
 #[derive(Debug, Clone)]
