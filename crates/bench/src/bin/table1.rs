@@ -212,6 +212,9 @@ fn run_row(bench: &BenchNet, budget: Duration, quick: bool, threads: usize) -> R
             ..Default::default()
         }
     };
+    // This arm runs unchecked whatever `ITNE_CHECK_CERTS` says, so that
+    // `t_ours_s` against `t_ours_checked_s` times the checking.
+    opts.check_certificates = false;
     // Timing telemetry: two clock reads per timed solver region, never
     // affects pivots or bounds. Surfaced in the JSON for cross-PR tracking.
     opts.solver.telemetry = Some(itne_core::deadline::telemetry_clock());

@@ -243,6 +243,14 @@ pub fn verify_infeasibility(
 /// wastes is orders of magnitude below the 1e-7 outward padding every
 /// reported bound already carries, and looseness only ever costs speed
 /// (an unnecessary exact check), never soundness.
+///
+/// Relative error bounds hold for products only in the normal range. A
+/// product of nonzero factors below it (`|t| < 2⁻¹⁰²²`, subnormal or
+/// flushed to zero) carries an absolute error of up to 2⁻¹⁰⁷⁵ whatever
+/// its factors' size, which a later large factor can magnify past any
+/// margin, so the filter declines and the exact path decides. The error
+/// terms themselves are products too; the budget's absolute floor of
+/// `2⁻¹⁰²²` per addend covers any of them that underflow.
 fn dual_bound_filter(
     num_vars: usize,
     rows: &[RowRef<'_>],
@@ -255,6 +263,11 @@ fn dual_bound_filter(
     if row_duals.len() != rows.len() || bounds.len() != num_vars {
         return None;
     }
+    // `a·b`, or `None` when the product of nonzero factors underflows.
+    let mul = |a: f64, b: f64| {
+        let t = a * b;
+        (t.abs() >= f64::MIN_POSITIVE || a == 0.0 || b == 0.0).then_some(t)
+    };
     // d̃ ≈ c′ − Aᵀy with Σ|terms| alongside; each d̃ⱼ accumulates at most
     // `rows.len() + 1` addends, which bounds its summation error globally.
     let mut d = vec![0.0f64; num_vars];
@@ -282,7 +295,7 @@ fn dual_bound_filter(
         if yi == 0.0 {
             continue;
         }
-        let t = yi * row.rhs;
+        let t = mul(yi, row.rhs)?;
         l += t;
         labs += t.abs();
         nl += 1;
@@ -290,7 +303,7 @@ fn dual_bound_filter(
             if j >= num_vars {
                 return None;
             }
-            let t = yi * a;
+            let t = mul(yi, a)?;
             d[j] -= t;
             dabs[j] += t.abs();
         }
@@ -309,7 +322,7 @@ fn dual_bound_filter(
             if !lo.is_finite() {
                 return None;
             }
-            let t = dj * lo;
+            let t = mul(dj, lo)?;
             l += t;
             labs += t.abs();
             nl += 1;
@@ -318,7 +331,7 @@ fn dual_bound_filter(
             if !hi.is_finite() {
                 return None;
             }
-            let t = dj * hi;
+            let t = mul(dj, hi)?;
             l += t;
             labs += t.abs();
             nl += 1;
@@ -329,7 +342,7 @@ fn dual_bound_filter(
             if !lo.is_finite() || !hi.is_finite() {
                 return None;
             }
-            let t = (dj * lo).min(dj * hi);
+            let t = mul(dj, lo)?.min(mul(dj, hi)?);
             l += t;
             labs += t.abs();
             nl += 1;
@@ -338,8 +351,9 @@ fn dual_bound_filter(
     }
     // Product roundings + recursive-summation error over the `nl` addends
     // of `l`, plus the injected d̃ uncertainties (doubled: `derr` itself
-    // was accumulated in floating point).
-    let err = 4.0 * U * (nl as f64 + 2.0) * labs + 2.0 * derr;
+    // was accumulated in floating point), plus the underflow floor.
+    let err =
+        4.0 * U * (nl as f64 + 2.0) * labs + 2.0 * derr + (nl as f64 + 2.0) * f64::MIN_POSITIVE;
     if !l.is_finite() || !err.is_finite() {
         return None;
     }
@@ -785,6 +799,35 @@ mod tests {
         }];
         let objective = vec![(0usize, 1e-200)];
         let v = verify_bound(1, &rows, &bounds, &objective, 0.0, false, &[1e-200], 0.0);
+        assert!(v.is_valid(), "{v:?}");
+    }
+
+    /// A product in the subnormal range carries an absolute rounding error
+    /// that the filter's relative bounds miss, so the filter must leave it
+    /// to the bignum rather than accept.
+    #[test]
+    fn subnormal_products_go_to_the_bignum() {
+        // 3e-160·x ≥ 3e140 over 0 ≤ x ≤ 1e300 holds at x = 1e300. With
+        // y = 1e-160 the product y·3e-160 ≈ 3e-320 is subnormal, and the
+        // exact dual bound y·(3e140 − 3e-160·1e300) is about −1.6e-36.
+        let terms = vec![(0usize, 3e-160)];
+        let rows = [RowRef {
+            terms: &terms,
+            cmp: RowCmp::Ge,
+            rhs: 3e140,
+        }];
+        let bounds = vec![(0.0, 1e300)];
+        let duals = [1e-160];
+        assert_eq!(
+            dual_bound_filter(1, &rows, &bounds, &[], false, &duals),
+            None
+        );
+        let v = verify_infeasibility(1, &rows, &bounds, &duals);
+        assert!(!v.is_valid(), "a feasible row proved infeasible: {v:?}");
+        // Read as a bound on `min 0`, the duals prove about −1.6e-36.
+        let v = verify_bound(1, &rows, &bounds, &[], 0.0, false, &duals, 1e-30);
+        assert!(!v.is_valid(), "1e-30 is not a lower bound of min 0: {v:?}");
+        let v = verify_bound(1, &rows, &bounds, &[], 0.0, false, &duals, -1e-30);
         assert!(v.is_valid(), "{v:?}");
     }
 

@@ -149,6 +149,9 @@ pub struct QueryStats {
     /// Branch-and-bound nodes pruned on an exactly checked Farkas ray
     /// ([`itne_milp::Stats::farkas_pruned`]).
     pub farkas_pruned: u64,
+    /// Branch-and-bound nodes cut off at the incumbent on exactly checked
+    /// duals ([`itne_milp::Stats::cutoff_pruned`]).
+    pub cutoff_pruned: u64,
     /// Branch-and-bound nodes whose warm re-solve fell back cold
     /// ([`itne_milp::Stats::cold_fallbacks`]). A rise here, with
     /// `warm_nodes` falling, is the tree sliding back to cold nodes.
@@ -190,6 +193,7 @@ impl QueryStats {
             .saturating_add(other.cross_query_warm_hits);
         self.warm_nodes = self.warm_nodes.saturating_add(other.warm_nodes);
         self.farkas_pruned = self.farkas_pruned.saturating_add(other.farkas_pruned);
+        self.cutoff_pruned = self.cutoff_pruned.saturating_add(other.cutoff_pruned);
         self.cold_fallbacks = self.cold_fallbacks.saturating_add(other.cold_fallbacks);
     }
 
@@ -299,6 +303,7 @@ fn directed_solve(
             stats.lu_fill_nnz = stats.lu_fill_nnz.max(sol.stats.lu_fill_nnz);
             stats.warm_nodes += sol.stats.warm_nodes;
             stats.farkas_pruned += sol.stats.farkas_pruned;
+            stats.cutoff_pruned += sol.stats.cutoff_pruned;
             stats.cold_fallbacks += sol.stats.cold_fallbacks;
             Some(sol)
         }

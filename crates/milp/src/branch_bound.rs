@@ -30,25 +30,41 @@
 //! cold from the slack basis, exactly as with warm starts off. So no node
 //! is ever discarded on the solver's word alone.
 //!
+//! **Cutoff pruning.** Once the tree has an incumbent, a warm node's dual
+//! simplex also gets the objective the node must strictly beat (the
+//! incumbent ∓ 1e-9, the bound prune the loop applies after a solve), in
+//! its own minimization sense. The dual objective of a dual feasible basis
+//! bounds the node's LP optimum and only rises, so at the top of each dual
+//! iteration it is compared with that cutoff. Once it gets there, fresh
+//! duals `c_B·B⁻¹`, expanded to model rows, go to
+//! [`itne_certcheck::verify_bound`] against the node's bounds. The node is
+//! pruned, skipping the rest of the dual simplex, the primal clean-up and
+//! the residual check, only when they prove that its LP optimum cannot beat
+//! the incumbent. A check that fails drops the cutoff and the dual simplex
+//! goes on as if it had none, so a failed check never costs a cold
+//! re-solve. Every node cut off is one the loop would have pruned on its
+//! bound or found infeasible, so the tree is the same (short of an optimum
+//! within round-off of the cutoff) and only pivots drop.
+//!
 //! Only the cost of a node changes, never the search rule. Where a child's
 //! LP has alternative optima the warm and cold paths may return different
 //! optimal vertices, so the trees can differ in shape while proving the
 //! same optimum. [`SolveOptions::warm_start`] off re-solves every node
 //! cold, and [`Engine::Dense`], the oracle, solves every node cold in a
-//! fresh tableau.
-//! [`Stats`] counts the work of every node — infeasible ones included —
-//! and how each warm attempt ended (`warm_nodes`, `farkas_pruned`,
-//! `cold_fallbacks`).
+//! fresh tableau; neither has a cutoff.
+//! [`Stats`] counts the work of every node — infeasible and cut off ones
+//! included — and how each warm attempt ended (`warm_nodes`,
+//! `farkas_pruned`, `cutoff_pruned`, `cold_fallbacks`).
 
 use std::rc::Rc;
 
-use itne_certcheck::{verify_infeasibility, RowRef};
+use itne_certcheck::{verify_bound, verify_infeasibility, RowRef};
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarType};
 use crate::options::{Engine, SolveOptions, StopWhen, INT_TOL, MAX_NODES};
 use crate::simplex::{self, Basis, EngineCounters};
-use crate::sparse::{NodeLp, WarmNode};
+use crate::sparse::{Cutoff, NodeLp, WarmNode};
 use crate::{Solution, Stats, Status};
 
 struct Node {
@@ -71,15 +87,21 @@ struct Node {
 struct WarmCounts {
     warm_nodes: u64,
     farkas_pruned: u64,
+    cutoff_pruned: u64,
     cold_fallbacks: u64,
 }
 
 pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let sense = model.sense.unwrap_or(Sense::Minimize);
+    // `bar(b)`: the objective a node must strictly beat to improve on b.
+    let bar = |b: f64| match sense {
+        Sense::Maximize => b + 1e-9,
+        Sense::Minimize => b - 1e-9,
+    };
     // `better(a, b)`: objective a strictly improves on b.
     let better = |a: f64, b: f64| match sense {
-        Sense::Maximize => a > b + 1e-9,
-        Sense::Minimize => a < b - 1e-9,
+        Sense::Maximize => a > bar(b),
+        Sense::Minimize => a < bar(b),
     };
 
     let int_vars: Vec<usize> = model
@@ -157,7 +179,17 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
                 let settled = match node.basis.as_deref() {
                     Some(basis) => {
                         let restore = (node.parent != live).then_some(basis);
-                        settle_warm(lp, model, &rows, &scratch, restore, opts, &mut counts)
+                        let cutoff = incumbent.is_some().then(|| bar(best_obj));
+                        settle_warm(
+                            lp,
+                            model,
+                            &rows,
+                            &scratch,
+                            restore,
+                            cutoff,
+                            opts,
+                            &mut counts,
+                        )
                     }
                     None => None,
                 };
@@ -167,6 +199,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
         recycle(node.basis, &mut spare);
         let relax = match relaxed {
             Ok(s) => s,
+            // Infeasible, or cut off: nothing here beats the incumbent.
             Err(SolveError::Infeasible) => {
                 live = 0;
                 continue;
@@ -283,6 +316,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
                 lu_fill_nnz: work.lu_fill_nnz,
                 warm_nodes: counts.warm_nodes,
                 farkas_pruned: counts.farkas_pruned,
+                cutoff_pruned: counts.cutoff_pruned,
                 cold_fallbacks: counts.cold_fallbacks,
             };
             sol.objective = {
@@ -301,19 +335,56 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
     }
 }
 
-/// One warm attempt at a node: `Some` when it settles the node (an optimum,
-/// or infeasibility proved exactly from the Farkas ray), `None` when the
-/// node must be re-solved cold.
+/// One warm attempt at a node: `Some` when it settles the node, `None` when
+/// the node must be re-solved cold. A settled node has an optimum or is
+/// pruned on an exact proof: infeasibility from the Farkas ray, or, given
+/// the incumbent's `cutoff` (the objective the node must strictly beat), an
+/// LP bound from fresh duals that does not beat it. Both prunes read as
+/// [`SolveError::Infeasible`]: the node holds nothing that beats the
+/// incumbent. A cutoff the duals do not prove is dropped and the dual
+/// simplex goes on, so it never costs a cold re-solve.
+#[allow(clippy::too_many_arguments)]
 fn settle_warm(
     lp: &mut NodeLp,
     model: &Model,
     rows: &[RowRef<'_>],
     bounds: &[(f64, f64)],
     restore: Option<&Basis>,
+    cutoff: Option<f64>,
     opts: &SolveOptions,
     counts: &mut WarmCounts,
 ) -> Option<Result<Solution, SolveError>> {
-    match lp.solve_warm(model, bounds, restore, opts) {
+    let maximize = model.sense == Some(Sense::Maximize);
+    let mut proves = |duals: &[f64]| {
+        cutoff.is_some_and(|bar| {
+            verify_bound(
+                bounds.len(),
+                rows,
+                bounds,
+                &model.objective,
+                model.obj_constant,
+                maximize,
+                duals,
+                bar,
+            )
+            .is_valid()
+        })
+    };
+    let cutoff = cutoff.map(|bar| Cutoff {
+        // The dual simplex minimizes c′·x with c′ = ∓c and no constant.
+        at: if maximize {
+            model.obj_constant - bar
+        } else {
+            bar - model.obj_constant
+        },
+        proves: &mut proves,
+    });
+    #[cfg(test)]
+    let cutoff = cutoff.map(|c| Cutoff {
+        at: tests::CUTOFF_AT.get().unwrap_or(c.at),
+        ..c
+    });
+    match lp.solve_warm(model, bounds, restore, opts, cutoff) {
         WarmNode::Solved(sol) => {
             counts.warm_nodes += 1;
             return Some(Ok(sol));
@@ -324,6 +395,10 @@ fn settle_warm(
                 counts.farkas_pruned += 1;
                 return Some(Err(SolveError::Infeasible));
             }
+        }
+        WarmNode::CutOff => {
+            counts.cutoff_pruned += 1;
+            return Some(Err(SolveError::Infeasible));
         }
         WarmNode::Abandoned => {}
     }
@@ -348,7 +423,16 @@ fn with_override(base: &[(usize, f64, f64)], extra: (usize, f64, f64)) -> Vec<(u
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cmp, LinExpr, Model, Sense, SolveError, Status};
+    use std::cell::Cell;
+
+    use crate::{Cmp, Engine, LinExpr, Model, Sense, SolveError, SolveOptions, Status};
+
+    thread_local! {
+        /// Overrides the dual objective at which [`super::settle_warm`]'s
+        /// cutoff fires for the trees this thread solves; the exact check
+        /// still asks the duals to prove the real cutoff.
+        pub(super) static CUTOFF_AT: Cell<Option<f64>> = const { Cell::new(None) };
+    }
 
     #[test]
     fn knapsack_small() {
@@ -504,9 +588,10 @@ mod tests {
         assert_eq!(s.values(), cold.values());
     }
 
-    #[test]
-    fn brute_force_agreement_random_knapsacks() {
-        // Cross-check B&B against exhaustive enumeration on random instances.
+    /// `count` random 0/1 knapsacks over `n` items from one fixed xorshift
+    /// stream, each with capacity 40% of its total weight: `(model,
+    /// values, weights, capacity)`, maximizing the packed value.
+    fn random_knapsacks(count: usize, n: usize) -> Vec<(Model, Vec<f64>, Vec<f64>, f64)> {
         let mut seed = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -514,24 +599,34 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64
         };
-        for _ in 0..25 {
-            let n = 8;
-            let values: Vec<f64> = (0..n).map(|_| 1.0 + 9.0 * next()).collect();
-            let weights: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * next()).collect();
-            let cap = 0.4 * weights.iter().sum::<f64>();
+        (0..count)
+            .map(|_| {
+                let values: Vec<f64> = (0..n).map(|_| 1.0 + 9.0 * next()).collect();
+                let weights: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * next()).collect();
+                let cap = 0.4 * weights.iter().sum::<f64>();
 
-            let mut m = Model::new();
-            let xs: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
-            let w = xs
-                .iter()
-                .zip(&weights)
-                .fold(LinExpr::new(), |acc, (&x, &wi)| acc + wi * x);
-            m.add_constraint(w, Cmp::Le, cap);
-            let v = xs
-                .iter()
-                .zip(&values)
-                .fold(LinExpr::new(), |acc, (&x, &vi)| acc + vi * x);
-            m.set_objective(Sense::Maximize, v);
+                let mut m = Model::new();
+                let xs: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
+                let w = xs
+                    .iter()
+                    .zip(&weights)
+                    .fold(LinExpr::new(), |acc, (&x, &wi)| acc + wi * x);
+                m.add_constraint(w, Cmp::Le, cap);
+                let v = xs
+                    .iter()
+                    .zip(&values)
+                    .fold(LinExpr::new(), |acc, (&x, &vi)| acc + vi * x);
+                m.set_objective(Sense::Maximize, v);
+                (m, values, weights, cap)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn brute_force_agreement_random_knapsacks() {
+        // Cross-check B&B against exhaustive enumeration on random instances.
+        for (m, values, weights, cap) in random_knapsacks(25, 8) {
+            let n = values.len();
             let got = m.solve().unwrap().objective;
 
             let mut best = 0.0f64;
@@ -549,5 +644,62 @@ mod tests {
             }
             assert!((got - best).abs() < 1e-6, "B&B {got} vs brute force {best}");
         }
+    }
+
+    /// The 16-item knapsack the cutoff tests share. Its tree finds an
+    /// incumbent early; without the cutoff it takes 179 nodes: the cold
+    /// root, 159 warm optima and 19 Farkas prunes, in 184 pivots.
+    fn cutoff_knapsack() -> Model {
+        random_knapsacks(2, 16).remove(1).0
+    }
+
+    /// Nodes that cannot beat the incumbent stop in the dual simplex on a
+    /// proved bound. The tree is the one it was without the cutoff, and the
+    /// answer is the dense oracle's to the bit.
+    #[test]
+    fn nodes_that_cannot_beat_the_incumbent_are_cut_off() {
+        let s = cutoff_knapsack().solve().unwrap();
+        assert!(s.stats.cutoff_pruned > 0, "{:?}", s.stats);
+        assert_eq!(s.stats.nodes, 179, "{:?}", s.stats);
+        assert!(s.stats.pivots < 184, "{:?}", s.stats);
+        assert_eq!(s.stats.cold_fallbacks, 0, "{:?}", s.stats);
+        let dense = cutoff_knapsack()
+            .solve_with(&SolveOptions {
+                engine: Engine::Dense,
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(s.objective.to_bits(), dense.objective.to_bits());
+        assert_eq!(s.values(), dense.values());
+        assert_eq!(dense.stats.cutoff_pruned, 0, "{:?}", dense.stats);
+    }
+
+    /// A cutoff its duals cannot prove: the hook makes every warm node's
+    /// dual simplex reach its cutoff at once, where the parent's duals
+    /// still prove a bound that beats the incumbent. Every check fails, so
+    /// every node resumes, is solved as it was without the cutoff (the
+    /// same nodes and the same pivots) and is never pruned on the cutoff.
+    #[test]
+    fn a_cutoff_the_duals_cannot_prove_resumes_the_node() {
+        CUTOFF_AT.set(Some(f64::NEG_INFINITY));
+        let s = cutoff_knapsack().solve();
+        CUTOFF_AT.set(None);
+        let s = s.unwrap();
+        assert_eq!(s.stats.cutoff_pruned, 0, "{:?}", s.stats);
+        assert_eq!(
+            (
+                s.stats.nodes,
+                s.stats.warm_nodes,
+                s.stats.farkas_pruned,
+                s.stats.pivots,
+                s.stats.cold_fallbacks
+            ),
+            (179, 159, 19, 184, 0),
+            "{:?}",
+            s.stats
+        );
+        let cut = cutoff_knapsack().solve().unwrap();
+        assert_eq!(s.objective.to_bits(), cut.objective.to_bits());
+        assert_eq!(s.values(), cut.values());
     }
 }

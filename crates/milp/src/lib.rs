@@ -21,7 +21,10 @@
 //!   ([`Model::solve`] on mixed models). On the sparse engine every child
 //!   re-solves warm from its parent's basis through a bounded dual simplex,
 //!   and a child the dual ratio test finds infeasible is pruned only once
-//!   its Farkas ray passes `itne_certcheck`'s exact check;
+//!   its Farkas ray passes `itne_certcheck`'s exact check. Once there is an
+//!   incumbent, a child's dual simplex stops where its objective can no
+//!   longer beat it, and the child is pruned only once fresh duals prove
+//!   that bound in the same checker;
 //! * **warm-started objective sweeps** on the sparse engine: [`BatchSolver`]
 //!   keeps the live factorization of one solve resident and reoptimizes the
 //!   next objective over the same constraint skeleton from it, skipping
@@ -145,6 +148,10 @@ pub struct Stats {
     /// Branch-and-bound nodes pruned as infeasible on a Farkas ray from the
     /// dual ratio test that passed the exact check.
     pub farkas_pruned: u64,
+    /// Branch-and-bound nodes whose dual simplex stopped once its objective
+    /// could no longer beat the incumbent, pruned on fresh duals that
+    /// passed the exact check.
+    pub cutoff_pruned: u64,
     /// Branch-and-bound nodes whose warm re-solve was abandoned (rejected
     /// restore, pivot cap, numerics, failed residual, or an unproved ray)
     /// and re-solved cold.

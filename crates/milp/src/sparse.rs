@@ -445,8 +445,23 @@ enum DualOutcome {
     /// The dual ratio test found no entering column; `Core::rho` holds the
     /// signed Farkas ray (internal rows).
     Infeasible,
+    /// The dual objective reached the [`Cutoff`] and its check proved it.
+    CutOff,
     /// Pivot cap, a failed refactorization, or inconsistent pivot numerics.
     Abandoned,
+}
+
+/// An objective cutoff for a warm node's dual simplex. The dual objective
+/// of a dual feasible basis bounds the node's LP optimum and only rises, so
+/// once it reaches `at` the node cannot beat the incumbent — if `proves`
+/// agrees.
+pub(crate) struct Cutoff<'a> {
+    /// The prune threshold on the dual objective `Σⱼ c′ⱼ·xⱼ`, in the dual
+    /// simplex's minimization sense with the objective constant folded in.
+    pub(crate) at: f64,
+    /// The exact check of fresh duals `c_B·B⁻¹`, one per model row: `true`
+    /// when they prove the node cannot beat the incumbent.
+    pub(crate) proves: &'a mut dyn FnMut(&[f64]) -> bool,
 }
 
 /// Work areas of [`Core::refactorize_lu`]: the basis columns in
@@ -483,6 +498,8 @@ struct Core {
     ncols: usize,
     /// Costs of the current phase, length `ncols`.
     costs: Vec<f64>,
+    /// The columns that carry a phase-2 cost, ascending.
+    cost_cols: Vec<usize>,
     /// FTRAN scratch (entering column in basis coordinates), length `m`.
     w: Vec<f64>,
     /// BTRAN scratch (dual prices), length `m`.
@@ -490,6 +507,9 @@ struct Core {
     /// Dual-simplex pivot row `e_r·B⁻¹`, length `m`; after an infeasible
     /// dual ratio test it holds the signed Farkas ray.
     rho: Vec<f64>,
+    /// One multiplier per model row: the expanded Farkas ray or cutoff
+    /// duals the exact checker reads.
+    row_mults: Vec<f64>,
     /// Buffers every LU refactorization reuses, so a core that refactorizes
     /// node after node (branch-and-bound restores) stops allocating.
     refac: RefactorBuffers,
@@ -997,7 +1017,12 @@ impl Core {
     /// refactorization trigger. After a run of dual-degenerate steps both
     /// choices fall back to the lowest index (Bland), as in the primal
     /// loop; the pivot cap bounds the rest.
-    fn dual_optimize(&mut self, cap: u64) -> DualOutcome {
+    ///
+    /// With a `cutoff`, every iteration first compares the dual objective
+    /// with it. Once it is reached, fresh duals go to the cutoff's check: a
+    /// proof ends the run with [`DualOutcome::CutOff`], a failed check lets
+    /// the run go on without a cutoff, pivoting exactly as it would have.
+    fn dual_optimize(&mut self, cap: u64, mut cutoff: Option<Cutoff<'_>>) -> DualOutcome {
         let mut degen_streak = 0u32;
         // The duals `y` are priced fresh by one BTRAN at the start and after
         // every refactorization, and carried across pivots by the dual
@@ -1012,6 +1037,14 @@ impl Core {
                     return DualOutcome::Abandoned;
                 }
                 y_fresh = false;
+            }
+            if let Some(cut) = cutoff.as_mut() {
+                if self.dual_objective() >= cut.at {
+                    if self.cutoff_proved(cut) {
+                        return DualOutcome::CutOff;
+                    }
+                    cutoff = None;
+                }
             }
             let bland = degen_streak > 50;
             let Some((r, above)) = self.dual_leaving(bland) else {
@@ -1074,6 +1107,20 @@ impl Core {
                 degen_streak = 0;
             }
         }
+    }
+
+    /// Prices fresh duals `c_B·B⁻¹` into `ρ` (free at the top of a dual
+    /// iteration, so the carried `y` is untouched), expands them to model
+    /// rows and hands them to the cutoff's check.
+    fn cutoff_proved(&mut self, cut: &mut Cutoff<'_>) -> bool {
+        for r in 0..self.m {
+            self.rho[r] = self.costs[self.basis[r]];
+        }
+        let t0 = self.clock_now();
+        self.inverse.btran(&mut self.rho);
+        self.add_solve_time(t0);
+        self.skel.expand_duals_into(&self.rho, &mut self.row_mults);
+        (cut.proves)(&self.row_mults)
     }
 
     /// The leaving row of a dual iteration and whether its basic variable
@@ -1226,10 +1273,23 @@ impl Core {
     fn set_phase2_costs(&mut self, model: &Model) {
         self.costs.fill(0.0);
         let flip = matches!(model.sense, Some(Sense::Maximize));
+        self.cost_cols.clear();
         for &(v, c) in &model.objective {
             self.costs[v] += if flip { -c } else { c };
+            self.cost_cols.push(v);
         }
+        self.cost_cols.sort_unstable();
+        self.cost_cols.dedup();
         self.candidates.clear();
+    }
+
+    /// `Σⱼ c′ⱼ·xⱼ` at the current basic solution: under a dual feasible
+    /// basis, the dual objective, a lower bound on the phase-2 optimum.
+    fn dual_objective(&self) -> f64 {
+        self.cost_cols
+            .iter()
+            .map(|&j| self.costs[j] * self.xval[j])
+            .sum()
     }
 
     fn freeze_artificials(&mut self) {
@@ -1382,14 +1442,16 @@ impl Core {
     /// the parent's snapshot (`Some`, one refactorization). The parent basis
     /// stays dual feasible under the tightened bounds, so the dual simplex
     /// restores primal feasibility and a primal phase-2 pass cleans up what
-    /// round-off left. Every failure is [`WarmNode::Abandoned`]: the caller
-    /// re-solves the node cold.
+    /// round-off left. A `cutoff` the dual simplex proves ends the node
+    /// there, before the clean-up. Every failure is [`WarmNode::Abandoned`]:
+    /// the caller re-solves the node cold.
     fn warm_node(
         &mut self,
         model: &Model,
         var_bounds: &[(f64, f64)],
         restore: Option<&Basis>,
         opts: &SolveOptions,
+        cutoff: Option<Cutoff<'_>>,
     ) -> WarmNode {
         self.begin_solve();
         if var_bounds.iter().any(|&(lo, hi)| lo > hi) {
@@ -1415,9 +1477,10 @@ impl Core {
         }
         self.set_phase2_costs(model);
         let cap = opts.pivot_cap(self.m, self.ncols);
-        match self.dual_optimize(cap) {
+        match self.dual_optimize(cap, cutoff) {
             DualOutcome::Feasible => {}
             DualOutcome::Infeasible => return WarmNode::Infeasible,
+            DualOutcome::CutOff => return WarmNode::CutOff,
             DualOutcome::Abandoned => return WarmNode::Abandoned,
         }
         if self.optimize(true, cap).is_err() {
@@ -1551,9 +1614,11 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
         art_start: ncols,
         ncols,
         costs: vec![0.0; ncols],
+        cost_cols: Vec::new(),
         w: vec![0.0; m],
         y: vec![0.0; m],
         rho: vec![0.0; m],
+        row_mults: Vec::new(),
         refac: RefactorBuffers::default(),
         candidates: Vec::new(),
         clock: opts.telemetry.clone(),
@@ -1661,6 +1726,9 @@ pub(crate) enum WarmNode {
     /// The dual ratio test found no entering column. The ray it leaves
     /// ([`NodeLp::farkas_ray`]) proves nothing until checked exactly.
     Infeasible,
+    /// The dual objective reached the node's [`Cutoff`] and its check
+    /// proved that the node cannot beat the incumbent.
+    CutOff,
     /// The restore was rejected, the pivot cap was hit, the pivot numerics
     /// disagreed, or the residual check failed: re-solve the node cold.
     Abandoned,
@@ -1668,13 +1736,11 @@ pub(crate) enum WarmNode {
 
 /// The LP side of one branch-and-bound tree: the constraint skeleton
 /// compiled once and one live [`Core`] that node after node re-solves in,
-/// plus the work of every node solve — optimal, infeasible and abandoned
-/// alike.
+/// plus the work of every node solve — optimal, infeasible, cut off and
+/// abandoned alike.
 pub(crate) struct NodeLp {
     skel: Arc<Skeleton>,
     core: Option<Core>,
-    /// Farkas ray buffer, model row order.
-    ray: Vec<f64>,
     work: EngineCounters,
 }
 
@@ -1683,7 +1749,6 @@ impl NodeLp {
         NodeLp {
             skel: Arc::new(Skeleton::build(model)),
             core: None,
-            ray: Vec::new(),
             work: EngineCounters::default(),
         }
     }
@@ -1724,11 +1789,12 @@ impl NodeLp {
         var_bounds: &[(f64, f64)],
         restore: Option<&Basis>,
         opts: &SolveOptions,
+        cutoff: Option<Cutoff<'_>>,
     ) -> WarmNode {
         let Some(core) = self.core.as_mut() else {
             return WarmNode::Abandoned;
         };
-        let out = core.warm_node(model, var_bounds, restore, opts);
+        let out = core.warm_node(model, var_bounds, restore, opts, cutoff);
         self.work.absorb(core.counters());
         out
     }
@@ -1737,11 +1803,13 @@ impl NodeLp {
     /// one multiplier per model row — the Farkas certificate
     /// `itne_certcheck::verify_infeasibility` checks.
     pub(crate) fn farkas_ray(&mut self) -> &[f64] {
-        match &self.core {
-            Some(core) => self.skel.expand_duals_into(&core.rho, &mut self.ray),
-            None => self.ray.clear(),
+        match self.core.as_mut() {
+            Some(core) => {
+                core.skel.expand_duals_into(&core.rho, &mut core.row_mults);
+                &core.row_mults
+            }
+            None => &[],
         }
-        &self.ray
     }
 
     /// Snapshots the live core's basis into `out`, reusing its buffers;
@@ -1850,7 +1918,7 @@ impl SparseResident {
         c.set_phase2_costs(model);
         if !c.clamp_basic_values()
             && !matches!(
-                c.dual_optimize(opts.pivot_cap(c.m, c.ncols)),
+                c.dual_optimize(opts.pivot_cap(c.m, c.ncols), None),
                 DualOutcome::Feasible
             )
         {
