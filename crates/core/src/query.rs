@@ -108,8 +108,8 @@ pub struct QueryStats {
     /// Total basis refactorizations across all solves (sparse-engine
     /// fill-triggered rebuilds plus warm-restore factorizations).
     pub refactorizations: u64,
-    /// Peak basis-update count (Forrest–Tomlin replacements plus
-    /// product-form etas on top of the LU factors) in any single solve.
+    /// Peak eta-file length since the last refactorization, in any single
+    /// solve.
     pub eta_len: u64,
     /// Structural non-zeros of the largest constraint matrix solved — the
     /// sparsity the revised simplex exploits on that worst-case sub-problem.

@@ -120,7 +120,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
 
     let mut incumbent: Option<Solution> = None;
     let mut best_obj = worst;
-    let mut best_bound = worst; // tightest relaxation bound seen at the frontier
     let mut stack = vec![Node {
         overrides: Vec::new(),
         parent_bound: -worst,
@@ -154,10 +153,12 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
     while let Some(node) = stack.pop() {
         if opts.stop.as_ref().is_some_and(StopWhen::should_stop) {
             timed_out = true;
-            break;
-        }
-        if nodes >= MAX_NODES {
+        } else if nodes >= MAX_NODES {
             node_limited = true;
+        }
+        if timed_out || node_limited {
+            // The node is still open: its bound belongs to the frontier.
+            stack.push(node);
             break;
         }
         // Prune on the parent's relaxation before paying for an LP solve.
@@ -267,9 +268,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolveOptions) -> Result<Solution,
                 } else {
                     stack.push(up);
                     stack.push(down);
-                }
-                if incumbent.is_none() || better(relax.objective, best_bound) {
-                    best_bound = relax.objective;
                 }
             }
         }
@@ -701,5 +699,41 @@ mod tests {
         let cut = cutoff_knapsack().solve().unwrap();
         assert_eq!(s.objective.to_bits(), cut.objective.to_bits());
         assert_eq!(s.values(), cut.values());
+    }
+
+    /// A stopped tree's frontier covers every open node, the one popped when
+    /// the stop fired included. Each random knapsack is solved with a stop
+    /// signal that fires on its k-th poll, for every k below 400, and no
+    /// `TimedOut` result may report a bound below the optimum.
+    #[test]
+    fn a_stopped_tree_bounds_every_open_node() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let mut timed_out = 0;
+        for (i, (m, ..)) in random_knapsacks(25, 8).into_iter().enumerate() {
+            let optimum = m.solve().unwrap().objective;
+            for k in 1..400u64 {
+                let polls = Arc::new(AtomicU64::new(0));
+                let opts = SolveOptions {
+                    stop: Some(crate::StopWhen::new(move || {
+                        polls.fetch_add(1, Ordering::Relaxed) + 1 >= k
+                    })),
+                    ..Default::default()
+                };
+                match m.solve_with(&opts) {
+                    Ok(s) if s.status == Status::TimedOut => {
+                        timed_out += 1;
+                        let bound = s.bound_value();
+                        assert!(
+                            bound >= optimum - 1e-9,
+                            "instance {i}, stop on poll {k}: bound {bound} < optimum {optimum}"
+                        );
+                    }
+                    Ok(s) => assert_eq!(s.status, Status::Optimal),
+                    Err(e) => assert_eq!(e, SolveError::Timeout),
+                }
+            }
+        }
+        assert!(timed_out > 0, "no stop fired on a tree with an incumbent");
     }
 }

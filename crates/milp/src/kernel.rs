@@ -84,8 +84,8 @@ pub fn scatter_sub(v: &mut [f64], idx: &[usize], val: &[f64], t: f64) {
 
 /// [`scatter_sub`] through an index map: `v[map[idx[e]]] -= val[e]·t`.
 /// The extra indirection is the `U`-solve of `crate::lu`, whose stored
-/// column indices are elimination positions that the Forrest–Tomlin
-/// permutation `u_row` maps back to basis rows.
+/// column indices are elimination positions that the factorization's
+/// `pivot_row` maps back to basis rows.
 ///
 /// # Panics
 ///

@@ -11,7 +11,7 @@
 //!   certification encodings bound every variable. Two interchangeable
 //!   engines implement it behind [`SolveOptions::engine`]: the default
 //!   **sparse LU revised simplex** (CSC storage, real sparse LU
-//!   factorization with hybrid Forrest–Tomlin / product-form updates,
+//!   factorization with one product-form eta per pivot on top of it,
 //!   range-row folding, fill-growth-triggered refactorization) and the
 //!   original **dense tableau**, kept as the independent
 //!   differential-testing oracle, which solves every LP cold;
@@ -116,7 +116,9 @@ pub struct Stats {
     /// Branch-and-bound nodes explored (`0` for pure LPs).
     pub nodes: u64,
     /// Best dual/relaxation bound on the objective at termination. For an
-    /// `Optimal` status this equals `objective` up to tolerances.
+    /// `Optimal` status this equals `objective` up to tolerances; for a
+    /// stopped tree it is the incumbent's objective folded with the parent
+    /// bound of every node still open.
     pub best_bound: f64,
     /// Maximum absolute row residual `|a·x - b|` of the returned point,
     /// measured against the *original* model data.
@@ -128,10 +130,8 @@ pub struct Stats {
     /// rebuilds plus warm-restore factorizations; `0` on the dense engine,
     /// which never refactorizes).
     pub refactorizations: u64,
-    /// Peak update count during the solve: Forrest–Tomlin column
-    /// replacements plus product-form etas layered on top of the LU factors
-    /// since the last refactorization ([`Engine::Lu`] only; `0` on the
-    /// dense engine).
+    /// Peak eta-file length since the last refactorization during the
+    /// solve ([`Engine::Lu`] only; `0` on the dense engine).
     pub eta_len: u64,
     /// Nanoseconds spent refactorizing the basis. Requires a caller-injected
     /// [`TelemetryClock`] ([`SolveOptions::telemetry`]); `0` otherwise.

@@ -28,17 +28,16 @@ pub(crate) const MAX_NODES: u64 = 20_000_000;
 pub enum Engine {
     /// Sparse revised simplex over a real sparse LU factorization of the
     /// basis (static Markowitz ordering, threshold partial pivoting).
-    /// Between refactorizations, pivots fold in as Forrest–Tomlin column
-    /// replacements while that is cheap (short `U` tail — the factors stay
-    /// exact and nothing grows) and as product-form etas on top of the
-    /// factors otherwise; refactorization is triggered by *measured* fill
-    /// growth, not a fixed pivot cadence. A fresh solve starts from the
-    /// trivial `diag(±1)` basis, whose solves are free, and only builds
-    /// real factors once the update file outgrows the fill trigger — so
-    /// short solves never pay factorization costs at all. Adds range-row
-    /// folding: an adjacent `≤`/`≥` pair over identical terms becomes one
-    /// row with a box-bounded slack, so the `[A | I]` interval constraints
-    /// of the ITNE encoding stop inflating the working basis. The default.
+    /// The factors stay fixed between refactorizations and every pivot
+    /// appends one product-form eta on top of them; refactorization is
+    /// triggered by the eta file's *measured* fill growth, not a fixed pivot
+    /// cadence. A fresh solve starts from the trivial `diag(±1)` basis,
+    /// whose solves are free, and only builds real factors once the eta
+    /// file outgrows the fill trigger — so short solves never pay
+    /// factorization costs at all. Adds range-row folding: an adjacent
+    /// `≤`/`≥` pair over identical terms becomes one row with a box-bounded
+    /// slack, so the `[A | I]` interval constraints of the ITNE encoding
+    /// stop inflating the working basis. The default.
     #[default]
     Lu,
     /// Dense tableau (the original engine): every pivot rewrites the full

@@ -14,14 +14,12 @@
 //!   *both* bounds, halving the working basis for those rows instead of
 //!   spending a basis column on each side;
 //! * `B⁻¹` is never formed. It is a **sparse LU factorization** of the basis
-//!   ([`crate::lu`]: static Markowitz ordering, threshold partial pivoting)
-//!   plus a hybrid update scheme: a pivot lands as a **Forrest–Tomlin column
-//!   replacement** inside the factors when its `U`-tail is short (the
-//!   factors stay exact and the representation does not grow) and as a
-//!   product-form eta on top of them otherwise. A fresh solve starts from
-//!   the trivial `diag(±1)` slack basis, whose FTRAN and BTRAN are pure sign
-//!   flips — so the certifier's tens of thousands of short solves never pay
-//!   for a factorization at all. Systems with `B` are solved by running a
+//!   ([`crate::lu`]: static Markowitz ordering, threshold partial pivoting),
+//!   left unchanged between refactorizations, plus a product-form **eta
+//!   file** on top of it that takes one eta per pivot. A fresh solve starts
+//!   from the trivial `diag(±1)` slack basis, whose FTRAN and BTRAN are pure
+//!   sign flips — so the certifier's tens of thousands of short solves never
+//!   pay for a factorization at all. Systems with `B` are solved by running a
 //!   vector through the representation — FTRAN for `w = B⁻¹·a` (the entering
 //!   column of the ratio test), BTRAN for `y = c_B·B⁻¹` (the dual prices
 //!   behind reduced costs);
@@ -32,7 +30,7 @@
 //!   candidates. Bland's anti-cycling rule falls back to a full
 //!   first-eligible scan, exactly like the dense engine;
 //! * the factorization is **refreshed on measured fill growth**: only when
-//!   the update file's accumulated fill outgrows twice the factors' own
+//!   the eta file's accumulated fill outgrows twice the factors' own
 //!   non-zeros (with a floor that lets short solves finish entirely on the
 //!   trivial basis plus etas), not on a fixed small pivot cadence.
 //!   Refactorization also recomputes the basic values from the original
@@ -274,12 +272,12 @@ impl Skeleton {
     }
 }
 
-/// The product-form representation of the basis *update* since the last LU
-/// refactorization, as a sequence of elementary eta matrices: each pivot appends one eta, and
-/// systems are solved by running a vector through the file — forward for
-/// FTRAN, backward for BTRAN. Everything is stored in flat contiguous arrays
-/// so both passes stream linearly through memory (the engine's innermost
-/// loop — one of each per simplex iteration).
+/// The product-form representation of the basis changes since the last LU
+/// refactorization, as a sequence of elementary eta matrices: each pivot
+/// appends one eta, and systems are solved by running a vector through the
+/// file — forward for FTRAN, backward for BTRAN. Everything is stored in
+/// flat contiguous arrays so both passes stream linearly through memory
+/// (the engine's innermost loop — one of each per simplex iteration).
 #[derive(Clone, Debug)]
 struct EtaFile {
     /// Pivot row of each eta.
@@ -361,19 +359,9 @@ impl EtaFile {
     }
 }
 
-/// A Forrest–Tomlin column replacement rewrites every stored `U` entry past
-/// the leaving position, so its cost is the tail size, not the spike size.
-/// Replacements whose tail is longer than this go through a product-form
-/// eta instead (cost proportional to the spike alone); short-tail
-/// replacements — the common case on the slack-heavy certifier bases, where
-/// the leaving column sits at or near the end of `U` — stay in-place and
-/// keep the factors exact with zero file growth.
-const FT_TAIL_MAX: usize = 32;
-
-/// The basis-inverse representation: the LU factors carry the basis; cheap
-/// pivots fold in via Forrest–Tomlin column replacement (factors stay exact,
-/// nothing grows), expensive ones append to a product-form eta file *on top
-/// of* the factors until the next refactorization discards it.
+/// The basis-inverse representation: the LU factors of the basis at the
+/// last refactorization, and the eta file of every pivot since, which the
+/// next refactorization discards.
 struct Inverse {
     lu: LuFactors,
     etas: EtaFile,
@@ -381,7 +369,7 @@ struct Inverse {
 
 impl Inverse {
     /// `v ← B⁻¹·v`.
-    fn ftran(&mut self, v: &mut [f64]) {
+    fn ftran(&self, v: &mut [f64]) {
         self.lu.ftran(v);
         self.etas.ftran(v);
     }
@@ -390,36 +378,6 @@ impl Inverse {
     fn btran(&mut self, y: &mut [f64]) {
         self.etas.btran(y);
         self.lu.btran(y);
-    }
-
-    /// Folds the pivot at `row` into the inverse: replaces the column in the
-    /// factors (Forrest–Tomlin, using the spike its FTRAN saved) when that is
-    /// cheap, and appends the product-form eta of the FTRAN'd column `w`
-    /// otherwise. Once an eta exists the factors no longer see later pivots,
-    /// so every subsequent fold must stay in the file until a
-    /// refactorization. Returns `false` when the updated factors are
-    /// numerically unusable and the caller must refactorize before the next
-    /// solve.
-    fn fold_pivot(&mut self, row: usize, w: &[f64]) -> bool {
-        let lu = &mut self.lu;
-        if !lu.is_trivial() && self.etas.len() == 0 && lu.replace_cost(row) <= FT_TAIL_MAX {
-            lu.replace_column(row, PIVOT_TOL)
-        } else {
-            self.etas.push_from_column(row, w);
-            true
-        }
-    }
-
-    /// Updates applied since the last refactorization: column replacements
-    /// plus file etas.
-    fn update_len(&self) -> usize {
-        self.lu.update_len() + self.etas.len()
-    }
-
-    /// Stored fill accumulated since the last refactorization — the
-    /// measured growth the refactorization trigger watches.
-    fn update_nnz(&self) -> usize {
-        self.lu.update_fill() + self.etas.nnz()
     }
 }
 
@@ -522,9 +480,6 @@ struct Core {
     pivots_since_refactor: u64,
     refactor_every: u64,
     eta_nnz_cap: usize,
-    /// A Forrest–Tomlin update produced an unusable diagonal: the factors
-    /// must be rebuilt before the next FTRAN/BTRAN.
-    needs_refactor: bool,
     refactor_ns: u64,
     solve_ns: u64,
     lu_fill: u64,
@@ -797,17 +752,13 @@ impl Core {
         }
     }
 
-    /// Folds the pivot at row `r` with entering column `q` into the inverse
+    /// Appends the pivot at row `r` with entering column `q` to the eta file
     /// (expects `self.w = B⁻¹·A_q`, freshly FTRAN'd) and updates the heading
-    /// and counters. If the update leaves the factors numerically unusable
-    /// (a near-singular Forrest–Tomlin diagonal), the basis heading is still
-    /// advanced and a refactorization is forced before the next solve.
+    /// and counters.
     fn apply_pivot(&mut self, r: usize, q: usize) {
         debug_assert!(self.w[r].abs() > 0.0, "zero pivot");
-        if !self.inverse.fold_pivot(r, &self.w) {
-            self.needs_refactor = true;
-        }
-        self.eta_peak = self.eta_peak.max(self.inverse.update_len());
+        self.inverse.etas.push_from_column(r, &self.w);
+        self.eta_peak = self.eta_peak.max(self.inverse.etas.len());
         self.state[q] = ColState::Basic;
         self.basis[r] = q;
         self.pivots += 1;
@@ -815,9 +766,8 @@ impl Core {
     }
 
     fn should_refactorize(&self) -> bool {
-        self.needs_refactor
-            || self.pivots_since_refactor >= self.refactor_every
-            || self.inverse.update_nnz() > self.eta_nnz_cap
+        self.pivots_since_refactor >= self.refactor_every
+            || self.inverse.etas.nnz() > self.eta_nnz_cap
     }
 
     /// Rebuilds the basis-inverse representation from the original data for
@@ -839,7 +789,6 @@ impl Core {
         let ok = self.refactorize_lu() && {
             self.refactorizations += 1;
             self.pivots_since_refactor = 0;
-            self.needs_refactor = false;
             self.recompute_basic_values(check)
         };
         if let (Some(c), Some(t0)) = (&self.clock, t0) {
@@ -862,11 +811,11 @@ impl Core {
     }
 
     /// The refactorization itself: a fresh sparse LU factorization of the
-    /// basis matrix ([`LuFactors::factorize`] — threshold partial pivoting
-    /// with the Markowitz row-weight tie-break), discarding the update eta
-    /// file. The fill trigger (`eta_nnz_cap`) is re-derived from the
-    /// *measured* fill of these factors, so cadence tracks the basis the
-    /// solve actually has rather than a tuned constant.
+    /// basis matrix ([`LuFactors::refactor`] — threshold partial pivoting
+    /// with the Markowitz row-weight tie-break), discarding the eta file.
+    /// The fill trigger (`eta_nnz_cap`) is re-derived from the *measured*
+    /// fill of these factors, so cadence tracks the basis the solve
+    /// actually has rather than a tuned constant.
     fn refactorize_lu(&mut self) -> bool {
         let m = self.m;
         let mut buf = std::mem::take(&mut self.refac);
@@ -893,10 +842,7 @@ impl Core {
             }
             buf.col_ptr.push(buf.entries.len());
         }
-        let mut lu = buf
-            .spare
-            .take()
-            .unwrap_or_else(|| LuFactors::identity(0, &[]));
+        let mut lu = buf.spare.take().unwrap_or_default();
         let ok = lu.refactor(m, &buf.col_ptr, &buf.entries, &buf.row_weight, PIVOT_TOL);
         if ok {
             for (k, &r) in lu.pivot_rows().iter().enumerate() {
@@ -1013,7 +959,7 @@ impl Core {
     /// pick the entering column — the smallest `|d_j / α_j|` among the
     /// columns that can move `x_r` toward its bound — so the reduced costs
     /// keep their signs. The pivot itself runs through the primal
-    /// machinery: FTRAN, [`Core::apply_pivot`] (the LU update) and the
+    /// machinery: FTRAN, [`Core::apply_pivot`] (one eta) and the
     /// refactorization trigger. After a run of dual-degenerate steps both
     /// choices fall back to the lowest index (Bland), as in the primal
     /// loop; the pivot cap bounds the rest.
@@ -1207,9 +1153,8 @@ impl Core {
 
     /// Pivots basic artificial variables (all at value 0) out of the basis;
     /// rows that admit no replacement keep their frozen artificial, exactly
-    /// like the dense engine. Returns `false` on an unrecoverable
-    /// refactorization failure after a rejected Forrest–Tomlin update.
-    fn drive_out_artificials(&mut self) -> bool {
+    /// like the dense engine.
+    fn drive_out_artificials(&mut self) {
         for r in 0..self.m {
             if self.basis[r] < self.art_start {
                 continue;
@@ -1237,14 +1182,8 @@ impl Core {
                 self.state[leaving] = ColState::AtLower;
                 self.xval[leaving] = 0.0;
                 self.apply_pivot(r, j);
-                // The next row's BTRAN must not run through factors a
-                // rejected update left stale.
-                if self.needs_refactor && !self.refactorize() {
-                    return false;
-                }
             }
         }
-        true
     }
 
     /// `v·A_j` for a row vector `v` in basis coordinates — with `v = ρ =
@@ -1382,7 +1321,7 @@ impl Core {
         self.refactorizations = 0;
         self.refactor_ns = 0;
         self.solve_ns = 0;
-        self.eta_peak = self.inverse.update_len();
+        self.eta_peak = self.inverse.etas.len();
         self.lu_fill = self.inverse.lu.nnz() as u64;
     }
 
@@ -1467,7 +1406,7 @@ impl Core {
         if !self.rest_nonbasic() {
             return WarmNode::Abandoned;
         }
-        let values = if restore.is_some() || self.needs_refactor {
+        let values = if restore.is_some() {
             self.refresh(false)
         } else {
             self.recompute_basic_values(false)
@@ -1494,14 +1433,14 @@ impl Core {
 }
 
 /// Fill-growth refactorization trigger of the LU engine: rebuild once the
-/// updates have accumulated twice the stored fill of the factors themselves
-/// (eta entries plus net `U` growth), with a floor sized so the certifier's
-/// short solves — tens of thousands of LPs that finish within a few hundred
-/// pivots — complete entirely on the trivial starting basis plus the update
-/// file and never pay a factorization at all. Only genuinely long pivot
-/// runs cross the trigger, and for those the cap is growth-relative, so
-/// dense-ish bases refresh early instead of dragging an ever-longer
-/// representation through every FTRAN/BTRAN.
+/// eta file has accumulated twice the stored fill of the factors
+/// themselves, with a floor sized so the certifier's short solves — tens of
+/// thousands of LPs that finish within a few hundred pivots — complete
+/// entirely on the trivial starting basis plus the eta file and never pay a
+/// factorization at all. Only genuinely long pivot runs cross the trigger,
+/// and for those the cap is growth-relative, so dense-ish bases refresh
+/// early instead of dragging an ever-longer representation through every
+/// FTRAN/BTRAN.
 fn lu_growth_cap(lu: &LuFactors) -> usize {
     (2 * lu.nnz()).max(8192)
 }
@@ -1628,7 +1567,6 @@ fn restore_core(var_bounds: &[(f64, f64)], opts: &SolveOptions, skel: Arc<Skelet
         pivots_since_refactor: 0,
         refactor_every: refactor_budget(m),
         eta_nnz_cap,
-        needs_refactor: false,
         refactor_ns: 0,
         solve_ns: 0,
         lu_fill,
@@ -1678,11 +1616,7 @@ fn cold_phases(
         if remaining > FEAS_TOL {
             return Err(SolveError::Infeasible);
         }
-        if !core.drive_out_artificials() {
-            return Err(SolveError::Numerical(
-                "basis became singular or infeasible at refactorization".into(),
-            ));
-        }
+        core.drive_out_artificials();
     }
     core.freeze_artificials();
 
@@ -1913,7 +1847,7 @@ impl SparseResident {
         if !c.refresh(false) {
             return reject;
         }
-        c.eta_peak = c.inverse.update_len();
+        c.eta_peak = c.inverse.etas.len();
         c.lu_fill = c.inverse.lu.nnz() as u64;
         c.set_phase2_costs(model);
         if !c.clamp_basic_values()
@@ -2014,6 +1948,7 @@ mod tests {
     use std::cell::Cell;
 
     use super::Skeleton;
+    use crate::lu::tests::rng;
     use crate::{BatchSolver, Cmp, Engine, LinExpr, Model, Sense, SolveError, SolveOptions};
 
     thread_local! {
@@ -2039,17 +1974,6 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
-    }
-
-    /// Deterministic xorshift64 stream of values in `[-1, 1)`.
-    fn rng(seed: u64) -> impl FnMut() -> f64 {
-        let mut state = seed | 1;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        }
     }
 
     /// A band-diagonal LP shaped like one ITNE over-approximation window:
@@ -2416,6 +2340,72 @@ mod tests {
         assert_eq!(untimed.stats.ftran_btran_time_ns, 0);
         assert_eq!(untimed.stats.refactor_time_ns, 0);
         assert_close(timed.objective, untimed.objective);
+    }
+
+    /// The eta file on top of real factors: a random banded basis is
+    /// factorized once, then `3m` pivots replace its columns through
+    /// [`super::EtaFile::push_from_column`] with no refactorization, and
+    /// after each one [`super::Inverse`]'s FTRAN and BTRAN must solve
+    /// against a dense multiply of the basis built so far.
+    #[test]
+    fn eta_file_on_real_factors_tracks_the_exact_basis() {
+        use super::{EtaFile, Inverse};
+        use crate::lu::tests::{from_dense, heading, mul, random_cols};
+        use crate::lu::LuFactors;
+        for seed in [2u64, 19, 101] {
+            let m = 14;
+            let mut cols = random_cols(m, seed);
+            let (ptr, entries, weight) = from_dense(&cols);
+            let lu = LuFactors::factorize(m, &ptr, &entries, &weight, 1e-9).expect("non-singular");
+            let h = heading(&lu, m);
+            let mut inv = Inverse {
+                lu,
+                etas: EtaFile::new(),
+            };
+            let mut next = rng(seed ^ 0xC0FFEE);
+            for step in 0..3 * m {
+                // The entering column: a band somewhere in the basis plus a
+                // strong entry at the leaving row, so the pivot stays large.
+                let row = (step * 7 + 3) % m;
+                let col: Vec<f64> = (0..m)
+                    .map(|r| {
+                        if r == row {
+                            next() + 2.5
+                        } else if r.abs_diff((step * 5) % m) <= 3 {
+                            next()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let mut w = col.clone();
+                inv.ftran(&mut w);
+                inv.etas.push_from_column(row, &w);
+                cols[h[row]] = col;
+
+                let b: Vec<f64> = (0..m).map(|_| next()).collect();
+                let mut x = b.clone();
+                inv.ftran(&mut x);
+                for (a, e) in mul(&cols, &h, &x).iter().zip(&b) {
+                    assert!(
+                        (a - e).abs() < 1e-7,
+                        "seed {seed} step {step}: B·x = {a}, want {e}"
+                    );
+                }
+                let c: Vec<f64> = (0..m).map(|_| next()).collect();
+                let mut y = c.clone();
+                inv.btran(&mut y);
+                for (r, &j) in h.iter().enumerate() {
+                    let dot: f64 = cols[j].iter().zip(&y).map(|(a, b)| a * b).sum();
+                    assert!(
+                        (dot - c[r]).abs() < 1e-7,
+                        "seed {seed} step {step} row {r}: y·B = {dot}, want {}",
+                        c[r]
+                    );
+                }
+            }
+            assert_eq!(inv.etas.len(), 3 * m);
+        }
     }
 
     #[test]
