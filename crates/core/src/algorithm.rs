@@ -8,12 +8,13 @@
 //! `LpRelaxY` then `(x, Δx)` via `LpRelaxX`. The final layer's `Δx` ranges
 //! yield `ε̄ = max(|Δx⁽ⁿ⁾.lo|, |Δx⁽ⁿ⁾.hi|)` per output.
 //!
-//! Parallelism runs on the deterministic work-stealing executor in
-//! `crate::schedule`: each neuron contributes an `LpRelaxY` sweep task
-//! that may spawn its `LpRelaxX` follow-up, idle workers steal units from
-//! busy ones (so one expensive conv-window neuron no longer idles the rest
-//! of the pool at the layer barrier), and results merge back by neuron
-//! index — bit-identical bounds at every thread count and steal schedule.
+//! Parallelism runs on the worker pool in `crate::schedule`: one task per
+//! neuron, which runs that neuron's `LpRelaxY` sweep and then its
+//! `LpRelaxX` sweep. The calling thread and at most
+//! `min(threads, width) − 1` scoped threads take neurons in index order
+//! from one shared queue, and results merge back by neuron index, so bounds
+//! and work counters are bit-identical at every thread count
+//! (`parallel_matches_serial`, `resident_parallel_matches_serial`).
 
 use crate::bounds::TwinBounds;
 use crate::encode::{EncodeOptions, EncodingKind, Relaxation, TargetKind, TargetOverride};
@@ -22,7 +23,7 @@ use crate::ibp::{ibp_twin, ibp_twin_from_values, ValuePreBounds};
 use crate::interval::Interval;
 use crate::query::{lp_relax, QueryStats};
 use crate::resident::{prepare_subcache, NeuronCache, ResidentState};
-use crate::schedule::{run_steal, Step};
+use crate::schedule::run_tasks;
 use crate::subnet::SubNetwork;
 use itne_milp::{Engine, SolveOptions};
 use itne_nn::{AffineNetwork, Network};
@@ -50,15 +51,14 @@ pub struct CertifyOptions {
     /// form (pure engineering; results are identical — see the
     /// `closed_form_equals_lp` test).
     pub closed_form_x: bool,
-    /// Worker threads for the per-neuron loop (1 = serial). Work runs on
-    /// the deterministic work-stealing executor (`crate::schedule`): each
-    /// neuron's `LpRelaxY` sweep and `LpRelaxX` follow-up are separate task
-    /// units, idle workers steal queued units from busy ones, and results
-    /// merge back by neuron index — so bounds are bit-identical for every
-    /// thread count and steal schedule. Neurons of a layer only read the
-    /// previous layers' bounds, and each worker runs its own warm-start
-    /// chains, so batching composes with parallelism with no shared solver
-    /// state.
+    /// Worker threads for the per-neuron loop (1 = serial). Each layer runs
+    /// one task per neuron on the calling thread plus at most
+    /// `min(threads, width) − 1` scoped threads (`crate::schedule`), which
+    /// take neurons in index order from one shared queue; results merge back
+    /// by neuron index, so bounds and work counters are bit-identical for
+    /// every thread count. Neurons of a layer only read the previous layers'
+    /// bounds, and each neuron runs its own warm-start chains, so batching
+    /// composes with parallelism with no shared solver state.
     ///
     /// [`CertifyOptions::default`] reads the `ITNE_TEST_THREADS` environment
     /// variable (once, at first use) so CI can pin the whole test suite to a
@@ -314,6 +314,31 @@ pub(crate) fn validate_local(
     validate_network(aff, domain.unwrap_or(&point))
 }
 
+/// The perturbation box `x0 ± δ` of a local query, clipped to `domain` when
+/// there is one.
+///
+/// # Errors
+///
+/// [`CertifyError::InvalidInput`] when the box misses the domain.
+pub(crate) fn perturbation_box(
+    x0: &[f64],
+    delta: f64,
+    domain: Option<&[(f64, f64)]>,
+) -> Result<Vec<Interval>, CertifyError> {
+    let mut box_: Vec<Interval> = x0
+        .iter()
+        .map(|&v| Interval::new(v - delta, v + delta))
+        .collect();
+    if let Some(dom) = domain {
+        for (b, &(lo, hi)) in box_.iter_mut().zip(dom) {
+            *b = b
+                .intersect(Interval::new(lo, hi), 0.0)
+                .ok_or_else(|| CertifyError::InvalidInput("sample outside domain".into()))?;
+        }
+    }
+    Ok(box_)
+}
+
 /// Checks a network and its input domain before anything is built from
 /// them: the domain matches the input dimension and is a finite, ordered
 /// box, the network has layers, and every weight and bias is finite. A NaN
@@ -375,7 +400,7 @@ pub fn propagate(
 /// reuses per-neuron encodings and basis snapshots across calls and stores
 /// the updated state back, which is the engine behind
 /// [`crate::resident::certify_global_resident`]. Without it, each neuron's
-/// cache is dropped as soon as its task chain finishes. `copied` is an
+/// cache is dropped as soon as that neuron is done. `copied` is an
 /// earlier answer's bounds and how many leading layers of it this run
 /// shares ([`crate::resident::shared_layers`]): those layers are copied over
 /// their IBP seeds, and Algorithm 1 runs from the next layer.
@@ -415,13 +440,8 @@ pub(crate) fn propagate_cached(
             Some(r) => r.take_layer(li, width),
             None => (0..width).map(|_| None).collect(),
         };
-        let initial: Vec<LayerTask<'_>> = caches
-            .into_iter()
-            .enumerate()
-            .map(|(j, cache)| LayerTask::Sweep { j, cache })
-            .collect();
-        let (results, accs) = run_steal(opts.threads, initial, width, |task, acc| {
-            run_task(aff, &bounds, li, delta, opts, caching, task, acc)
+        let (results, accs) = run_tasks(opts.threads, caches, |j, cache, acc| {
+            certify_neuron(aff, &bounds, li, j, delta, opts, caching, cache, acc)
         });
         for (j, r) in results.into_iter().enumerate() {
             bounds.y[li][j] = r.y;
@@ -443,29 +463,9 @@ pub(crate) fn propagate_cached(
     (bounds, stats)
 }
 
-/// One schedulable unit of the per-layer loop: a neuron's `LpRelaxY` sweep,
-/// or the `LpRelaxX` follow-up it spawned (kept separate so an idle worker
-/// can steal the X part of a neighboring neuron while its Y owner is still
-/// deep in another unit). Each unit carries the neuron's cache by value
-/// (`None` before a first touch), so cached state needs no locking:
-/// exactly one worker owns a neuron's cache at any time.
-enum LayerTask<'a> {
-    Sweep {
-        j: usize,
-        cache: Option<Box<NeuronCache>>,
-    },
-    Post {
-        j: usize,
-        sub: SubNetwork<'a>,
-        yr: Interval,
-        dyr: Interval,
-        cache: Box<NeuronCache>,
-    },
-}
-
-/// The per-neuron ranges a task chain finishes with; merged into
-/// [`TwinBounds`] by neuron index (the task's slot), the cache handed back
-/// to the [`ResidentState`] (`None` when the run keeps no caches).
+/// The per-neuron ranges [`certify_neuron`] derives; merged into
+/// [`TwinBounds`] by neuron index, the cache handed back to the
+/// [`ResidentState`] (`None` when the run keeps no caches).
 struct NeuronResult {
     y: Interval,
     dy: Interval,
@@ -483,124 +483,98 @@ struct WorkerAcc {
     closed_form: u64,
 }
 
-/// Lines 5-11 of Algorithm 1 as scheduler steps. `Sweep` decomposes,
-/// encodes and runs `LpRelaxY`; it finishes the neuron inline when no
-/// `LpRelaxX` solve is needed (affine layer, or the provably-equal closed
-/// form) and otherwise spawns the `Post` follow-up carrying the fresh
-/// `(y, Δy)` ranges into the `LpRelaxX` solve. Both passes ready the
-/// neuron's cached encoding ([`prepare_subcache`]) and sweep it with its
-/// basis slots; a finished chain hands the cache back only when
-/// `caching` is set, and otherwise drops it on the spot.
+/// Lines 5-11 of Algorithm 1 for neuron `j` of layer `li`: decomposes,
+/// encodes and runs `LpRelaxY`, then, unless the layer is affine or the
+/// provably-equal closed form applies, runs `LpRelaxX` on the fresh
+/// `(y, Δy)` ranges. Both passes ready the neuron's cached encoding
+/// ([`prepare_subcache`], from `cache`, `None` before a first touch) and
+/// sweep it with its basis slots; the cache goes back with the result only
+/// when `caching` is set, and is otherwise dropped on the spot.
 #[allow(clippy::too_many_arguments)]
-fn run_task<'a>(
-    aff: &'a AffineNetwork,
+fn certify_neuron(
+    aff: &AffineNetwork,
     bounds: &TwinBounds,
     li: usize,
+    j: usize,
     delta: f64,
     opts: &CertifyOptions,
     caching: bool,
-    task: LayerTask<'a>,
+    cache: Option<Box<NeuronCache>>,
     acc: &mut WorkerAcc,
-) -> Step<LayerTask<'a>, NeuronResult> {
+) -> NeuronResult {
     let enc_opts = opts.encode_options(delta);
     let solver = &opts.solver;
     let check = opts.check_certificates;
-    let done = |j, y, dy, x, dx, cache| Step::Done {
-        slot: j,
-        result: NeuronResult {
+    let sub = SubNetwork::decompose(aff, li, j, opts.window);
+    let mut cache = cache.unwrap_or_default();
+
+    // --- LpRelaxY: ranges of (y, Δy). ---
+    let target = TargetKind::PreActivation;
+    let sc = prepare_subcache(
+        &mut cache.y,
+        &sub,
+        bounds,
+        target,
+        &enc_opts,
+        None,
+        &mut acc.stats,
+    );
+    let fallbacks = [bounds.y[li][j], bounds.dy[li][j]];
+    let (y, dy) = lp_relax(
+        &mut sc.enc,
+        target,
+        fallbacks,
+        solver,
+        check,
+        &mut sc.bases,
+        &mut acc.stats,
+    );
+    acc.subproblems = acc.subproblems.saturating_add(1);
+
+    let (x, dx) = if !aff.layers[li].relu {
+        (y, dy)
+    } else if opts.closed_form_x
+        && closed_form::closed_form_applies(&sub, bounds, y, dy, opts, &enc_opts)
+    {
+        acc.closed_form = acc.closed_form.saturating_add(1);
+        closed_form::closed_form_x(y, dy, opts.encoding)
+    } else {
+        // --- LpRelaxX: ranges of (x, Δx). ---
+        acc.subproblems = acc.subproblems.saturating_add(1);
+        // Thread the freshly-derived target ranges through so the target's
+        // own relaxation uses them rather than the stale stored ones.
+        let over = TargetOverride {
             y,
             dy,
-            x,
-            dx,
-            cache: caching.then_some(cache),
-        },
+            x: y.relu(),
+            dx: closed_form::fallback_dx(y, dy, opts.encoding),
+        };
+        let target = TargetKind::PostActivation;
+        let sc = prepare_subcache(
+            &mut cache.x,
+            &sub,
+            bounds,
+            target,
+            &enc_opts,
+            Some(over),
+            &mut acc.stats,
+        );
+        lp_relax(
+            &mut sc.enc,
+            target,
+            [over.x, over.dx],
+            solver,
+            check,
+            &mut sc.bases,
+            &mut acc.stats,
+        )
     };
-    match task {
-        LayerTask::Sweep { j, cache } => {
-            let sub = SubNetwork::decompose(aff, li, j, opts.window);
-            let mut cache = cache.unwrap_or_default();
-
-            // --- LpRelaxY: ranges of (y, Δy). ---
-            let target = TargetKind::PreActivation;
-            let sc = prepare_subcache(
-                &mut cache.y,
-                &sub,
-                bounds,
-                target,
-                &enc_opts,
-                None,
-                &mut acc.stats,
-            );
-            let fallbacks = [bounds.y[li][j], bounds.dy[li][j]];
-            let (yr, dyr) = lp_relax(
-                &mut sc.enc,
-                target,
-                fallbacks,
-                solver,
-                check,
-                &mut sc.bases,
-                &mut acc.stats,
-            );
-            acc.subproblems = acc.subproblems.saturating_add(1);
-
-            if !aff.layers[li].relu {
-                done(j, yr, dyr, yr, dyr, cache)
-            } else if opts.closed_form_x
-                && closed_form::closed_form_applies(&sub, bounds, yr, dyr, opts, &enc_opts)
-            {
-                acc.closed_form = acc.closed_form.saturating_add(1);
-                let (x, dx) = closed_form::closed_form_x(yr, dyr, opts.encoding);
-                done(j, yr, dyr, x, dx, cache)
-            } else {
-                Step::Follow(LayerTask::Post {
-                    j,
-                    sub,
-                    yr,
-                    dyr,
-                    cache,
-                })
-            }
-        }
-
-        // --- LpRelaxX: ranges of (x, Δx). ---
-        LayerTask::Post {
-            j,
-            sub,
-            yr,
-            dyr,
-            mut cache,
-        } => {
-            acc.subproblems = acc.subproblems.saturating_add(1);
-            // Thread the freshly-derived target ranges through so the
-            // target's own relaxation uses them rather than the stale
-            // stored ones.
-            let over = TargetOverride {
-                y: yr,
-                dy: dyr,
-                x: yr.relu(),
-                dx: closed_form::fallback_dx(yr, dyr, opts.encoding),
-            };
-            let target = TargetKind::PostActivation;
-            let sc = prepare_subcache(
-                &mut cache.x,
-                &sub,
-                bounds,
-                target,
-                &enc_opts,
-                Some(over),
-                &mut acc.stats,
-            );
-            let (x, dx) = lp_relax(
-                &mut sc.enc,
-                target,
-                [over.x, over.dx],
-                solver,
-                check,
-                &mut sc.bases,
-                &mut acc.stats,
-            );
-            done(j, yr, dyr, x, dx, cache)
-        }
+    NeuronResult {
+        y,
+        dy,
+        x,
+        dx,
+        cache: caching.then_some(cache),
     }
 }
 
@@ -709,7 +683,7 @@ pub mod closed_form {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::example::{fig1_affine, fig1_network};
+    use crate::example::{dense_net, fig1_affine, fig1_network};
 
     const DOM: [(f64, f64); 2] = [(-1.0, 1.0), (-1.0, 1.0)];
 
@@ -809,83 +783,194 @@ mod tests {
         }
     }
 
-    /// Parallel execution returns bit-identical bounds at every thread
-    /// count, with schedule-invariant work counters.
+    /// Parallel execution on a net wider than the pool, at refine 2 so
+    /// that branch-and-bound runs, returns the serial run's bits for every
+    /// bound and the serial run's work counters, at every thread count.
     #[test]
     fn parallel_matches_serial() {
-        let net = fig1_network();
-        let serial_opts = CertifyOptions {
-            threads: 1,
+        let net = dense_net(0x7EA5);
+        let domain = [(-1.0, 1.0); 4];
+        let at = |threads| CertifyOptions {
+            threads,
+            refine: 2,
             ..Default::default()
         };
-        let serial = certify_global(&net, &DOM, 0.1, &serial_opts).unwrap();
+        let serial = certify_global_affine(&net, &domain, 1e-3, &at(1)).unwrap();
+        assert!(serial.stats.query.nodes > 0, "{:?}", serial.stats.query);
         for threads in [2usize, 3, 8] {
-            let parallel = certify_global(
-                &net,
-                &DOM,
-                0.1,
-                &CertifyOptions {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            for (a, b) in serial.epsilons.iter().zip(&parallel.epsilons) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
-            }
+            let parallel = certify_global_affine(&net, &domain, 1e-3, &at(threads)).unwrap();
             assert_eq!(
-                serial.stats.subproblems, parallel.stats.subproblems,
+                serial.bounds.bits(),
+                parallel.bounds.bits(),
                 "threads = {threads}"
             );
+            let (a, b) = (serial.stats, parallel.stats);
+            assert_eq!(a.subproblems, b.subproblems, "threads = {threads}");
             assert_eq!(
-                serial.stats.query.solves, parallel.stats.query.solves,
+                a.closed_form_hits, b.closed_form_hits,
                 "threads = {threads}"
             );
+            assert_eq!(a.query, b.query, "threads = {threads}");
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::Config::with_cases(12))]
-        /// Forced randomized steal schedules (the scheduler's fake-steal
-        /// hook) are invisible: ε̄ bits and all bound bits equal the serial
-        /// run for every seed.
-        #[test]
-        fn randomized_steal_schedules_are_invisible(seed in 0u64..u64::MAX) {
-            let net = fig1_network();
-            let serial = certify_global(
-                &net,
-                &DOM,
-                0.1,
-                &CertifyOptions {
-                    threads: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            crate::schedule::set_test_steal_seed(Some(seed));
-            let stolen = certify_global(
-                &net,
-                &DOM,
-                0.1,
-                &CertifyOptions {
-                    threads: 3,
-                    ..Default::default()
-                },
-            );
-            crate::schedule::set_test_steal_seed(None);
-            let stolen = stolen.unwrap();
-            for (a, b) in serial.epsilons.iter().zip(&stolen.epsilons) {
-                proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+    /// One degenerate input for [`degenerate_inputs_certify_soundly`]: a
+    /// network, its domain, δ, refinement, and the δ its sampled ε is
+    /// taken at.
+    struct Degenerate {
+        what: &'static str,
+        net: Network,
+        domain: Vec<(f64, f64)>,
+        delta: f64,
+        refine: usize,
+        sampled_at: f64,
+    }
+
+    impl Degenerate {
+        /// The Fig. 1 net over [−1, 1]² at δ = 0.1 and refine 1.
+        fn fig1(what: &'static str) -> Self {
+            Degenerate {
+                what,
+                net: fig1_network(),
+                domain: DOM.to_vec(),
+                delta: 0.1,
+                refine: 1,
+                sampled_at: 0.1,
             }
-            for (sa, sb) in [
-                (&serial.bounds.dx, &stolen.bounds.dx),
-                (&serial.bounds.dy, &stolen.bounds.dy),
-            ] {
-                for (ia, ib) in sa.iter().flatten().zip(sb.iter().flatten()) {
-                    proptest::prop_assert_eq!(ia.lo.to_bits(), ib.lo.to_bits());
-                    proptest::prop_assert_eq!(ia.hi.to_bits(), ib.hi.to_bits());
-                }
+        }
+
+        /// [`Degenerate::fig1`] with another first layer.
+        fn fig1_with(what: &'static str, rows: &[&[f64]], bias: &[f64]) -> Self {
+            let net = itne_nn::NetworkBuilder::input(2)
+                .dense(rows, bias, true)
+                .and_then(|b| b.dense(&[&[1.0, -1.0]], &[0.0], true))
+                .expect("static shapes are valid")
+                .build();
+            Degenerate {
+                net,
+                ..Self::fig1(what)
             }
+        }
+
+        /// Certifies the case cold, and resident after a first query at
+        /// δ/2, at 1 and 2 threads; asserts that every run returns the
+        /// 1-thread cold run's bits for every bound, and returns its ε̄ with
+        /// the sampled ε.
+        fn run(&self) -> (Vec<f64>, Vec<f64>) {
+            use crate::resident::{certify_global_resident, ResidentState};
+            let (what, domain, delta) = (self.what, &self.domain, self.delta);
+            let aff = AffineNetwork::from_network(&self.net).expect("dense nets lower");
+            let at = |threads| CertifyOptions {
+                threads,
+                refine: self.refine,
+                ..Default::default()
+            };
+            let serial = certify_global_affine(&aff, domain, delta, &at(1)).unwrap();
+            for threads in [1usize, 2] {
+                let opts = at(threads);
+                let cold = certify_global_affine(&aff, domain, delta, &opts).unwrap();
+                assert_eq!(
+                    serial.bounds.bits(),
+                    cold.bounds.bits(),
+                    "{what}: {threads} threads"
+                );
+                let mut state = ResidentState::new();
+                certify_global_resident(&aff, domain, delta / 2.0, &opts, None, &mut state, None)
+                    .unwrap();
+                let resident =
+                    certify_global_resident(&aff, domain, delta, &opts, None, &mut state, None)
+                        .unwrap();
+                assert_eq!(
+                    serial.bounds.bits(),
+                    resident.bounds.bits(),
+                    "{what}: resident, {threads} threads"
+                );
+            }
+            let sampled =
+                crate::exact::sampled_lower_bound(&self.net, domain, self.sampled_at, 21, 8);
+            (serial.epsilons, sampled)
+        }
+    }
+
+    /// [`Degenerate::fig1`] with a first-layer weight of 1e300.
+    fn fig1_with_1e300_weight() -> Degenerate {
+        Degenerate::fig1_with("1e300 weight", &[&[1e300, 0.5], &[-0.5, 1.0]], &[0.0, 0.0])
+    }
+
+    /// Degenerate inputs certify without a panic, at or above the sampled
+    /// ε, with the same bits resident as cold and on 2 threads as on 1
+    /// ([`Degenerate::run`]).
+    #[test]
+    fn degenerate_inputs_certify_soundly() {
+        let one_neuron = itne_nn::NetworkBuilder::input(1)
+            .dense(&[&[1.0]], &[0.0], true)
+            .expect("static shapes are valid")
+            .build();
+        let cases = [
+            Degenerate {
+                domain: vec![(-1.0, 1.0), (0.5, 0.5)],
+                ..Degenerate::fig1("zero-width input dimension")
+            },
+            Degenerate {
+                domain: vec![(0.3, 0.3), (-0.2, -0.2)],
+                ..Degenerate::fig1("point domain")
+            },
+            Degenerate {
+                delta: 0.0,
+                sampled_at: 0.0,
+                ..Degenerate::fig1("δ = 0")
+            },
+            Degenerate {
+                delta: 2.0,
+                sampled_at: 2.0,
+                ..Degenerate::fig1("δ = the domain width")
+            },
+            Degenerate {
+                delta: f64::INFINITY,
+                refine: 0,
+                sampled_at: 2.0,
+                ..Degenerate::fig1("δ = ∞")
+            },
+            Degenerate::fig1_with("1e8 weight", &[&[1e8, 0.5], &[-0.5, 1.0]], &[0.0, 0.0]),
+            Degenerate::fig1_with(
+                "all-dead ReLU layer",
+                &[&[1.0, 0.5], &[-0.5, 1.0]],
+                &[-10.0; 2],
+            ),
+            Degenerate::fig1_with(
+                "two identical rows",
+                &[&[1.0, 0.5], &[1.0, 0.5]],
+                &[0.0, 0.0],
+            ),
+            Degenerate {
+                net: one_neuron,
+                domain: vec![(-1.0, 1.0)],
+                ..Degenerate::fig1("one-neuron net")
+            },
+        ];
+        for case in &cases {
+            let (certified, sampled) = case.run();
+            for (e, s) in certified.iter().zip(&sampled) {
+                assert!(e >= s, "{}: ε̄ {e:e} below the sampled {s:e}", case.what);
+            }
+        }
+        // Its sampled-ε bound fails today: see
+        // `a_1e300_weight_is_certified_at_or_above_the_sampled_epsilon`.
+        fig1_with_1e300_weight().run();
+    }
+
+    /// Interval arithmetic rounds to nearest, and an IBP range that is
+    /// tighter than the padded LP bound is returned as it is. Here
+    /// `fl(1e300 · 0.1)` rounds below the exact product of the two doubles,
+    /// so the certified ε̄ (1e299) sits 0.3 ulp below the true ε, which is at
+    /// least that product (x = (0, 0), x̂ = (0.1, 0)), and the sampled ε
+    /// reads one ulp above ε̄. Outward-rounded interval operations mend it.
+    #[test]
+    #[ignore = "fails: IBP rounds to nearest, so ε̄ sits 0.3 ulp below the true ε"]
+    fn a_1e300_weight_is_certified_at_or_above_the_sampled_epsilon() {
+        let (certified, sampled) = fig1_with_1e300_weight().run();
+        for (e, s) in certified.iter().zip(&sampled) {
+            assert!(e >= s, "ε̄ {e:e} below the sampled {s:e}");
         }
     }
 

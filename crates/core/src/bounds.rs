@@ -106,4 +106,16 @@ impl TwinBounds {
             }
         }
     }
+
+    /// The bit patterns of every derived range (`y`, `Δy`, `x`, `Δx`, each
+    /// `lo` then `hi`), for tests that compare two runs bit for bit.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        [&self.y, &self.dy, &self.x, &self.dx]
+            .into_iter()
+            .flatten()
+            .flatten()
+            .flat_map(|i| [i.lo.to_bits(), i.hi.to_bits()])
+            .collect()
+    }
 }

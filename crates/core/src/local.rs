@@ -6,7 +6,9 @@
 //! the paper's Fig. 4, included here both as that reproduction and as the
 //! building block the paper generalizes away from.
 
-use crate::algorithm::{propagate, validate_local, validate_query, CertifyOptions, CertifyStats};
+use crate::algorithm::{
+    perturbation_box, propagate, validate_local, validate_query, CertifyOptions, CertifyStats,
+};
 use crate::bounds::TwinBounds;
 use crate::encode::EncodingKind;
 use crate::error::CertifyError;
@@ -66,17 +68,7 @@ pub fn certify_local(
     let aff = AffineNetwork::from_network(net)?;
     validate_local(&aff, x0, domain)?;
     validate_query(delta, opts.window)?;
-    let mut box_: Vec<Interval> = x0
-        .iter()
-        .map(|&v| Interval::new(v - delta, v + delta))
-        .collect();
-    if let Some(dom) = domain {
-        for (b, &(lo, hi)) in box_.iter_mut().zip(dom) {
-            *b = b
-                .intersect(Interval::new(lo, hi), 0.0)
-                .ok_or_else(|| CertifyError::InvalidInput("sample outside domain".into()))?;
-        }
-    }
+    let box_ = perturbation_box(x0, delta, domain)?;
 
     let local_opts = CertifyOptions {
         encoding: EncodingKind::Single,
@@ -189,16 +181,31 @@ mod tests {
         }
     }
 
+    /// A perturbation box that misses the domain is an input error on both
+    /// local entry points.
     #[test]
     fn sample_outside_domain_is_rejected() {
         let net = fig1_network();
-        let r = certify_local(
-            &net,
-            &[5.0, 5.0],
+        let aff = AffineNetwork::from_network(&net).expect("fig1 lowers");
+        let (x0, domain) = ([5.0, 5.0], [(-1.0, 1.0), (-1.0, 1.0)]);
+        let outside = |got: Result<(), CertifyError>| {
+            assert!(
+                matches!(&got, Err(CertifyError::InvalidInput(why)) if why == "sample outside domain"),
+                "{got:?}"
+            );
+        };
+        let opts = CertifyOptions::default();
+        outside(certify_local(&net, &x0, 0.1, Some(&domain), &opts).map(drop));
+        let solver = itne_milp::SolveOptions::default();
+        let oneshot = crate::oneshot::oneshot_local(
+            &aff,
+            &x0,
             0.1,
-            Some(&[(-1.0, 1.0), (-1.0, 1.0)]),
-            &CertifyOptions::default(),
+            Some(&domain),
+            Relaxation::Lpr,
+            0,
+            &solver,
         );
-        assert!(r.is_err());
+        outside(oneshot.map(drop));
     }
 }

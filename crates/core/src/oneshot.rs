@@ -7,7 +7,7 @@
 //! usually tighter because it re-derives ranges as it walks; this module
 //! exists to reproduce Fig. 4 faithfully and as the simplest exact encoder.
 
-use crate::algorithm::{validate_delta, validate_local, validate_network};
+use crate::algorithm::{perturbation_box, validate_delta, validate_local, validate_network};
 use crate::bounds::TwinBounds;
 use crate::encode::{encode_subnet, EncodeOptions, EncodingKind, Relaxation, TargetKind};
 use crate::error::CertifyError;
@@ -87,17 +87,7 @@ pub fn oneshot_local(
 ) -> Result<OneshotReport, CertifyError> {
     validate_local(aff, x0, domain)?;
     validate_delta(delta)?;
-    let mut box_: Vec<Interval> = x0
-        .iter()
-        .map(|&v| Interval::new(v - delta, v + delta))
-        .collect();
-    if let Some(dom) = domain {
-        for (b, &(lo, hi)) in box_.iter_mut().zip(dom) {
-            *b = b
-                .intersect(Interval::new(lo, hi), 0.0)
-                .ok_or_else(|| CertifyError::InvalidInput("sample outside domain".into()))?;
-        }
-    }
+    let box_ = perturbation_box(x0, delta, domain)?;
     let bounds = ibp_twin(aff, &box_, 0.0);
     Ok(query_outputs(
         aff,

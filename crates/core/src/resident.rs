@@ -100,11 +100,11 @@ impl ResidentState {
         std::mem::take(layer)
     }
 
-    /// Returns neuron `(li, j)`'s cache after its task chain finished.
-    /// Results merge back in slot order, so this is a push.
+    /// Returns neuron `(li, j)`'s cache after its task finished.
+    /// Results merge back in neuron index order, so this is a push.
     pub(crate) fn put(&mut self, li: usize, j: usize, cache: Option<Box<NeuronCache>>) {
         let layer = &mut self.layers[li];
-        debug_assert_eq!(layer.len(), j, "cache returned out of slot order");
+        debug_assert_eq!(layer.len(), j, "cache returned out of index order");
         layer.push(cache);
     }
 }
@@ -232,35 +232,9 @@ pub fn certify_global_resident(
 mod tests {
     use super::*;
     use crate::algorithm::certify_global_affine;
-    use crate::example::fig1_affine;
+    use crate::example::{dense_net, fig1_affine};
     use crate::ibp::ibp_values;
     use itne_milp::Engine;
-    use itne_nn::{AffineLayer, SparseRow};
-
-    /// A deterministic dense `4 → 8 → 8 → 2` ReLU net, big enough that its
-    /// LPs take real pivots (fig. 1's LPs are near-trivial).
-    fn dense_net(seed: u64) -> AffineNetwork {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
-        let mut layer = |inputs: usize, width: usize, relu: bool| AffineLayer {
-            rows: (0..width)
-                .map(|_| SparseRow {
-                    terms: (0..inputs).map(|k| (k, next())).collect(),
-                    bias: 0.25 * next(),
-                })
-                .collect(),
-            relu,
-        };
-        AffineNetwork {
-            input_dim: 4,
-            layers: vec![layer(4, 8, true), layer(8, 8, true), layer(8, 2, false)],
-        }
-    }
 
     fn perturbed(net: &AffineNetwork, magnitude: f64) -> AffineNetwork {
         let mut out = net.clone();
@@ -457,25 +431,51 @@ mod tests {
     }
 
     /// Resident certification is thread-count invariant like the one-shot
-    /// path: 4 workers produce the serial bits, with caches intact.
+    /// path, on a net wider than the pool and at refine 2 so that
+    /// branch-and-bound runs: a first and a repeated query return the
+    /// serial run's bits for every bound and its work counters at every
+    /// thread count, and match the cold run.
     #[test]
     fn resident_parallel_matches_serial() {
-        let net = fig1_affine();
-        let domain = [(-1.0, 1.0); 2];
-        for threads in [1usize, 4] {
-            let opts = CertifyOptions {
-                threads,
-                ..Default::default()
-            };
+        let net = dense_net(0x7EA5);
+        let domain = [(-1.0, 1.0); 4];
+        let at = |threads| CertifyOptions {
+            threads,
+            refine: 2,
+            ..Default::default()
+        };
+        let run = |threads| {
+            let opts = at(threads);
             let mut state = ResidentState::new();
-            let first =
-                certify_global_resident(&net, &domain, 0.1, &opts, None, &mut state, None).unwrap();
+            let first = certify_global_resident(&net, &domain, 1e-3, &opts, None, &mut state, None)
+                .unwrap();
             let second =
-                certify_global_resident(&net, &domain, 0.1, &opts, None, &mut state, None).unwrap();
-            let cold = certify_global_affine(&net, &domain, 0.1, &opts).unwrap();
-            assert_eq!(bits(&cold), bits(&first), "threads = {threads}");
-            assert_eq!(bits(&cold), bits(&second), "threads = {threads}");
-            assert!(second.stats.query.encoding_cache_hits > 0);
+                certify_global_resident(&net, &domain, 1e-3, &opts, None, &mut state, None)
+                    .unwrap();
+            [first, second]
+        };
+        let serial = run(1);
+        let cold = certify_global_affine(&net, &domain, 1e-3, &at(1)).unwrap();
+        assert!(
+            serial[0].stats.query.nodes > 0,
+            "{:?}",
+            serial[0].stats.query
+        );
+        assert!(serial[1].stats.query.encoding_cache_hits > 0);
+        for r in &serial {
+            assert_eq!(cold.bounds.bits(), r.bounds.bits());
+        }
+        for threads in [2usize, 3, 8] {
+            for (a, b) in serial.iter().zip(&run(threads)) {
+                assert_eq!(a.bounds.bits(), b.bounds.bits(), "threads = {threads}");
+                let (a, b) = (a.stats, b.stats);
+                assert_eq!(a.subproblems, b.subproblems, "threads = {threads}");
+                assert_eq!(
+                    a.closed_form_hits, b.closed_form_hits,
+                    "threads = {threads}"
+                );
+                assert_eq!(a.query, b.query, "threads = {threads}");
+            }
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   lane sums (`acc[l]` takes entries `l, l+4, l+8, …`) and combines them as
 //!   `(acc0 + acc1) + (acc2 + acc3)`, then folds the `< 4` remainder in
 //!   sequentially. The order is a pure function of the entry count — never
-//!   of thread count, steal schedule, or target CPU — so a result is
+//!   of thread count, worker schedule, or target CPU — so a result is
 //!   bit-reproducible anywhere, even though it may differ by ulps from the
 //!   strictly sequential sum (an intentional, re-recorded semantic change;
 //!   the certifier's outward 2⁻³⁰ grid snap absorbs ulp-level path noise).

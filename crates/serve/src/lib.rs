@@ -74,8 +74,9 @@
 //! would certify itself. The same concurrent requests can then return ε̄
 //! one step apart from run to run; each answer is sound.
 //!
-//! Queries run on the certifier's deterministic work-stealing pool; a
-//! bounded in-flight gate keeps concurrent clients from oversubscribing it.
+//! Queries run on the certifier's per-layer worker pool, one task per
+//! neuron with bits independent of the thread count; a bounded in-flight
+//! gate keeps concurrent clients from oversubscribing it.
 //! Locks are taken in one order: the gate, then the registry, which no
 //! query holds while it waits for a session; then a session's lock, then
 //! the registry again, briefly, to read or store answers. A query that
